@@ -87,8 +87,8 @@ def cmd_complete(ws: Workspace, args) -> int:
     rs = complete(th, budget=args.budget)
     for rule in rs.rules:
         print(f"{render_term(rule.lhs)} ~> {render_term(rule.rhs)}")
-    for l, r in getattr(rs, "unoriented", ()) or ():
-        print(f"{render_term(l)} = {render_term(r)}  (unoriented)")
+    for eq in rs.unoriented:
+        print(f"{render_term(eq.lhs)} = {render_term(eq.rhs)}  (unoriented)")
     if rs.status != "confluent":
         print(f"status: {rs.status}")
         return 1
@@ -238,3 +238,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, output, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,12 +12,23 @@ from tests.conftest import FIXTURES
 
 GROUP = str(FIXTURES / "group.cdb")
 WORKSPACE = str(FIXTURES / "paper.cdb")
+SRC = str(FIXTURES.parent / "src")
 
 
 def run(capsys, *argv):
     code = run_cli(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_module(*argv, hash_seed="0"):
+    """Run `python -m catdb.cli` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "catdb.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 class TestCheck:
@@ -40,6 +54,16 @@ class TestComplete:
     def test_unknown_theory(self, capsys):
         code, _, err = run(capsys, "complete", GROUP, "--theory", "Nope")
         assert code == 2 and "Nope" in err
+
+    def test_unorientable_equation(self, capsys, tmp_path):
+        path = tmp_path / "comm.cdb"
+        path.write_text("theory C {\n  sorts S;\n  symbols * : S S -> S;\n"
+                        "  equations forall x y : S . x*y = y*x;\n}\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, "complete", str(path), "--theory", "C")
+        assert code == 1 and err == ""
+        assert out.splitlines() == ["*(x, y) = *(y, x)  (unoriented)",
+                                    "status: budget-exhausted"]
 
 
 class TestEq:
@@ -170,3 +194,23 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("argv", [
+        ("saturate", WORKSPACE, "--instance", "J", "--format", "json"),
+        ("migrate", WORKSPACE, "--mapping", "H", "--instance", "J",
+         "--mode", "sigma", "--saturate"),
+        ("migrate", WORKSPACE, "--mapping", "G", "--instance", "J",
+         "--mode", "pi"),
+    ])
+    def test_byte_identical_across_hash_seeds(self, argv):
+        runs = [run_module(*argv, hash_seed=seed) for seed in ("0", "1")]
+        assert all(p.returncode == 0 and p.stdout for p in runs)
+        assert runs[0].stdout == runs[1].stdout
+
+
+class TestModuleEntryPoint:
+    def test_python_m_prints_tables(self):
+        proc = run_module("saturate", WORKSPACE, "--instance", "J")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("Emp | mgr | wrk")
+        assert '"Hypatia"' in proc.stdout

@@ -12,7 +12,7 @@ from catdb.kernel import (
 )
 from catdb.rewrite import (
     BudgetExceeded, EqResult, GroundClosure, RewriteSystem, TermOrder,
-    complete, decide_equal, ground_congruence_close, match, normalize, unify,
+    complete, decide_equal, match, normalize, unify,
 )
 
 G = Sort("G")
@@ -232,7 +232,7 @@ class TestGroundClosure:
         for _ in range(50):
             eqs = [tuple(rng.sample(universe, 2))
                    for _ in range(rng.randrange(1, 5))]
-            cl = ground_congruence_close(
+            cl = GroundClosure(
                 [Equation(Context(()), l, r, E) for l, r in eqs], empty)
             find = self.naive_closure(universe, eqs)
             for t1, t2 in itertools.combinations(universe, 2):
@@ -244,6 +244,6 @@ class TestGroundClosure:
         empty = RewriteSystem([], TermOrder(
             AlgSignature((E,), (k1, k2, k3, fe))), "confluent", [])
         eqs = [Equation(Context(()), app(fe, app(k1)), app(k2), E)]
-        cl = ground_congruence_close(eqs, empty)
+        cl = GroundClosure(eqs, empty)
         members = cl.class_members(app(k2))
         assert app(fe, app(k1)) in members and app(k2) in members

@@ -13,6 +13,7 @@ instantiated at every row.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .kernel import (
@@ -318,6 +319,16 @@ class Transform:
         return "[" + ", ".join(parts) + "]"
 
 
+def rows_by_assignment(rows, transforms) -> dict[frozenset, list[Term]]:
+    """Result rows keyed by their transform's row assignment as a set of
+    (generator, row) pairs, so that a dict d equal to the assignment finds
+    them under frozenset(d.items())."""
+    out: dict[frozenset, list[Term]] = {}
+    for row, t in zip(rows, transforms):
+        out.setdefault(frozenset(t.rows), []).append(row)
+    return out
+
+
 def _check_equations(src: InstancePresentation, dst: SaturatedInstance,
                      env: dict[str, Term], vals: dict) -> list[str]:
     out = []
@@ -343,83 +354,119 @@ def enumerate_transforms(src: InstancePresentation,
                          dst: SaturatedInstance) -> list[Transform]:
     """All generator assignments into dst's rows satisfying src's
     equations, in deterministic order (generators by declaration, rows by
-    table order).  Type-sorted generators must be forced by equations."""
+    table order).  Type-sorted generators must be forced by equations.
+
+    A depth-first search that branches on the first unbound entity
+    generator.  A node looks only at the equations of the generators it
+    binds: an equation is checked once, when its last generator is bound
+    (bindings only grow along a path, so a check that passed keeps
+    passing), and an equation with a bare unbound generator on one side
+    and a bound other side forces that generator.  Side values are
+    memoised for the call, keyed by the side and the rows and values bound
+    to its generators.  Branching on g keeps only the rows that an inverse
+    index (side value -> rows in table order, built once per call) lists
+    for each equation with one side over g alone and the other side bound.
+    The index is exact because entity sides compare as rows and
+    decide_values is Equal exactly when the two canonical values are ==."""
     if src.schema.presentation != dst.schema.presentation:
         raise InstanceError("transform endpoints live on different schemas")
     is_ent = src.schema.is_entity
     ent_gens = src.entity_generators()
     type_gen_names = [n for n, _ in src.type_generators()]
-    gens = src.generators
 
-    def side_vars(t: Term):
-        return term_vars(t)
+    # equations by generator, each list in equation order
+    watch: dict[str, list[int]] = {n: [] for n in src.generators.names()}
+    side_vars: dict[Term, tuple[str, ...]] = {}
+    eq_info: list[tuple[bool, Term, Term]] = []
+    for i, eq in enumerate(src.equations):
+        for t in (eq.lhs, eq.rhs):
+            side_vars[t] = tuple(sorted(v for v in term_vars(t) if v in watch))
+        for v in set(side_vars[eq.lhs] + side_vars[eq.rhs]):
+            watch[v].append(i)
+        eq_info.append((is_ent(eq.sort), eq.lhs, eq.rhs))
 
-    eq_info = []
-    for eq in src.equations:
-        vs = side_vars(eq.lhs) | side_vars(eq.rhs)
-        ent_vs = {v for v in vs if v in gens and is_ent(gens.sort_of(v))}
-        typ_vs = {v for v in vs if v in gens and not is_ent(gens.sort_of(v))}
-        eq_info.append((eq, ent_vs, typ_vs))
-
+    memo: dict = {}
+    indexes: dict[Term, dict] = {}
     results: list[Transform] = []
 
-    def propagate(env: dict[str, Term], vals: dict) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for eq, ent_vs, typ_vs in eq_info:
-                if not ent_vs <= env.keys():
-                    # try forcing a bare entity generator from the other side
-                    for bare, other in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
-                        if (is_ent(eq.sort) and isinstance(bare, Var)
-                                and bare.name not in env
-                                and bare.name in {n for n, _ in ent_gens}
-                                and side_vars(other) <= env.keys()):
-                            env[bare.name] = dst.eval_entity(other, env)
-                            changed = True
-                            break
-                    continue
-                if is_ent(eq.sort):
-                    if dst.eval_entity(eq.lhs, env) != dst.eval_entity(eq.rhs, env):
-                        return False
-                    continue
-                missing = typ_vs - vals.keys()
-                if not missing:
-                    if decide_values(dst.eval_type(eq.lhs, env, vals),
-                                     dst.eval_type(eq.rhs, env, vals)) \
-                            != EqResult.Equal:
-                        return False
-                    continue
-                for bare, other in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
-                    if (isinstance(bare, Var) and bare.name in missing
-                            and not side_vars(other) & missing):
-                        vals[bare.name] = dst.eval_type(other, env, vals)
-                        changed = True
-                        break
+    def value(t: Term, ent: bool, bound: dict):
+        key = (t, tuple(bound[v] for v in side_vars[t]))
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = (dst.eval_entity(t, bound) if ent
+                             else dst.eval_type(t, bound, bound))
+        return v
+
+    def is_bound(t: Term, bound: dict) -> bool:
+        return all(v in bound for v in side_vars[t])
+
+    def propagate(bound: dict, todo) -> bool:
+        # todo: the equations of the generators bound since the parent node;
+        # checked keeps one that mentions two of them from being checked twice
+        queue, checked = list(todo), set()
+        for i in queue:
+            if i in checked:
+                continue
+            ent, lhs, rhs = eq_info[i]
+            lhs_bound, rhs_bound = is_bound(lhs, bound), is_bound(rhs, bound)
+            if lhs_bound and rhs_bound:
+                checked.add(i)
+                l, r = value(lhs, ent, bound), value(rhs, ent, bound)
+                holds = l == r if ent else decide_values(l, r) == EqResult.Equal
+                if not holds:
+                    return False
+                continue
+            for bare, other, other_bound in ((lhs, rhs, rhs_bound),
+                                             (rhs, lhs, lhs_bound)):
+                if isinstance(bare, Var) and other_bound:
+                    bound[bare.name] = value(other, ent, bound)
+                    queue.extend(watch[bare.name])
+                    break
         return True
 
-    def search(env: dict[str, Term], vals: dict):
-        env, vals = dict(env), dict(vals)
-        if not propagate(env, vals):
+    def index(side: Term, ent: bool, name: str, sort: Sort) -> dict:
+        idx = indexes.get(side)
+        if idx is None:
+            idx = indexes[side] = {}
+            for row in dst.rows(sort):
+                idx.setdefault(value(side, ent, {name: row}), []).append(row)
+        return idx
+
+    def candidates(name: str, sort: Sort, bound: dict) -> list[Term]:
+        hits = []
+        for i in watch[name]:
+            ent, lhs, rhs = eq_info[i]
+            for side, other in ((lhs, rhs), (rhs, lhs)):
+                if side_vars[side] == (name,) and is_bound(other, bound):
+                    hits.append(index(side, ent, name, sort).get(
+                        value(other, ent, bound), []))
+                    break
+        if not hits:
+            return dst.rows(sort)
+        hits.sort(key=len)
+        rest = [set(h) for h in hits[1:]]
+        return [r for r in hits[0] if all(r in h for h in rest)]
+
+    def search(bound: dict, todo) -> None:
+        if not propagate(bound, todo):
             return
-        pending = [(n, s) for n, s in ent_gens if n not in env]
+        pending = [(n, s) for n, s in ent_gens if n not in bound]
         if not pending:
-            unforced = [n for n in type_gen_names if n not in vals]
+            unforced = [n for n in type_gen_names if n not in bound]
             if unforced:
                 raise DomainDependence(
                     "type-sorted generators not determined by equations: "
                     + ", ".join(unforced))
             results.append(Transform(
                 src, dst,
-                tuple((n, env[n]) for n, _ in ent_gens),
-                tuple((n, vals[n]) for n in type_gen_names)))
+                tuple((n, bound[n]) for n, _ in ent_gens),
+                tuple((n, bound[n]) for n in type_gen_names)))
             return
         name, sort = pending[0]
-        for row in dst.rows(sort):
-            env[name] = row
-            search(env, vals)
+        for row in candidates(name, sort, bound):
+            search({**bound, name: row}, watch[name])
 
-    search({}, {})
+    search({}, range(len(eq_info)))
     return results
 
 
@@ -455,36 +502,47 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
         return at.sort if hasattr(at, "sort") else None
 
     def shape_and_atoms(v, alg):
-        atoms = sorted(v.atoms(), key=_shape_atom_key)
+        atoms = sorted(v.atoms(), key=term_key)
         ph = {at: opaque_atom(Var(f"@{i}"), atom_sort(at, alg))
               for i, at in enumerate(atoms)}
         return map_value_atoms(v, lambda at: ph[at]), atoms
 
-    pairs = []  # (a_row, b_row candidates) scheduling
+    # attribute cells by (column of a, row), as (shape, atoms in key order)
+    attr_pairs = [(att, cols_b[cmap[att.name]]) for att in a.schema.attributes]
+    cells_a = {(att, r): shape_and_atoms(a.attr_cols[att][r], a.typealg)
+               for att, _ in attr_pairs for r in a.rows(att.dom[0])}
+    cells_b = {(att, r): shape_and_atoms(b.attr_cols[att_b][r], b.typealg)
+               for att, att_b in attr_pairs for r in b.rows(att_b.dom[0])}
+
+    # Each row of a may only map to a row of b whose attribute cells have
+    # the same shapes, which consistent() needs anyway.
+    pairs = []  # (a row, candidate b rows in table order)
     for name, e in ea.items():
         e2 = eb[emap[name]]
         if len(a.rows(e)) != len(b.rows(e2)):
             return False
-        for r in a.rows(e):
-            pairs.append((e, e2, r))
+        atts = [att for att, _ in attr_pairs if att.dom[0] == e]
+        shapes_a = [tuple(cells_a[att, r][0] for att in atts)
+                    for r in a.rows(e)]
+        shapes_b = [tuple(cells_b[att, r][0] for att in atts)
+                    for r in b.rows(e2)]
+        if Counter(shapes_a) != Counter(shapes_b):
+            return False
+        by_shape: dict[tuple, list[Term]] = {}
+        for r, k in zip(b.rows(e2), shapes_b):
+            by_shape.setdefault(k, []).append(r)
+        pairs += [(r, by_shape[k]) for r, k in zip(a.rows(e), shapes_a)]
 
     def consistent(rowmap):
-        atom_map: dict = {}
         for f in a.schema.edges:
             fb = cols_b[cmap[f.name]]
             for r in a.rows(f.dom[0]):
                 if rowmap[a.edge_cols[f][r]] != b.edge_cols[fb][rowmap[r]]:
                     return False
-        for att in a.schema.attributes:
-            att_b = cols_b[cmap[att.name]]
+        atom_map: dict = {}
+        for att, _ in attr_pairs:
             for r in a.rows(att.dom[0]):
-                va = a.attr_cols[att][r]
-                vb = b.attr_cols[att_b][rowmap[r]]
-                sa, aa = shape_and_atoms(va, a.typealg)
-                sb, bb = shape_and_atoms(vb, b.typealg)
-                if sa != sb:
-                    return False
-                for x, y in zip(aa, bb):
+                for x, y in zip(cells_a[att, r][1], cells_b[att, rowmap[r]][1]):
                     if atom_map.setdefault(x, y) != y:
                         return False
         return True
@@ -492,8 +550,8 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
     def search(i, rowmap, used):
         if i == len(pairs):
             return consistent(rowmap)
-        e, e2, r = pairs[i]
-        for cand in b.rows(e2):
+        r, cands = pairs[i]
+        for cand in cands:
             if cand in used:
                 continue
             rowmap[r] = cand
@@ -503,10 +561,6 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
         return False
 
     return search(0, {}, frozenset())
-
-
-def _shape_atom_key(at):
-    return term_key(at)
 
 
 # --- observable equality within a schema (used by mapping checks) ------

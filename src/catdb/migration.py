@@ -24,7 +24,8 @@ from .schema import (
 from .instance import (
     DomainDependence, InstanceError, InstancePresentation, SaturatedInstance,
     Transform, canonical_presentation, enumerate_transforms,
-    representable_instance, row_generator_names, saturate,
+    representable_instance, row_generator_names, rows_by_assignment,
+    saturate,
 )
 from .typeside import (
     CanonicalValue, _bare_atom, map_value_atoms, opaque_atom, ts_normalize,
@@ -150,9 +151,10 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
                            for i in range(len(alphas))]}
 
     row_list = {t: list(per[t]["rows"]) for t in tgt.entities}
-
-    def alpha_of_row(t, row):
-        return per[t]["alphas"][per[t]["rows"].index(row)]
+    alpha_of = {t: dict(zip(per[t]["rows"], per[t]["alphas"]))
+                for t in tgt.entities}
+    row_of = {t: rows_by_assignment(per[t]["rows"], per[t]["alphas"])
+              for t in tgt.entities}
 
     def resolve_atom_fn(t, alpha):
         names = per[t]["names"]
@@ -199,7 +201,7 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
         t, t1 = h.dom[0], h.cod
         col = {}
         for row in per[t]["rows"]:
-            alpha = alpha_of_row(t, row)
+            alpha = alpha_of[t][row]
             assign = alpha.row_assignment()
             names_t, names_t1 = per[t]["names"], per[t1]["names"]
             sat_t = per[t]["sat"]
@@ -209,12 +211,11 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
                 r_in_t = sat_t.eval_entity(pre, {"x": sat_t.gen_env["x"]})
                 if names_t[r_in_t] in assign:
                     beta[names_t1[r1]] = assign[names_t[r_in_t]]
-            hits = [i for i, a in enumerate(per[t1]["alphas"])
-                    if a.row_assignment() == beta]
+            hits = row_of[t1].get(frozenset(beta.items()), [])
             if len(hits) != 1:
                 raise MigrationError("edge precomposition did not land on "
                                      "a unique row")
-            col[row] = per[t1]["rows"][hits[0]]
+            col[row] = hits[0]
         edge_cols[h] = col
 
     attr_cols = {}
@@ -222,7 +223,7 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
         t = a.dom[0]
         col = {}
         for row in per[t]["rows"]:
-            alpha = alpha_of_row(t, row)
+            alpha = alpha_of[t][row]
             sat_t = per[t]["sat"]
             v0 = sat_t.eval_type(app(a, Var("x")), {"x": sat_t.gen_env["x"]})
             col[row] = I.typealg.simplify(

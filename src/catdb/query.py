@@ -24,7 +24,7 @@ from .schema import (
 from .instance import (
     DomainDependence, InstancePresentation, SaturatedInstance, Transform,
     check_transform, enumerate_transforms, instances_isomorphic,
-    render_tables, saturate,
+    render_tables, rows_by_assignment, saturate,
 )
 from .migration import BimodulePresentation, gamma
 from .typeside import TYPE_SORTS
@@ -198,18 +198,18 @@ def eval_uber_query(N: UberQuery, J: SaturatedInstance) -> SaturatedInstance:
         b, rows, alphas = per[f.dom[0]]
         cb, crows, calphas = per[f.cod]
         m = b.key_for(f)
+        crow_of = rows_by_assignment(crows, calphas)
         col = {}
         for r, alpha in zip(rows, alphas):
             assign = alpha.row_assignment()
             target = {n: J.eval_entity(subst_map(m(n), assign))
                       for n, s in cb.for_ctx.bindings}
-            hits = [j for j, ca in enumerate(calphas)
-                    if ca.row_assignment() == target]
+            hits = crow_of.get(frozenset(target.items()), [])
             if len(hits) != 1:
                 raise InvalidKeys(
                     f"keys morphism for {f.name} does not determine a "
                     f"unique row")
-            col[r] = crows[hits[0]]
+            col[r] = hits[0]
         edge_cols[f] = col
     attr_cols = {}
     for a in R.attributes:

@@ -121,7 +121,7 @@ def match(pattern: Term, term: Term, subst: dict[str, Term] | None = None):
 class RewriteSystem:
     rules: list[RewriteRule]
     order: TermOrder
-    status: str  # "confluent" | "budget-exhausted"
+    status: str  # "confluent" | "unoriented" | "budget-exhausted"
     unoriented: list[Equation] = field(default_factory=list)
     step_budget: int = DEFAULT_STEP_BUDGET
 
@@ -324,7 +324,8 @@ def complete(pres: Presentation, order: TermOrder | None = None,
                 for _, left, right in _critical_pairs(a, b):
                     pending.append(Equation(eq.context, left, right, eq.sort))
 
-    rs.status = "budget-exhausted" if (exhausted or rs.unoriented) else "confluent"
+    rs.status = ("budget-exhausted" if exhausted
+                 else "unoriented" if rs.unoriented else "confluent")
     rs.rules = [_tidy_rule(r) for r in rs.rules]
     rs._nf_cache = {}
     return rs

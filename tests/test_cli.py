@@ -21,14 +21,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_module(*argv, hash_seed="0"):
+def run_module(*argv, hash_seed="0", stdout=subprocess.PIPE):
     """Run `python -m catdb.cli` in a fresh interpreter."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "catdb.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=120)
 
 
 class TestCheck:
@@ -63,10 +63,24 @@ class TestComplete:
         code, out, err = run(capsys, "complete", str(path), "--theory", "C")
         assert code == 1 and err == ""
         assert out.splitlines() == ["*(x, y) = *(y, x)  (unoriented)",
-                                    "status: budget-exhausted"]
+                                    "status: unoriented"]
+
+
+COMMUTATIVE = ("theory C {\n  sorts S;\n  symbols a : S;\n  symbols b : S;\n"
+               "  symbols * : S S -> S;\n"
+               "  equations forall x y : S . x*y = y*x;\n}\n")
 
 
 class TestEq:
+    def test_unoriented_system_answers_unknown(self, capsys, tmp_path):
+        path = tmp_path / "comm.cdb"
+        path.write_text(COMMUTATIVE, encoding="utf-8")
+        code, out, _ = run(capsys, "eq", str(path), "--theory", "C",
+                           "a*b", "b*a")
+        assert code == 0 and out.strip() == "Equal"
+        code, out, _ = run(capsys, "eq", str(path), "--theory", "C", "a", "b")
+        assert code == 0 and out.strip() == "Unknown"
+
     def test_equal_words(self, capsys):
         code, out, _ = run(capsys, "eq", GROUP, "--theory", "Grp",
                            "(inv(a)*a)*(b*inv(b))", "b*((inv(a*b))*a)")
@@ -214,3 +228,13 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout.startswith("Emp | mgr | wrk")
         assert '"Hypatia"' in proc.stdout
+
+    def test_closed_stdout_exits_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            proc = run_module("saturate", WORKSPACE, "--instance", "J",
+                              stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1 and proc.stderr == ""

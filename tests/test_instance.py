@@ -17,7 +17,24 @@ from catdb.instance import (
     observable_decide, render_tables, representable_instance, saturate,
     tables, tables_json,
 )
-from catdb.typeside import INT, LE, STR, TRUE, int_term, str_literal
+from catdb.typeside import (
+    INT, LE, STR, TRUE, int_term, str_literal, ts_normalize,
+)
+
+
+def entity(schema, name):
+    return [e for e in schema.entities if e.name == name][0]
+
+
+def by_name(syms):
+    return {s.name: s for s in syms}
+
+
+def reversed_rows(si):
+    """The same tables with every entity's rows in reverse order."""
+    return SaturatedInstance(
+        si.schema, {e: rows[::-1] for e, rows in si.row_list.items()},
+        si.edge_cols, si.attr_cols, si.typealg, si.gen_env)
 
 
 def table_cells(si, entity_name):
@@ -150,6 +167,38 @@ class TestIsomorphism:
 
     def test_self_isomorphic(self, satJ):
         assert instances_isomorphic(satJ, satJ)
+
+    def test_reversed_rows_isomorphic(self, satJ):
+        assert instances_isomorphic(satJ, reversed_rows(satJ))
+        assert instances_isomorphic(reversed_rows(satJ), satJ)
+
+    def test_reversed_rows_of_a_large_instance_isomorphic(self, ws):
+        s = ws.schemas["S"]
+        emp, dept = (entity(s, n) for n in ("Emp", "Dept"))
+        mgr, wrk, sec = (by_name(s.edges)[n] for n in ("mgr", "wrk", "sec"))
+        last = by_name(s.attributes)["last"]
+        names = [f"e{i}" for i in range(14)]
+        G = ctx(*[(n, emp) for n in names], ("d", dept))
+        eqs = [Equation(G, app(sec, Var("d")), Var("e0"), emp)]
+        for i, n in enumerate(names):
+            eqs += [Equation(G, app(mgr, Var(n)), Var(n), emp),
+                    Equation(G, app(wrk, Var(n)), Var("d"), dept),
+                    Equation(G, app(last, Var(n)),
+                             str_literal("n" + "abcdefghijklmn"[i]), STR)]
+        si = saturate(InstancePresentation(s, G, tuple(eqs)))
+        assert len(si.rows(emp)) == 14
+        assert instances_isomorphic(si, reversed_rows(si))
+
+    def test_same_sizes_different_cells_rejected(self, ws, satJ):
+        jbar = saturate(ws.instances["Jbar"])
+        assert not instances_isomorphic(jbar, satJ)
+        assert not instances_isomorphic(satJ, jbar)
+        last = by_name(satJ.schema.attributes)["last"]
+        other = reversed_rows(satJ)
+        other.attr_cols = {**other.attr_cols,
+                           last: {**other.attr_cols[last],
+                                  Var("e2"): ts_normalize(str_literal("x"))}}
+        assert not instances_isomorphic(satJ, other)
 
 
 class TestObservables:

@@ -8,7 +8,6 @@ checks, undecidable/infinite cases, inconsistency), 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -16,8 +15,7 @@ from .kernel import KernelError, Presentation, render_term
 from .rewrite import BudgetExceeded, DEFAULT_CP_BUDGET, complete
 from .schema import PossiblyInfinite, SchemaError
 from .instance import (
-    InstanceError, enumerate_transforms, render_tables, saturate, tables,
-    tables_json,
+    InstanceError, enumerate_transforms, render_tables, saturate, tables_json,
 )
 from .migration import MigrationError, delta, pi, sigma
 from .query import (
@@ -179,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="work budget for completion/saturation")
         sp.add_argument("--format", choices=("ascii", "json"),
                         default="ascii")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized commands")
         return sp
 
     common(sub.add_parser("check", help="parse and check a workspace"))

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 
 from .kernel import (
     AlgSignature, App, Context, ContextMorphism, Equation, FunctionSymbol,
-    Presentation, Sort, Term, Var, app, int_literal, render_term,
-    well_sort_check,
+    Presentation, Sort, Term, Var, app, well_sort_check,
 )
 from .typeside import (
-    BOOL, CONCAT, EPS, FALSE, INT, LE, NEG, PLUS, STR, TIMES, TRUE,
-    TYPE_SORTS, int_term, str_literal,
+    FALSE, LE, NEG, PLUS, TIMES, TRUE, TYPE_SORTS, TYPE_SYMBOLS, int_term,
+    str_literal,
 )
 from .schema import (
     Schema, SchemaMapping, SchemaPresentation, compile_schema,
@@ -321,7 +320,6 @@ class Parser:
 
     @staticmethod
     def _collage_symbols(edges, attributes):
-        from .typeside import TYPE_SYMBOLS
         return TYPE_SYMBOLS + tuple(edges) + tuple(attributes)
 
     def _schema_eq(self, sig, sorts) -> Equation:
@@ -688,8 +686,11 @@ class Parser:
         if t.kind == "int":
             return env.int_term(int(t.text), t.span)
         if t.kind == "string":
-            return str_literal(t.text[1:-1].replace('\\"', '"')
-                               .replace("\\\\", "\\"))
+            try:
+                return str_literal(t.text[1:-1].replace('\\"', '"')
+                                   .replace("\\\\", "\\"))
+            except ValueError as exc:
+                raise DslError(str(exc), t.span) from None
         if t.kind != "ident":
             raise DslError(f"unexpected {t.text!r} in term", t.span)
         if t.text == "true":
@@ -765,22 +766,6 @@ def parse_workspace(text: str, filename: str = "<input>") -> Workspace:
 # --- pretty printer -----------------------------------------------------
 
 
-def _literal_string(t: Term) -> str | None:
-    """Reassemble a letter-concatenation term into its source string."""
-    if isinstance(t, App):
-        if t.symbol == EPS:
-            return ""
-        n = t.symbol.name
-        if t.symbol.arity == 0 and len(n) == 3 and n[0] == n[2] == "'":
-            return n[1]
-        if t.symbol == CONCAT:
-            a = _literal_string(t.args[0])
-            b = _literal_string(t.args[1])
-            if a is not None and b is not None:
-                return a + b
-    return None
-
-
 def render_dsl_term(t: Term) -> str:
     """Print a term in the surface syntax the parser accepts."""
     return _rdt(t, 0)
@@ -789,9 +774,6 @@ def render_dsl_term(t: Term) -> str:
 def _rdt(t: Term, prec: int) -> str:
     if isinstance(t, Var):
         return t.name
-    s = _literal_string(t)
-    if s is not None:
-        return f'"{s}"'
     sym = t.symbol
     if sym.arity == 0:
         return sym.name

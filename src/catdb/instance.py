@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kernel import (
     App, Context, Equation, FunctionSymbol, Sort, Term, Var, app, ctx,
     render_term, subst_map, term_key, term_vars, well_sort_check,
 )
 from .rewrite import EqResult, GroundClosure
-from .schema import PossiblyInfinite, Schema, SchemaError
+from .schema import PossiblyInfinite, Schema
 from .typeside import (
     CanonicalValue, TypeAlgebra, apply_symbol, decide_values, is_type_symbol,
     map_value_atoms, opaque_atom, render_value, ts_normalize, value_sort,
@@ -96,12 +96,16 @@ class SaturatedInstance:
         return sum(len(v) for v in self.row_list.values())
 
     def eval_entity(self, t: Term, env: dict[str, Term] | None = None) -> Term:
-        if t in self.row_sort:
-            return t
+        """The row of t, with t's variables bound by env first, then by the
+        generators of this instance.  A term over bound variables is
+        evaluated through its edges even if it spells a row of this
+        instance: a source generator may share its name with a row."""
         if isinstance(t, Var):
             if env and t.name in env:
                 return env[t.name]
-            return self.gen_env[t.name]
+            return t if t in self.row_sort else self.gen_env[t.name]
+        if not env and t in self.row_sort:
+            return t
         assert isinstance(t, App)
         row = self.eval_entity(t.args[0], env)
         return self.edge_cols[t.symbol][row]
@@ -481,7 +485,7 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
 
     Entities and columns are matched by name unless correspondences are
     given.  Ground cells must be equal; indeterminate cells must agree up
-    to a single consistent renaming of atoms."""
+    to a single consistent one-to-one renaming of atoms."""
     ea = {e.name: e for e in a.schema.entities}
     eb = {e.name: e for e in b.schema.entities}
     emap = entity_names or {n: n for n in ea}
@@ -539,11 +543,14 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
             for r in a.rows(f.dom[0]):
                 if rowmap[a.edge_cols[f][r]] != b.edge_cols[fb][rowmap[r]]:
                     return False
+        # the atom renaming must be a bijection
         atom_map: dict = {}
+        inverse: dict = {}
         for att, _ in attr_pairs:
             for r in a.rows(att.dom[0]):
                 for x, y in zip(cells_a[att, r][1], cells_b[att, rowmap[r]][1]):
-                    if atom_map.setdefault(x, y) != y:
+                    if atom_map.setdefault(x, y) != y \
+                            or inverse.setdefault(y, x) != x:
                         return False
         return True
 

@@ -70,6 +70,17 @@ def is_int_literal(sym: FunctionSymbol) -> bool:
     return sym.arity == 0 and (n.isdigit() or (n.startswith("-") and n[1:].isdigit()))
 
 
+def str_literal_symbol(text: str) -> FunctionSymbol:
+    """Nullary symbol denoting a string constant, named by its quoted text."""
+    return FunctionSymbol(f'"{text}"', (), Sort("Str"))
+
+
+def is_str_literal(sym: FunctionSymbol) -> bool:
+    n = sym.name
+    return (sym.arity == 0 and len(n) >= 2 and n[0] == n[-1] == '"'
+            and sym.cod.name == "Str")
+
+
 class AlgSignature:
     """A set of sorts plus function symbols, in declaration order."""
 
@@ -99,14 +110,9 @@ class AlgSignature:
     def has_symbol(self, sym: FunctionSymbol) -> bool:
         if self.symbols.get(sym.name) == sym:
             return True
-        # Integer constants are admitted wherever the Int sort exists.
-        return is_int_literal(sym) and "Int" in self.sorts
-
-    def declaration_index(self, sym: FunctionSymbol) -> int:
-        try:
-            return list(self.symbols).index(sym.name)
-        except ValueError:
-            return -1  # literals sort below every declared symbol
+        # Integer and string constants are admitted wherever their sort exists.
+        return ((is_int_literal(sym) and "Int" in self.sorts)
+                or (is_str_literal(sym) and "Str" in self.sorts))
 
     def __repr__(self):
         return f"AlgSignature(sorts={list(self.sorts)}, symbols={list(self.symbols)})"

@@ -13,23 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kernel import (
-    App, Context, ContextMorphism, Equation, FunctionSymbol, Sort, Term,
-    Var, app, ctx, render_term, subst_map, term_key,
+    App, Context, Equation, FunctionSymbol, Sort, Term, Var, app, ctx,
+    render_term, subst_map, term_key,
 )
 from .schema import (
-    PossiblyInfinite, Schema, SchemaError, SchemaMapping, SchemaMismatch,
-    SchemaPresentation, _norm_obs, compile_schema, identity_mapping,
-    saturate_entity_category, is_discrete_opfibration,
+    Schema, SchemaError, SchemaMapping, SchemaMismatch, SchemaPresentation,
+    _norm_obs, compile_schema, saturate_entity_category,
+    is_discrete_opfibration,
 )
 from .instance import (
-    DomainDependence, InstanceError, InstancePresentation, SaturatedInstance,
-    Transform, canonical_presentation, enumerate_transforms,
-    representable_instance, row_generator_names, rows_by_assignment,
-    saturate,
+    DomainDependence, InstancePresentation, SaturatedInstance,
+    canonical_presentation, enumerate_transforms, representable_instance,
+    row_generator_names, rows_by_assignment, saturate,
 )
-from .typeside import (
-    CanonicalValue, _bare_atom, map_value_atoms, opaque_atom, ts_normalize,
-)
+from .typeside import CanonicalValue, _bare_atom, map_value_atoms
 
 
 class MigrationError(Exception):

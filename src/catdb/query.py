@@ -12,15 +12,13 @@ that on concrete inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kernel import (
-    App, Context, ContextMorphism, Equation, FunctionSymbol, Sort, Term,
-    Var, app, ctx, render_term, subst_map,
+    Context, ContextMorphism, Equation, FunctionSymbol, Sort, Term, Var, app,
+    ctx, subst_map,
 )
-from .schema import (
-    Schema, SchemaError, SchemaPresentation, compile_schema,
-)
+from .schema import Schema, SchemaPresentation, compile_schema
 from .instance import (
     DomainDependence, InstancePresentation, SaturatedInstance, Transform,
     check_transform, enumerate_transforms, instances_isomorphic,

@@ -81,22 +81,13 @@ class RewriteRule:
         return f"{render_term(self.lhs)} ~> {render_term(self.rhs)}"
 
 
-class Unorientable:
-    """Marker result for equations no orientation of which is reducing."""
-
-    def __init__(self, eq: Equation):
-        self.eq = eq
-
-    def __repr__(self):
-        return f"Unorientable({self.eq})"
-
-
-def orient(eq: Equation, order: TermOrder):
+def orient(eq: Equation, order: TermOrder) -> RewriteRule | None:
+    """The reducing orientation of eq, or None if neither side is greater."""
     if order.greater(eq.lhs, eq.rhs) and term_vars(eq.rhs) <= term_vars(eq.lhs):
         return RewriteRule(eq.context, eq.lhs, eq.rhs)
     if order.greater(eq.rhs, eq.lhs) and term_vars(eq.lhs) <= term_vars(eq.rhs):
         return RewriteRule(eq.context, eq.rhs, eq.lhs)
-    return Unorientable(eq)
+    return None
 
 
 def match(pattern: Term, term: Term, subst: dict[str, Term] | None = None):
@@ -313,7 +304,7 @@ def complete(pres: Presentation, order: TermOrder | None = None,
         if lhs == rhs:
             continue
         o = orient(Equation(eq.context, lhs, rhs, eq.sort), order)
-        if isinstance(o, Unorientable):
+        if o is None:
             rs.unoriented.append(Equation(eq.context, lhs, rhs, eq.sort))
             rs._nf_cache = {}
             continue

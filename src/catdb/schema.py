@@ -11,17 +11,14 @@ symbol outranks them in the term order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kernel import (
-    AlgSignature, App, Context, ContextMorphism, Equation, FunctionSymbol,
-    Presentation, Sort, Term, Var, app, ctx, render_term, subst_map,
-    term_key, well_sort_check,
+    AlgSignature, App, Context, Equation, FunctionSymbol, Presentation, Sort,
+    Term, Var, app, ctx, subst_map, term_key, well_sort_check,
 )
-from .rewrite import (
-    DEFAULT_CP_BUDGET, EqResult, RewriteSystem, complete, decide_equal,
-)
-from .typeside import TYPE_SORTS, TYPE_SYMBOLS, BOOL
+from .rewrite import DEFAULT_CP_BUDGET, EqResult, RewriteSystem, complete
+from .typeside import TYPE_SORTS, TYPE_SYMBOLS
 
 
 class SchemaError(Exception):

@@ -3,7 +3,9 @@
 Rather than running completion on the (undecidable in general) full theory,
 values are normalized into canonical forms per sort: multivariate integer
 polynomials, flattened letter words, and boolean formulas in negation
-normal form.  Unknowns (labelled nulls and unconstrained attribute cells)
+normal form.  Integer and string constants are nullary literal symbols
+given by their value (`250`, `"Gauss"`), not by generators and equations.
+Unknowns (labelled nulls and unconstrained attribute cells)
 appear as opaque atoms inside these forms.  Equality modulo a set of
 hypotheses is answered tri-state; Unknown is deliberate whenever the
 answer would need reasoning outside these fragments (e.g. ordered-ring
@@ -14,11 +16,11 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import groupby
 
 from .kernel import (
-    AlgSignature, App, Context, Equation, FunctionSymbol, Presentation, Sort,
-    Term, Var, app, ctx, int_literal, is_int_literal, render_term,
+    App, Context, FunctionSymbol, Sort, Term, Var, app, int_literal,
+    is_int_literal, is_str_literal, render_term, str_literal_symbol,
 )
 from .rewrite import EqResult
 
@@ -39,16 +41,13 @@ NOT = FunctionSymbol("not", (BOOL,), BOOL)
 AND = FunctionSymbol("and", (BOOL, BOOL), BOOL)
 OR = FunctionSymbol("or", (BOOL, BOOL), BOOL)
 EPS = FunctionSymbol("eps", (), STR)
-LETTERS = {
-    c: FunctionSymbol(f"'{c}'", (), STR)
-    for c in string.ascii_lowercase + string.ascii_uppercase
-}
+LETTERS = frozenset(string.ascii_lowercase + string.ascii_uppercase)
 CONCAT = FunctionSymbol(".", (STR, STR), STR)
 EQS = FunctionSymbol("eq", (STR, STR), BOOL)
 
 TYPE_SYMBOLS = (
     ZERO, ONE, NEG, PLUS, TIMES, LE, TRUE, FALSE, NOT, AND, OR,
-    EPS, *LETTERS.values(), CONCAT, EQS,
+    EPS, CONCAT, EQS,
 )
 
 
@@ -57,104 +56,14 @@ class NonGround(Exception):
 
 
 def str_literal(s: str) -> Term:
-    """Desugar a literal string to a letter-concatenation term."""
-    for c in s:
-        if c not in LETTERS:
-            raise ValueError(f"only letters a-z, A-Z allowed in string literals: {s!r}")
-    if not s:
-        return app(EPS)
-    out = app(LETTERS[s[-1]])
-    for c in reversed(s[:-1]):
-        out = app(CONCAT, app(LETTERS[c]), out)
-    return out
+    """The constant term denoting a string of letters."""
+    if not LETTERS.issuperset(s):
+        raise ValueError(f"only letters a-z, A-Z allowed in string literals: {s!r}")
+    return app(str_literal_symbol(s))
 
 
 def int_term(n: int) -> Term:
     return app(int_literal(n))
-
-
-@lru_cache(maxsize=1)
-def builtin_type_theory() -> Presentation:
-    sig = AlgSignature(TYPE_SORTS, TYPE_SYMBOLS)
-    a, b, g = Var("a"), Var("b"), Var("g")
-    x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
-    s, t, u, v = Var("s"), Var("t"), Var("u"), Var("v")
-    cB1 = ctx(("a", BOOL))
-    cB2 = ctx(("a", BOOL), ("b", BOOL))
-    cB3 = ctx(("a", BOOL), ("b", BOOL), ("g", BOOL))
-    cI1 = ctx(("x", INT))
-    cI2 = ctx(("x", INT), ("y", INT))
-    cI3 = ctx(("x", INT), ("y", INT), ("z", INT))
-    cI4 = ctx(("x", INT), ("y", INT), ("z", INT), ("w", INT))
-    cS1 = ctx(("s", STR))
-    cS2 = ctx(("s", STR), ("t", STR))
-    cS3 = ctx(("s", STR), ("t", STR), ("u", STR))
-    cS4 = ctx(("s", STR), ("t", STR), ("u", STR), ("v", STR))
-    c0 = ctx()
-
-    def E(c, l, r):
-        return Equation.checked(c, l, r, sig)
-
-    T, F = app(TRUE), app(FALSE)
-    eqs = [
-        # boolean algebra (Huntington-complete axiom set)
-        E(cB1, app(OR, a, F), a),
-        E(cB1, app(AND, a, T), a),
-        E(cB2, app(OR, a, b), app(OR, b, a)),
-        E(cB2, app(AND, a, b), app(AND, b, a)),
-        E(cB1, app(OR, a, app(NOT, a)), T),
-        E(cB1, app(AND, a, app(NOT, a)), F),
-        E(cB3, app(OR, a, app(AND, b, g)), app(AND, app(OR, a, b), app(OR, a, g))),
-        E(cB3, app(AND, a, app(OR, b, g)), app(OR, app(AND, a, b), app(AND, a, g))),
-        # commutative ring
-        E(cI3, app(PLUS, app(PLUS, x, y), z), app(PLUS, x, app(PLUS, y, z))),
-        E(cI1, app(PLUS, x, app(ZERO)), x),
-        E(cI2, app(PLUS, x, y), app(PLUS, y, x)),
-        E(cI1, app(PLUS, x, app(NEG, x)), app(ZERO)),
-        E(cI3, app(TIMES, app(TIMES, x, y), z), app(TIMES, x, app(TIMES, y, z))),
-        E(cI1, app(TIMES, x, app(ONE)), x),
-        E(cI2, app(TIMES, x, y), app(TIMES, y, x)),
-        E(cI3, app(TIMES, x, app(PLUS, y, z)),
-          app(PLUS, app(TIMES, x, y), app(TIMES, x, z))),
-        # totally pre-ordered ring
-        E(cI3, app(OR, app(NOT, app(AND, app(LE, x, y), app(LE, y, z))),
-                 app(LE, x, z)), T),
-        E(cI2, app(OR, app(LE, x, y), app(LE, y, x)), T),
-        E(cI4, app(OR, app(NOT, app(AND, app(LE, x, y), app(LE, z, w))),
-                 app(LE, app(PLUS, x, z), app(PLUS, y, w))), T),
-        E(cI3, app(OR, app(NOT, app(AND, app(LE, x, y), app(LE, app(ZERO), z))),
-                 app(LE, app(TIMES, x, z), app(TIMES, y, z))), T),
-        E(cI3, app(OR, app(NOT, app(AND, app(LE, app(TIMES, x, z), app(TIMES, y, z)),
-                                    app(LE, app(ZERO), z))),
-                 app(LE, x, y)), T),
-        E(c0, app(LE, app(ONE), app(ZERO)), app(NOT, T)),
-        # free monoid
-        E(cS1, app(CONCAT, s, app(EPS)), s),
-        E(cS1, app(CONCAT, app(EPS), s), s),
-        E(cS3, app(CONCAT, app(CONCAT, s, t), u), app(CONCAT, s, app(CONCAT, t, u))),
-        # eq is a congruence
-        E(cS1, app(EQS, s, s), T),
-        E(cS2, app(EQS, s, t), app(EQS, t, s)),
-        E(cS3, app(OR, app(NOT, app(AND, app(EQS, s, t), app(EQS, t, u))),
-                 app(EQS, s, u)), T),
-        E(cS4, app(OR, app(NOT, app(AND, app(EQS, s, t), app(EQS, u, v))),
-                 app(EQS, app(CONCAT, s, u), app(CONCAT, t, v))), T),
-        # decidable equality
-        E(cS3, app(EQS, app(CONCAT, s, u), app(CONCAT, t, u)), app(EQS, s, t)),
-        E(cS3, app(EQS, app(CONCAT, s, t), app(CONCAT, s, u)), app(EQS, t, u)),
-    ]
-    letters = list(LETTERS.values())
-    for i, c1 in enumerate(letters):
-        for c2 in letters:
-            if c1 is c2:
-                continue
-            eqs.append(E(cS2, app(EQS, app(CONCAT, s, app(c1)), app(CONCAT, t, app(c2))),
-                         app(NOT, T)))
-            eqs.append(E(cS2, app(EQS, app(CONCAT, app(c1), s), app(CONCAT, app(c2), t)),
-                         app(NOT, T)))
-        eqs.append(E(cS1, app(EQS, app(CONCAT, s, app(c1)), app(EPS)), app(NOT, T)))
-        eqs.append(E(cS1, app(EQS, app(CONCAT, app(c1), s), app(EPS)), app(NOT, T)))
-    return Presentation(sig, tuple(eqs))
 
 
 # --- canonical values ---------------------------------------------------
@@ -447,15 +356,11 @@ def _eq_atom(l: StrWord, r: StrWord) -> BoolForm:
     if lw.is_literal() and rw.is_literal():
         return BConst(lw.literal_value() == rw.literal_value())
     # mismatched literal boundary letters are provably unequal
-    for a, b in ((li, ri),):
-        if a and b:
-            for end in (0, -1):
-                x, y = a[end], b[end]
-                if x[0] == "lit" and y[0] == "lit" and x[1] != y[1]:
-                    return BFALSE
-    if (lw.is_literal() and not lw.items and rw.items) or \
-       (rw.is_literal() and not rw.items and lw.items):
-        pass
+    if li and ri:
+        for end in (0, -1):
+            x, y = li[end], ri[end]
+            if x[0] == "lit" and y[0] == "lit" and x[1] != y[1]:
+                return BFALSE
     pair = sorted((lw, rw), key=lambda w: w.key())
     return BAtom(True, "eq", (pair[0], pair[1]))
 
@@ -672,11 +577,10 @@ def _canon(term: Term, alg: TypeAlgebra) -> CanonicalValue:
 
 
 def is_type_symbol(sym: FunctionSymbol) -> bool:
-    return sym in _TYPE_SYMBOL_SET or is_int_literal(sym)
+    return sym in _TYPE_SYMBOL_SET or is_int_literal(sym) or is_str_literal(sym)
 
 
 _TYPE_SYMBOL_SET = frozenset(TYPE_SYMBOLS)
-_LETTER_SET = frozenset(LETTERS.values())
 
 
 def opaque_atom(term: Term, sort: Sort) -> CanonicalValue:
@@ -694,6 +598,8 @@ def apply_symbol(sym: FunctionSymbol, args: list,
         alg = _EMPTY_ALGEBRA
     if is_int_literal(sym):
         return IntPoly.const(int(sym.name))
+    if is_str_literal(sym):
+        return StrWord.lit(sym.name[1:-1])
     if sym == ZERO:
         return IntPoly.const(0)
     if sym == ONE:
@@ -717,8 +623,6 @@ def apply_symbol(sym: FunctionSymbol, args: list,
                       [_as_bool(a) for a in args])
     if sym == EPS:
         return StrWord(())
-    if sym in _LETTER_SET:
-        return StrWord.lit(sym.name[1])
     if sym == CONCAT:
         return _as_word(args[0]).concat(_as_word(args[1]))
     if sym == EQS:
@@ -813,8 +717,13 @@ def _poly_to_term(p: IntPoly, atom_fn) -> Term:
 def _word_to_term(w: StrWord, atom_fn) -> Term:
     if not w.items:
         return app(EPS)
-    parts = [app(LETTERS[v]) if k == "lit" else atom_fn(v)
-             for k, v in w.items]
+    # each run of literal letters becomes one string constant
+    parts: list[Term] = []
+    for lit, run in groupby(w.items, key=lambda kv: kv[0] == "lit"):
+        if lit:
+            parts.append(str_literal("".join(c for _, c in run)))
+        else:
+            parts.extend(atom_fn(v) for _, v in run)
     out = parts[-1]
     for p in reversed(parts[:-1]):
         out = app(CONCAT, p, out)

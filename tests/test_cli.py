@@ -141,6 +141,15 @@ class TestHoms:
         assert "[e := e'.wrk.sec, d := e'.wrk]" in out
         assert out.strip().splitlines()[-1] == "count: 2"
 
+    @pytest.mark.parametrize("name", ("J", "Jbar"))
+    def test_self_homs_bind_generators_named_like_rows(self, capsys, name):
+        # every generator of J is also a row of J: the only transform is
+        # the identity
+        code, out, _ = run(capsys, "homs", WORKSPACE, "--from", name,
+                           "--to", name)
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "count: 1"
+
 
 class TestQuery:
     def test_three_row_result(self, capsys):
@@ -183,6 +192,39 @@ class TestMigrate:
                            "--instance", "J", "--mode", "sigma",
                            "--saturate")
         assert code == 0 and "Team" in out
+
+    def test_sigma_presentation_prints_string_constants(self, capsys):
+        code, out, _ = run(capsys, "migrate", WORKSPACE, "--mapping", "H",
+                           "--instance", "J", "--mode", "sigma")
+        assert code == 0
+        assert 'e1.last = "Gauss"' in out.splitlines()
+        assert 'd2.name = "Admin"' in out.splitlines()
+
+
+class TestStringLiterals:
+    @staticmethod
+    def workspace(tmp_path, literal):
+        path = tmp_path / "names.cdb"
+        path.write_text("schema S {\n  entities E;\n"
+                        "  attributes name : E -> Str;\n}\n"
+                        "instance A on S {\n  generators e : E;\n"
+                        f'  equations e.name = "{literal}";\n}}\n')
+        return str(path)
+
+    def test_long_literal(self, capsys, tmp_path):
+        literal = "Ab" * 600
+        path = self.workspace(tmp_path, literal)
+        code, out, err = run(capsys, "check", path)
+        assert (code, err) == (0, "") and out.startswith("ok (")
+        code, out, err = run(capsys, "saturate", path, "--instance", "A")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f'e | "{literal}"'
+
+    def test_non_letter_literal_is_domain_error(self, capsys, tmp_path):
+        path = self.workspace(tmp_path, "no spaces")
+        code, out, err = run(capsys, "check", path)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}:7:22: only letters")
 
 
 class TestUsage:

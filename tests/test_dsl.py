@@ -97,6 +97,15 @@ class TestRoundTrip:
         ws2 = parse_workspace(r1, fixture + "<rendered>")
         assert render_workspace(ws2) == r1
 
+    def test_string_constants_round_trip_to_equal_terms(self, ws):
+        r = render_workspace(ws)
+        assert 'equations e1.last = "Gauss";' in r
+        assert 'where e.wrk.name = "Admin"' in r
+        ws2 = parse_workspace(r)
+        assert render_workspace(ws2) == r
+        for name, ip in ws.instances.items():
+            assert ip.equations == ws2.instances[name].equations
+
     def test_round_trip_preserves_structure(self, ws):
         r = render_workspace(ws)
         ws2 = parse_workspace(r)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from catdb.kernel import (
-    Context, Equation, FunctionSymbol, Sort, Var, app, ctx,
+    Context, Equation, FunctionSymbol, Sort, Var, app, ctx, render_term,
 )
 from catdb.rewrite import EqResult
 from catdb.schema import PossiblyInfinite, SchemaPresentation, compile_schema
@@ -146,6 +146,48 @@ class TestTransforms:
             enumerate_transforms(other, satJ)
 
 
+def renamed_generators(ip, prefix="s_"):
+    """ip with every generator name prefixed, so none names a row."""
+    def rn(t):
+        if isinstance(t, Var):
+            return Var(prefix + t.name)
+        return app(t.symbol, *(rn(a) for a in t.args))
+    G = Context(tuple((prefix + n, s) for n, s in ip.generators.bindings))
+    return InstancePresentation(ip.schema, G, tuple(
+        Equation(G, rn(eq.lhs), rn(eq.rhs), eq.sort) for eq in ip.equations))
+
+
+class TestGeneratorNames:
+    @pytest.mark.parametrize("name,count", [
+        ("J", 1), ("Jbar", 1), ("I", 2), ("I'", 2)])
+    def test_self_homs_match_renamed_source(self, ws, name, count):
+        dst = saturate(ws.instances[name])
+        same = enumerate_transforms(ws.instances[name], dst)
+        other = enumerate_transforms(renamed_generators(ws.instances[name]),
+                                     dst)
+        assert len(same) == count
+        assert [t.rows for t in same] == [
+            tuple((n[2:], r) for n, r in t.rows) for t in other]
+
+    def test_self_hom_of_J_is_identity(self, ws, satJ):
+        (t,) = enumerate_transforms(ws.instances["J"], satJ)
+        assert all(r == Var(n) for n, r in t.rows)
+        assert [n for n, _ in t.vals] == ["x"]
+
+    def test_path_through_a_generator_named_like_a_row(self, ws):
+        # I's rows include e.wrk; a source generator e bound to another row
+        # must be followed through wrk, not read as the row e.wrk
+        s = ws.schemas["S"]
+        emp = entity(s, "Emp")
+        wrk, sec = by_name(s.edges)["wrk"], by_name(s.edges)["sec"]
+        G = ctx(("e", emp))
+        src = InstancePresentation(s, G, (
+            Equation(G, app(sec, app(wrk, Var("e"))), Var("e"), emp),))
+        got = [render_term(t.row_assignment()["e"])
+               for t in enumerate_transforms(src, saturate(ws.instances["I"]))]
+        assert sorted(got) == ["d.sec", "e.wrk.sec"]
+
+
 class TestCanonicalPresentation:
     def test_round_trip_is_isomorphic(self, ws, satJ):
         again = saturate(canonical_presentation(satJ))
@@ -188,6 +230,28 @@ class TestIsomorphism:
         si = saturate(InstancePresentation(s, G, tuple(eqs)))
         assert len(si.rows(emp)) == 14
         assert instances_isomorphic(si, reversed_rows(si))
+
+    def test_atom_renaming_must_be_one_to_one(self, ws):
+        s = ws.schemas["S"]
+        emp, dept = (entity(s, n) for n in ("Emp", "Dept"))
+        mgr, wrk, sec = (by_name(s.edges)[n] for n in ("mgr", "wrk", "sec"))
+        sal = by_name(s.attributes)["sal"]
+
+        def two_bosses(salaries, nulls):
+            G = ctx(("a", emp), ("b", emp), ("d", dept),
+                    *[(n, INT) for n in nulls])
+            eqs = [Equation(G, app(sec, Var("d")), Var("a"), emp)]
+            for e, n in zip(("a", "b"), salaries):
+                eqs += [Equation(G, app(mgr, Var(e)), Var(e), emp),
+                        Equation(G, app(wrk, Var(e)), Var("d"), dept),
+                        Equation(G, app(sal, Var(e)), Var(n), INT)]
+            return saturate(InstancePresentation(s, G, tuple(eqs)))
+
+        a2 = two_bosses(("n1", "n2"), ("n1", "n2"))
+        b2 = two_bosses(("m", "m"), ("m",))
+        assert instances_isomorphic(a2, a2)
+        assert not instances_isomorphic(a2, b2)
+        assert not instances_isomorphic(b2, a2)
 
     def test_same_sizes_different_cells_rejected(self, ws, satJ):
         jbar = saturate(ws.instances["Jbar"])

@@ -5,13 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catdb.kernel import Context, Sort, Term, Var, app
+from catdb.kernel import AlgSignature, Context, Sort, Term, Var, app
 from catdb.rewrite import EqResult
 from catdb.typeside import (
     AND, BOOL, CONCAT, EPS, FALSE, INT, LE, NEG, NOT, OR, PLUS, STR,
     TIMES, TRUE, EQS, TypeAlgebra, decide_values, eval_ground, int_term,
-    map_value_atoms, opaque_atom, str_literal, ts_decide, ts_normalize,
-    value_sort, value_to_term,
+    TYPE_SORTS, TYPE_SYMBOLS, map_value_atoms, opaque_atom, str_literal,
+    ts_decide, ts_normalize, value_sort, value_to_term,
 )
 
 
@@ -69,6 +69,38 @@ class TestStrings:
     def test_rejects_non_letters(self):
         with pytest.raises(ValueError):
             str_literal("no spaces")
+
+    def test_literal_is_one_constant(self):
+        t = str_literal("Gauss")
+        assert t.args == () and t.symbol.name == '"Gauss"'
+        assert t.symbol.cod == STR
+        assert repr(t) == '"Gauss"'
+        assert str_literal("Gauss") == t and str_literal("Gaus") != t
+
+    def test_long_literal_normalizes(self):
+        s = "xY" * 10_000
+        v = eval_ground(str_literal(s))
+        assert v.literal_value() == s and v.render() == f'"{s}"'
+
+    def test_no_letter_symbols(self):
+        assert [f for f in TYPE_SYMBOLS if f.arity == 0 and f.cod == STR] \
+            == [EPS]
+
+    def test_literals_admitted_where_str_exists(self):
+        with_str = AlgSignature(TYPE_SORTS, TYPE_SYMBOLS)
+        without = AlgSignature((INT,), ())
+        sym = str_literal("HR").symbol
+        assert with_str.has_symbol(sym) and not without.has_symbol(sym)
+
+    def test_letter_runs_become_one_constant_each(self):
+        a = Var("a")
+        alg = TypeAlgebra(Context((("a", STR),)))
+        t = app(CONCAT, str_literal("ab"),
+                app(CONCAT, str_literal("c"), app(CONCAT, a, str_literal("de"))))
+        v = ts_normalize(t, alg)
+        assert value_to_term(v) == app(
+            CONCAT, str_literal("abc"), app(CONCAT, a, str_literal("de")))
+        assert value_to_term(ts_normalize(str_literal(""))) == app(EPS)
 
 
 class TestBooleans:

@@ -231,6 +231,10 @@ def run_cli(argv: list[str] | None = None) -> int:
             PossiblyInfinite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:  # term walks recurse on term depth
+        print("error: term depth exceeds the recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -150,26 +150,29 @@ def saturate(ip: InstancePresentation,
     type_eqs = [eq for eq in ip.equations if not is_ent(eq.sort)]
     cl = GroundClosure(ent_eqs, rs)
 
-    # staged closure of entity terms under edge application
+    # Semi-naive chase: each pass walks a snapshot of the rows found so far
+    # and applies each edge once to each class member; a pass that applies
+    # nothing new ends it.
     items: dict[Term, Sort] = {}
     for n, s in ip.entity_generators():
         items.setdefault(cl.representative(Var(n)), s)
-    changed = True
-    while changed:
+    applied: set[tuple[FunctionSymbol, Term]] = set()
+    fired = True
+    while fired:
         # Edges are applied to every member of a row's congruence class,
         # not just its representative: a path rule may only fire on a
         # longer member (e.g. x.mgr.on ~> x.on needs the mgr spelling).
-        state = (len(cl.known), len({cl.representative(t) for t in items}))
-        changed = False
+        fired = False
         for t, s in list(items.items()):
             for f in sch.edges_from(s):
                 for m in cl.class_members(t):
+                    if (f, m) in applied:
+                        continue
+                    applied.add((f, m))
+                    fired = True
                     u = cl.representative(app(f, m))
                     if u not in items:
                         items[u] = f.cod
-                        changed = True
-        if (len(cl.known), len({cl.representative(t) for t in items})) != state:
-            changed = True
         if len(items) > budget * max(1, len(sch.entities)):
             raise PossiblyInfinite("instance saturation exceeded row budget")
 

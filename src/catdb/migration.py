@@ -18,8 +18,8 @@ from .kernel import (
 )
 from .schema import (
     Schema, SchemaError, SchemaMapping, SchemaMismatch, SchemaPresentation,
-    _norm_obs, compile_schema, saturate_entity_category,
-    is_discrete_opfibration,
+    _norm_obs, attr_lifts, compile_schema, edge_lifts,
+    is_discrete_opfibration, saturate_entity_category,
 )
 from .instance import (
     DomainDependence, InstancePresentation, SaturatedInstance,
@@ -95,33 +95,18 @@ def sigma_pointwise(F: SchemaMapping, I: SaturatedInstance) -> SaturatedInstance
                 row_home[r] = s
                 row_list[t].append(r)
 
-    def edge_lift(s: Sort, g: FunctionSymbol) -> Term:
-        want = tgt.entity_rs.normalize(app(g, Var("x")))
-        found = [p for s2 in src.entities for p in src_homs[(s, s2)]
-                 if not isinstance(p, Var)
-                 and tgt.entity_rs.normalize(F.translate(p)) == want]
-        if len(found) != 1:
-            raise NotOpfibration(f"no unique lift of {g.name} over {s}")
-        return found[0]
-
-    def attr_lift(s: Sort, a: FunctionSymbol) -> Term:
-        want = _norm_obs(tgt, app(a, Var("x")))
-        found = [app(b, p) for s2 in src.entities for p in src_homs[(s, s2)]
-                 for b in src.attrs_from(s2)
-                 if _norm_obs(tgt, F.translate(app(b, p))) == want]
-        if len(found) != 1:
-            raise NotOpfibration(f"no unique lift of {a.name} over {s}")
-        return found[0]
-
+    # an opfibration lifts every target edge and attribute uniquely
     edge_cols = {}
     for g in tgt.edges:
-        lifts = {s: edge_lift(s, g) for s in preim[g.dom[0]]}
+        lifts = {s: edge_lifts(F, src_homs, s, g)[0]
+                 for s in preim[g.dom[0]]}
         edge_cols[g] = {
             r: I.eval_entity(subst_map(lifts[row_home[r]], {"x": r}))
             for r in row_list[g.dom[0]]}
     attr_cols = {}
     for a in tgt.attributes:
-        lifts = {s: attr_lift(s, a) for s in preim[a.dom[0]]}
+        lifts = {s: attr_lifts(F, src_homs, s, a)[0]
+                 for s in preim[a.dom[0]]}
         attr_cols[a] = {
             r: I.eval_type(subst_map(lifts[row_home[r]], {"x": r}))
             for r in row_list[a.dom[0]]}

@@ -163,11 +163,13 @@ def check_uber_query(N: UberQuery) -> None:
                 f"block {e.name}: FOR variables without entity sorts: "
                 f"{', '.join(bad)}")
     for e, b in N.blocks:
+        dom_sat = None  # saturated once, at the block's first result edge
         for f in N.result_schema.edges_from(e):
             m = b.key_for(f)
             cod_block = N.block_for(f.cod)
-            dom_sat = saturate(InstancePresentation(
-                N.schema, b.for_ctx, tuple(b.where_eqs)))
+            if dom_sat is None:
+                dom_sat = saturate(InstancePresentation(
+                    N.schema, b.for_ctx, tuple(b.where_eqs)))
             cod_pres = InstancePresentation(
                 N.schema, cod_block.for_ctx, tuple(cod_block.where_eqs))
             rows = {n: dom_sat.eval_entity(m(n))

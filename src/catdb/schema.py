@@ -236,30 +236,32 @@ def check_mapping(F: SchemaMapping) -> list[str]:
 def saturate_entity_category(s: Schema, budget: int = 10_000
                              ) -> dict[tuple[Sort, Sort], list[Term]]:
     """Hom-set tables: for each entity pair (a, b), the normal-form path
-    terms x:a |- p : b, computed by staged closure under edge application."""
-    homs: dict[tuple[Sort, Sort], list[Term]] = {
-        (a, b): [] for a in s.entities for b in s.entities}
-    frontier: list[tuple[Sort, Sort, Term]] = []
-    total = 0
-    for a in s.entities:
-        homs[(a, a)].append(Var("x"))
-        frontier.append((a, a, Var("x")))
-        total += 1
-    while frontier:
-        a, b, p = frontier.pop(0)
-        for f in s.edges_from(b):
-            q = s.entity_rs.normalize(app(f, p))
-            cell = homs[(a, f.cod)]
-            if q not in cell:
-                cell.append(q)
-                frontier.append((a, f.cod, q))
-                total += 1
-                if total > budget:
-                    raise PossiblyInfinite(
-                        f"entity category exceeded {budget} morphisms")
-    for cell in homs.values():
-        cell.sort(key=term_key)
-    return homs
+    terms x:a |- p : b, read off as the rows at b of the saturated
+    representable y(a)."""
+    # late import: layered modules
+    from .instance import representable_instance, saturate
+
+    ys = {a: saturate(representable_instance(s, a), budget)
+          for a in s.entities}
+    return {(a, b): sorted(ys[a].rows(b), key=term_key)
+            for a in s.entities for b in s.entities}
+
+
+def edge_lifts(F: SchemaMapping, homs, s: Sort, g: FunctionSymbol):
+    """Non-identity paths out of s in homs that F maps to the edge g."""
+    tgt_rs = F.target.entity_rs
+    want = tgt_rs.normalize(app(g, Var("x")))
+    return [p for s2 in F.source.entities for p in homs[(s, s2)]
+            if not isinstance(p, Var)
+            and tgt_rs.normalize(F.translate(p)) == want]
+
+
+def attr_lifts(F: SchemaMapping, homs, s: Sort, a: FunctionSymbol):
+    """Observations b(p) out of s in homs that F maps to the attribute a."""
+    want = _norm_obs(F.target, app(a, Var("x")))
+    return [app(b, p) for s2 in F.source.entities for p in homs[(s, s2)]
+            for b in F.source.attrs_from(s2)
+            if _norm_obs(F.target, F.translate(app(b, p))) == want]
 
 
 def is_discrete_opfibration(F: SchemaMapping, budget: int = 10_000) -> str:
@@ -274,33 +276,13 @@ def is_discrete_opfibration(F: SchemaMapping, budget: int = 10_000) -> str:
     except PossiblyInfinite:
         return "unknown"
 
-    def lifts_from(s: Sort, want) -> list[Term]:
-        out = []
-        for s2 in F.source.entities:
-            for p in src_homs[(s, s2)]:
-                if want(p, s2):
-                    out.append(p)
-        return out
-
     for s in F.source.entities:
         fs = F.on_entity(s)
         for g in F.target.edges_from(fs):
-            image = tgt_rs.normalize(app(g, Var("x")))
-            found = lifts_from(
-                s, lambda p, s2: tgt_rs.normalize(F.translate(p)) == image
-                and not isinstance(p, Var))
-            if len(found) != 1:
+            if len(edge_lifts(F, src_homs, s, g)) != 1:
                 return "no"
         for a in F.target.attrs_from(fs):
-            want = _norm_obs(F.target, app(a, Var("x")))
-            cands = []
-            for s2 in F.source.entities:
-                for p in src_homs[(s, s2)]:
-                    for b in F.source.attrs_from(s2):
-                        t = _norm_obs(F.target, F.translate(app(b, p)))
-                        if t == want:
-                            cands.append(app(b, p))
-            if len(cands) != 1:
+            if len(attr_lifts(F, src_homs, s, a)) != 1:
                 return "no"
     # edges into the image must also lift uniquely
     for g in F.target.edges:

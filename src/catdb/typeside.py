@@ -440,9 +440,6 @@ class TypeAlgebra:
                 return v
         return v
 
-    def free_atoms(self) -> list[Term]:
-        return [Var(n) for n, _ in self.nulls.bindings if Var(n) not in self._subst]
-
     def residual_constraints(self) -> list[str]:
         """The compiled non-definitional content: boolean facts and
         unoriented value identifications, rendered."""

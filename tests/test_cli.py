@@ -227,6 +227,18 @@ class TestStringLiterals:
         assert err.startswith(f"error: {path}:7:22: only letters")
 
 
+class TestDeepTerms:
+    def test_deep_path_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.cdb"
+        path.write_text("schema S {\n  entities E;\n  edges mgr : E -> E;\n}\n"
+                        "instance D on S {\n  generators e : E;\n"
+                        f"  equations e{'.mgr' * 1500} = e;\n}}\n")
+        for argv in (("check",), ("saturate", "--instance", "D")):
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert (code, out) == (1, "")
+            assert err.startswith("error: term depth") and "Traceback" not in err
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert run(capsys, )[0] == 2

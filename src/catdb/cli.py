@@ -21,11 +21,19 @@ from .migration import MigrationError, delta, pi, sigma
 from .query import (
     QueryError, crosscheck_migration, eval_query, eval_uber_query,
 )
-from .dsl import DslError, TermEnv, Parser, Workspace, parse_workspace, tokenize
+from .dsl import (
+    DslError, Parser, TermEnv, Workspace, check_equation, parse_workspace,
+    tokenize,
+)
 
 
 class UsageError(Exception):
     pass
+
+
+# what run_cli reports as a domain error (exit 1)
+DOMAIN_ERRORS = (DslError, KernelError, SchemaError, InstanceError,
+                 MigrationError, QueryError, BudgetExceeded, PossiblyInfinite)
 
 
 def _load(path: str) -> Workspace:
@@ -105,9 +113,10 @@ def cmd_eq(ws: Workspace, args) -> int:
         t = p.parse_term(env)
         if p.peek().kind != "eof":
             raise DslError(f"trailing input {p.peek().text!r}", p.peek().span)
-        return t
+        return t, p.toks[0].span
 
-    a, b = parse_one(args.terms[0]), parse_one(args.terms[1])
+    (a, _), (b, span) = parse_one(args.terms[0]), parse_one(args.terms[1])
+    check_equation(env, a, b, span)
     print(rs.decide_equal(a, b).name)
     return 0
 
@@ -226,9 +235,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DslError, KernelError, SchemaError, InstanceError,
-            MigrationError, QueryError, BudgetExceeded,
-            PossiblyInfinite) as exc:
+    except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:  # term walks recurse on term depth

@@ -108,6 +108,28 @@ class Workspace:
 
 # --- parser -------------------------------------------------------------
 
+BUILTIN_SORTS = {s.name: s for s in TYPE_SORTS}
+_DECLARATIONS = ("theory", "schema", "instance", "mapping", "bimodule",
+                 "query", "uberquery")
+
+
+def check_equation(env: "TermEnv", lhs: Term, rhs: Term | Sort | None = None,
+                   span: SourceSpan | None = None) -> Sort:
+    """Well-sort `lhs` in `env` and return its sort.  `rhs` is the other
+    side of an equation or a wanted sort; a different sort raises DslError
+    at `span`."""
+    ls = well_sort_check(lhs, env.context, env.sig)
+    if isinstance(rhs, Sort):
+        if ls != rhs:
+            raise DslError(f"{render_dsl_term(lhs)} has sort {ls.name}, "
+                           f"expected {rhs.name}", span)
+    elif rhs is not None:
+        rs = well_sort_check(rhs, env.context, env.sig)
+        if ls != rs:
+            raise DslError(
+                f"equation sides have sorts {ls.name} and {rs.name}", span)
+    return ls
+
 
 class Parser:
     def __init__(self, tokens: list[Token]):
@@ -136,6 +158,11 @@ class Parser:
             raise DslError(f"expected a name, found {t.text!r}", t.span)
         return t
 
+    def expect_kw(self, kw: str):
+        t = self.expect_ident()
+        if t.text != kw:
+            raise DslError(f"expected {kw!r}, found {t.text!r}", t.span)
+
     def at(self, text: str) -> bool:
         return self.peek().text == text
 
@@ -145,26 +172,18 @@ class Parser:
             return True
         return False
 
+    def peek_is_decl_name(self) -> bool:
+        return (self.peek().kind == "ident"
+                and self.toks[self.pos + 1].text in (",", ":"))
+
     # - top level -
 
     def parse_workspace(self) -> Workspace:
         ws = Workspace()
         while self.peek().kind != "eof":
             kw = self.expect_ident()
-            if kw.text == "theory":
-                self.parse_theory(ws)
-            elif kw.text == "schema":
-                self.parse_schema(ws)
-            elif kw.text == "instance":
-                self.parse_instance(ws)
-            elif kw.text == "mapping":
-                self.parse_mapping(ws)
-            elif kw.text == "bimodule":
-                self.parse_bimodule(ws)
-            elif kw.text == "query":
-                self.parse_query(ws)
-            elif kw.text == "uberquery":
-                self.parse_uberquery(ws)
+            if kw.text in _DECLARATIONS:
+                getattr(self, f"parse_{kw.text}")(ws)
             elif kw.text == "typeside":
                 raise DslError(
                     "the typeside is built in; `typeside` declarations are "
@@ -172,6 +191,49 @@ class Parser:
             else:
                 raise DslError(f"unknown declaration {kw.text!r}", kw.span)
         return ws
+
+    # - shared pieces -
+
+    def _sort(self, tok: Token, sorts, types: bool = True) -> Sort:
+        """The sort `tok` names among `sorts`, then, when `types`, among the
+        built-in type sorts.  Without them `tok` must name an entity."""
+        for s in sorts:
+            if s.name == tok.text:
+                return s
+        if types and tok.text in BUILTIN_SORTS:
+            return BUILTIN_SORTS[tok.text]
+        raise DslError(f"unknown {'sort' if types else 'entity'} "
+                       f"{tok.text!r}", tok.span)
+
+    def _binders(self, end: str, sorts) -> list[tuple[str, Sort]]:
+        """`x y : A, z : B` up to `end`: forall binders, generators, for."""
+        out = []
+        while not self.accept(end):
+            names = [self.expect_ident()]
+            while not self.at(":"):
+                names.append(self.expect_ident())
+            self.expect(":")
+            s = self._sort(self.expect_ident(), sorts)
+            out.extend((n.text, s) for n in names)
+            self.accept(",")
+        return out
+
+    def _equation(self, env: "TermEnv") -> Equation:
+        lhs = self.parse_term(env)
+        eqt = self.expect("=")
+        rhs = self.parse_term(env)
+        return Equation(env.context, lhs, rhs,
+                        check_equation(env, lhs, rhs, eqt.span))
+
+    def parse_forall_eq(self, sig: AlgSignature, sorts) -> Equation:
+        self.expect_kw("forall")
+        context = Context(tuple(self._binders(".", sorts)))
+        return self._equation(TermEnv(sig, context))
+
+    def _schema(self, ws: Workspace, tok: Token) -> Schema:
+        if tok.text not in ws.schemas:
+            raise DslError(f"unknown schema {tok.text!r}", tok.span)
+        return ws.schemas[tok.text]
 
     # - theories -
 
@@ -199,19 +261,19 @@ class Parser:
                     while not self.at("->") and not self.at(";") \
                             and not self.at(","):
                         parts.append(self.expect_ident())
-                    if self.accept("->"):
+                    if self.accept("->") or not parts:
                         cod = self.expect_ident()
                     else:
-                        cod, parts = parts[-1], parts[:-1]
-                    dom = tuple(self._sort(sorts, p) for p in parts)
-                    for n in names:
-                        symbols.append(FunctionSymbol(
-                            n.text, dom, self._sort(sorts, cod)))
+                        cod = parts.pop()
+                    dom = tuple(self._sort(p, sorts.values()) for p in parts)
+                    cod_sort = self._sort(cod, sorts.values())
+                    symbols.extend(FunctionSymbol(n.text, dom, cod_sort)
+                                   for n in names)
                     self.accept(",")
             elif section.text == "equations":
                 sig = AlgSignature(tuple(sorts.values()), tuple(symbols))
                 while not self.accept(";"):
-                    equations.append(self.parse_forall_eq(sig, sorts))
+                    equations.append(self.parse_forall_eq(sig, sorts.values()))
                     self.accept(",")
             else:
                 raise DslError(f"unknown theory section {section.text!r}",
@@ -220,39 +282,6 @@ class Parser:
             sig = AlgSignature(tuple(sorts.values()), tuple(symbols))
         ws.theories[name.text] = Presentation(sig, tuple(equations))
         ws.order.append(("theory", name.text))
-
-    def _sort(self, sorts: dict[str, Sort], tok: Token) -> Sort:
-        builtin = {s.name: s for s in TYPE_SORTS}
-        if tok.text in sorts:
-            return sorts[tok.text]
-        if tok.text in builtin:
-            return builtin[tok.text]
-        raise DslError(f"unknown sort {tok.text!r}", tok.span)
-
-    def parse_forall_eq(self, sig: AlgSignature,
-                        sorts: dict[str, Sort]) -> Equation:
-        t = self.expect_ident()
-        if t.text != "forall":
-            raise DslError(f"expected 'forall', found {t.text!r}", t.span)
-        bindings = []
-        while not self.accept("."):
-            names = [self.expect_ident()]
-            while not self.at(":"):
-                names.append(self.expect_ident())
-            self.expect(":")
-            s = self._sort(sorts, self.expect_ident())
-            bindings.extend((n.text, s) for n in names)
-            self.accept(",")
-        context = Context(tuple(bindings))
-        lhs = self.parse_term(TermEnv(sig, context))
-        eqt = self.expect("=")
-        rhs = self.parse_term(TermEnv(sig, context))
-        ls = well_sort_check(lhs, context, sig)
-        rs = well_sort_check(rhs, context, sig)
-        if ls != rs:
-            raise DslError(f"equation sides have sorts {ls.name} and "
-                           f"{rs.name}", eqt.span)
-        return Equation(context, lhs, rhs, ls)
 
     # - schemas -
 
@@ -264,16 +293,6 @@ class Parser:
         attributes: list[FunctionSymbol] = []
         path_eqs: list[Equation] = []
         obs_eqs: list[Equation] = []
-        builtin = {s.name: s for s in TYPE_SORTS}
-
-        def sort_of(tok: Token) -> Sort:
-            for e in entities:
-                if e.name == tok.text:
-                    return e
-            if tok.text in builtin:
-                return builtin[tok.text]
-            raise DslError(f"unknown sort {tok.text!r}", tok.span)
-
         while not self.accept("}"):
             section = self.expect_ident()
             if section.text == "entities":
@@ -289,21 +308,18 @@ class Parser:
                         else:
                             break
                     self.expect(":")
-                    dom = sort_of(self.expect_ident())
+                    dom = self._sort(self.expect_ident(), entities)
                     self.expect("->")
-                    cod = sort_of(self.expect_ident())
-                    for n in names:
-                        into.append(FunctionSymbol(n.text, (dom,), cod))
+                    cod = self._sort(self.expect_ident(), entities)
+                    into.extend(FunctionSymbol(n.text, (dom,), cod)
+                                for n in names)
                     self.accept(",")
             elif section.text in ("path_eqs", "obs_eqs"):
-                sig = AlgSignature(
-                    TYPE_SORTS + tuple(entities),
-                    self._collage_symbols(edges, attributes))
-                sorts = {e.name: e for e in entities}
-                sorts.update(builtin)
+                sig = AlgSignature(TYPE_SORTS + tuple(entities),
+                                   TYPE_SYMBOLS + tuple(edges + attributes))
                 into = path_eqs if section.text == "path_eqs" else obs_eqs
                 while not self.accept(";"):
-                    into.append(self._schema_eq(sig, sorts))
+                    into.append(self.parse_forall_eq(sig, entities))
                     self.accept(",")
             else:
                 raise DslError(f"unknown schema section {section.text!r}",
@@ -314,53 +330,28 @@ class Parser:
         ws.schemas[name.text] = compile_schema(pres)
         ws.order.append(("schema", name.text))
 
-    def peek_is_decl_name(self) -> bool:
-        return (self.peek().kind == "ident"
-                and self.toks[self.pos + 1].text in (",", ":"))
-
-    @staticmethod
-    def _collage_symbols(edges, attributes):
-        return TYPE_SYMBOLS + tuple(edges) + tuple(attributes)
-
-    def _schema_eq(self, sig, sorts) -> Equation:
-        return self.parse_forall_eq(sig, sorts)
-
     # - instances -
 
     def parse_instance(self, ws: Workspace):
         name = self.expect_ident()
         self.expect_kw("on")
-        sname = self.expect_ident()
-        schema = self._schema(ws, sname)
+        schema = self._schema(ws, self.expect_ident())
         self.expect("{")
         bindings: list[tuple[str, Sort]] = []
+        gens = Context(())
         equations: list[Equation] = []
-        builtin = {s.name: s for s in TYPE_SORTS}
-        ents = {e.name: e for e in schema.entities}
         while not self.accept("}"):
             section = self.expect_ident()
             if section.text == "generators":
-                while not self.accept(";"):
-                    names = [self.expect_ident()]
-                    while not self.at(":"):
-                        names.append(self.expect_ident())
-                    self.expect(":")
-                    stok = self.expect_ident()
-                    s = ents.get(stok.text) or builtin.get(stok.text)
-                    if s is None:
-                        raise DslError(f"unknown sort {stok.text!r}",
-                                       stok.span)
-                    bindings.extend((n.text, s) for n in names)
-                    self.accept(",")
+                bindings += self._binders(";", schema.entities)
             elif section.text == "equations":
-                context = Context(tuple(bindings))
-                env = TermEnv(schema.collage_sig, context)
+                # rebuilt only after new generators: generated workspaces
+                # have one equations section per row
+                if len(gens.bindings) != len(bindings):
+                    gens = Context(tuple(bindings))
+                env = TermEnv(schema.collage_sig, gens)
                 while not self.accept(";"):
-                    lhs = self.parse_term(env)
-                    eqt = self.expect("=")
-                    rhs = self.parse_term(env)
-                    equations.append(self._mk_eq(schema.collage_sig, context,
-                                                 lhs, rhs, eqt.span))
+                    equations.append(self._equation(env))
                     self.accept(",")
             else:
                 raise DslError(f"unknown instance section {section.text!r}",
@@ -368,24 +359,6 @@ class Parser:
         ws.instances[name.text] = InstancePresentation(
             schema, Context(tuple(bindings)), tuple(equations))
         ws.order.append(("instance", name.text))
-
-    def _mk_eq(self, sig, context, lhs, rhs, span) -> Equation:
-        ls = well_sort_check(lhs, context, sig)
-        rs = well_sort_check(rhs, context, sig)
-        if ls != rs:
-            raise DslError(
-                f"equation sides have sorts {ls.name} and {rs.name}", span)
-        return Equation(context, lhs, rhs, ls)
-
-    def expect_kw(self, kw: str):
-        t = self.expect_ident()
-        if t.text != kw:
-            raise DslError(f"expected {kw!r}, found {t.text!r}", t.span)
-
-    def _schema(self, ws: Workspace, tok: Token) -> Schema:
-        if tok.text not in ws.schemas:
-            raise DslError(f"unknown schema {tok.text!r}", tok.span)
-        return ws.schemas[tok.text]
 
     # - mappings -
 
@@ -399,17 +372,14 @@ class Parser:
         entity_map: dict[Sort, Sort] = {}
         edge_map: dict[FunctionSymbol, Term] = {}
         attr_map: dict[FunctionSymbol, Term] = {}
-        tgt_ents = {e.name: e for e in tgt.entities}
         while not self.accept("}"):
             section = self.expect_ident()
             if section.text == "entity":
                 stok = self.expect_ident()
                 self.expect("->")
                 ttok = self.expect_ident()
-                e = self._entity(src, stok)
-                if ttok.text not in tgt_ents:
-                    raise DslError(f"unknown entity {ttok.text!r}", ttok.span)
-                entity_map[e] = tgt_ents[ttok.text]
+                e = self._sort(stok, src.entities, types=False)
+                entity_map[e] = self._sort(ttok, tgt.entities, types=False)
                 self.expect(";")
             elif section.text in ("edge", "attribute"):
                 ntok = self.expect_ident()
@@ -437,12 +407,6 @@ class Parser:
                                                     edge_map, attr_map)
         ws.order.append(("mapping", name.text))
 
-    def _entity(self, schema: Schema, tok: Token) -> Sort:
-        for e in schema.entities:
-            if e.name == tok.text:
-                return e
-        raise DslError(f"unknown entity {tok.text!r}", tok.span)
-
     # - bimodules -
 
     def parse_bimodule(self, ws: Workspace):
@@ -455,45 +419,29 @@ class Parser:
         gen_edges: list[FunctionSymbol] = []
         gen_attrs: list[FunctionSymbol] = []
         equations: list[Equation] = []
-        builtin = {s.name: s for s in TYPE_SORTS}
-        src_ents = {e.name: e for e in src.entities}
-        dst_ents = {e.name: e for e in dst.entities}
         while not self.accept("}"):
             section = self.expect_ident()
             if section.text in ("edges", "attributes"):
+                # edges land on dst entities, attributes on type sorts
+                edges = section.text == "edges"
+                into = gen_edges if edges else gen_attrs
+                cods = dst.entities if edges else ()
                 while not self.accept(";"):
                     ntok = self.expect_ident()
                     self.expect(":")
                     dtok = self.expect_ident()
                     self.expect("->")
                     ctok = self.expect_ident()
-                    if dtok.text not in src_ents:
-                        raise DslError(f"unknown entity {dtok.text!r}",
-                                       dtok.span)
-                    if section.text == "edges":
-                        if ctok.text not in dst_ents:
-                            raise DslError(f"unknown entity {ctok.text!r}",
-                                           ctok.span)
-                        gen_edges.append(FunctionSymbol(
-                            ntok.text, (src_ents[dtok.text],),
-                            dst_ents[ctok.text]))
-                    else:
-                        if ctok.text not in builtin:
-                            raise DslError(f"unknown sort {ctok.text!r}",
-                                           ctok.span)
-                        gen_attrs.append(FunctionSymbol(
-                            ntok.text, (src_ents[dtok.text],),
-                            builtin[ctok.text]))
+                    dom = self._sort(dtok, src.entities, types=False)
+                    cod = self._sort(ctok, cods, types=not edges)
+                    into.append(FunctionSymbol(ntok.text, (dom,), cod))
                     self.accept(",")
             elif section.text == "equations":
                 sig = AlgSignature(
                     TYPE_SORTS + src.entities + dst.entities,
-                    self._collage_symbols(
-                        src.edges + dst.edges + tuple(gen_edges),
-                        src.attributes + dst.attributes + tuple(gen_attrs)))
-                sorts = dict(builtin)
-                sorts.update(src_ents)
-                sorts.update(dst_ents)
+                    TYPE_SYMBOLS + src.edges + dst.edges + tuple(gen_edges)
+                    + src.attributes + dst.attributes + tuple(gen_attrs))
+                sorts = src.entities + dst.entities
                 while not self.accept(";"):
                     equations.append(self.parse_forall_eq(sig, sorts))
                 while self.at("forall"):
@@ -513,58 +461,41 @@ class Parser:
         self.expect_kw("on")
         schema = self._schema(ws, self.expect_ident())
         self.expect("{")
-        for_ctx, where_eqs, returns = self._parse_block_body(schema)
+        env, where_eqs, returns, keys = self._block_body(schema)
         self.expect("}")
-        ret_bindings = []
-        assignment = {}
-        for n, t in returns:
-            s = well_sort_check(t, for_ctx, schema.collage_sig)
-            ret_bindings.append((n, s))
-            assignment[n] = t
-        ret_ctx = Context(tuple(ret_bindings))
+        if keys:
+            raise DslError("keys clauses require an uberquery",
+                           keys[0][0].span)
+        ret_ctx = Context(tuple((n.text, check_equation(env, t))
+                                for n, _, t in returns))
         ws.queries[name.text] = Query(
-            schema, for_ctx, tuple(where_eqs), ret_ctx,
-            ContextMorphism.make(for_ctx, ret_ctx, assignment))
+            schema, env.context, tuple(where_eqs), ret_ctx,
+            ContextMorphism.make(env.context, ret_ctx,
+                                 {n.text: t for n, _, t in returns}))
         ws.order.append(("query", name.text))
 
-    def _parse_block_body(self, schema: Schema, result_schema=None,
-                          blocks=None):
-        ents = {e.name: e for e in schema.entities}
-        builtin = {s.name: s for s in TYPE_SORTS}
-        for_ctx = Context(())
+    def _block_body(self, schema: Schema):
+        """The FOR, WHERE, RETURN and KEYS sections of a block.  Returns and
+        key assignments keep their name token and the first token of
+        their term, for the checks the caller makes."""
+        env = TermEnv(schema.collage_sig, Context(()))
         where_eqs: list[Equation] = []
-        returns: list[tuple[str, Term]] = []
-        keys: list[tuple[FunctionSymbol, tuple[SourceSpan, str, dict]]] = []
-        while self.peek().text not in ("}",):
+        returns: list[tuple[Token, Token, Term]] = []
+        keys: list[tuple[Token, Token, list]] = []
+        while not self.at("}"):
             section = self.expect_ident()
             if section.text == "for":
-                bindings = []
-                while not self.accept(";"):
-                    n = self.expect_ident()
-                    self.expect(":")
-                    stok = self.expect_ident()
-                    s = ents.get(stok.text) or builtin.get(stok.text)
-                    if s is None:
-                        raise DslError(f"unknown sort {stok.text!r}",
-                                       stok.span)
-                    bindings.append((n.text, s))
-                    self.accept(",")
-                for_ctx = Context(tuple(bindings))
+                env = TermEnv(schema.collage_sig, Context(tuple(
+                    self._binders(";", schema.entities))))
             elif section.text == "where":
-                env = TermEnv(schema.collage_sig, for_ctx)
                 while not self.accept(";"):
-                    lhs = self.parse_term(env)
-                    eqt = self.expect("=")
-                    rhs = self.parse_term(env)
-                    where_eqs.append(self._mk_eq(
-                        schema.collage_sig, for_ctx, lhs, rhs, eqt.span))
+                    where_eqs.append(self._equation(env))
                     self.accept(",")
             elif section.text == "return":
-                env = TermEnv(schema.collage_sig, for_ctx)
                 while not self.accept(";"):
                     n = self.expect_ident()
                     self.expect(":=")
-                    returns.append((n.text, self.parse_term(env)))
+                    returns.append((n, self.peek(), self.parse_term(env)))
                     self.accept(",")
             elif section.text == "keys":
                 while not self.accept(";"):
@@ -572,24 +503,18 @@ class Parser:
                     self.expect(":=")
                     btok = self.expect_ident()
                     self.expect("[")
-                    assigns: dict[str, Term] = {}
-                    env = TermEnv(schema.collage_sig, for_ctx)
+                    assigns = []
                     while not self.accept("]"):
                         v = self.expect_ident()
                         self.expect(":=")
-                        assigns[v.text] = self.parse_term(env)
+                        assigns.append((v, self.peek(), self.parse_term(env)))
                         self.accept(",")
-                    keys.append((ftok, (btok, assigns)))
+                    keys.append((ftok, btok, assigns))
                     self.accept(",")
             else:
                 raise DslError(f"unknown query section {section.text!r}",
                                section.span)
-        if blocks is None:
-            if keys:
-                raise DslError("keys clauses require an uberquery",
-                               keys[0][0].span)
-            return for_ctx, where_eqs, returns
-        return for_ctx, where_eqs, returns, keys
+        return env, where_eqs, returns, keys
 
     def parse_uberquery(self, ws: Workspace):
         name = self.expect_ident()
@@ -602,32 +527,48 @@ class Parser:
         while not self.accept("}"):
             self.expect_kw("entity")
             etok = self.expect_ident()
-            e = self._entity(result, etok)
+            e = self._sort(etok, result.entities, types=False)
             self.expect("{")
-            for_ctx, where_eqs, returns, keys = self._parse_block_body(
-                schema, result, blocks=True)
+            raw_blocks[e] = (etok, *self._block_body(schema))
             self.expect("}")
-            raw_blocks[e] = (for_ctx, where_eqs, returns, keys, etok)
         blocks = []
-        for e, (for_ctx, where_eqs, returns, keys, etok) in raw_blocks.items():
+        for e, (etok, env, where_eqs, returns, keys) in raw_blocks.items():
             attrs = {a.name: a for a in result.attrs_from(e)}
             rets = []
-            for n, t in returns:
-                if n not in attrs:
-                    raise DslError(f"unknown result attribute {n!r}",
+            for n, ttok, t in returns:
+                if n.text not in attrs:
+                    raise DslError(f"unknown result attribute {n.text!r}",
                                    etok.span)
-                rets.append((attrs[n], t))
+                check_equation(env, t, attrs[n.text].cod, ttok.span)
+                rets.append((attrs[n.text], t))
             edges = {f.name: f for f in result.edges_from(e)}
             key_list = []
-            for ftok, (btok, assigns) in keys:
+            for ftok, btok, assigns in keys:
                 if ftok.text not in edges:
                     raise DslError(f"unknown result edge {ftok.text!r}",
                                    ftok.span)
                 f = edges[ftok.text]
-                cod_ctx = raw_blocks[f.cod][0]
+                if btok.text != f.cod.name:
+                    raise DslError(f"keys {f.name} names {btok.text}, not "
+                                   f"its target {f.cod.name}", btok.span)
+                if f.cod not in raw_blocks:
+                    raise DslError(f"no block for result entity "
+                                   f"{f.cod.name}", btok.span)
+                cod_ctx = raw_blocks[f.cod][1].context
+                assignment = {}
+                for v, ttok, t in assigns:
+                    if v.text not in cod_ctx:
+                        raise DslError(f"block {f.cod.name} has no FOR "
+                                       f"variable {v.text!r}", v.span)
+                    check_equation(env, t, cod_ctx.sort_of(v.text), ttok.span)
+                    assignment[v.text] = t
+                missing = [n for n in cod_ctx.names() if n not in assignment]
+                if missing:
+                    raise DslError(f"keys {f.name} must assign "
+                                   f"{', '.join(missing)}", btok.span)
                 key_list.append((f, ContextMorphism.make(
-                    for_ctx, cod_ctx, assigns)))
-            blocks.append((e, UberBlock(for_ctx, tuple(where_eqs),
+                    env.context, cod_ctx, assignment)))
+            blocks.append((e, UberBlock(env.context, tuple(where_eqs),
                                         tuple(key_list), tuple(rets))))
         ws.uberqueries[name.text] = UberQuery(schema, result, tuple(blocks))
         ws.order.append(("uberquery", name.text))
@@ -656,9 +597,9 @@ class Parser:
 
     def _mul(self, env) -> Term:
         t = self._unary(env)
-        while self.at("*") and env.infix_symbol("*") is not None:
+        while self.at("*") and (times := env.times()) is not None:
             self.next()
-            t = App(env.infix_symbol("*"), (t, self._unary(env)))
+            t = App(times, (t, self._unary(env)))
         return t
 
     def _unary(self, env) -> Term:
@@ -671,7 +612,7 @@ class Parser:
         while self.at(".") and self.toks[self.pos + 1].kind == "ident":
             self.next()
             ntok = self.expect_ident()
-            sym = env.unary_symbol(ntok.text)
+            sym = env.lookup(ntok.text, 1)
             if sym is None:
                 raise DslError(f"unknown symbol {ntok.text!r}", ntok.span)
             t = App(sym, (t,))
@@ -703,7 +644,7 @@ class Parser:
             while not self.accept(")"):
                 args.append(self.parse_term(env))
                 self.accept(",")
-            sym = env.symbol(t.text, len(args))
+            sym = env.lookup(t.text, len(args))
             if sym is None:
                 raise DslError(f"unknown symbol {t.text!r}", t.span)
             return App(sym, tuple(args))
@@ -720,40 +661,33 @@ class TermEnv:
         self.context = context
         self.implicit_x = implicit_x
 
-    def _lookup(self, name: str, arity: int | None = None):
+    def lookup(self, name: str, arity: int):
         sym = self.sig.symbols.get(name)
-        if sym is not None and (arity is None or len(sym.dom) == arity):
+        if sym is not None and len(sym.dom) == arity:
             return sym
         return None
 
-    def symbol(self, name: str, arity: int):
-        return self._lookup(name, arity)
-
-    def unary_symbol(self, name: str):
-        return self._lookup(name, 1)
-
-    def infix_symbol(self, name: str):
-        if name == "*":
-            return self._lookup("*", 2) or (TIMES if "Int" in self.sig.sorts
-                                            else None)
-        return None
+    def times(self):
+        """`*`: the signature's own binary symbol, else Int multiplication."""
+        return self.lookup("*", 2) or (TIMES if "Int" in self.sig.sorts
+                                       else None)
 
     def int_term(self, n: int, span: SourceSpan) -> Term:
         if "Int" in self.sig.sorts:
             return int_term(n)
-        sym = self._lookup(str(n), 0)
+        sym = self.lookup(str(n), 0)
         if sym is not None:
             return app(sym)
         raise DslError(f"no constant named {n}", span)
 
     def atom(self, name: str, span: SourceSpan) -> Term:
-        if any(n == name for n, _ in self.context.bindings):
+        if name in self.context:
             return Var(name)
-        sym = self._lookup(name, 0)
+        sym = self.lookup(name, 0)
         if sym is not None:
             return app(sym)
         if self.implicit_x:
-            sym = self._lookup(name, 1)
+            sym = self.lookup(name, 1)
             if sym is not None:
                 return App(sym, (Var("x"),))
         raise DslError(f"unknown name {name!r}", span)

@@ -177,9 +177,11 @@ def saturate(ip: InstancePresentation,
             raise PossiblyInfinite("instance saturation exceeded row budget")
 
     row_list: dict[Sort, list[Term]] = {e: [] for e in sch.entities}
+    listed: set[Term] = set()
     for t in items:
         rep = cl.representative(t)
-        if rep not in row_list[items[t]]:
+        if rep not in listed:
+            listed.add(rep)
             row_list[items[t]].append(rep)
             if len(row_list[items[t]]) > budget:
                 raise PossiblyInfinite(

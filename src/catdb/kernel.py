@@ -166,20 +166,22 @@ def render_term(t: Term) -> str:
 @dataclass(frozen=True)
 class Context:
     bindings: tuple[tuple[str, Sort], ...] = ()
+    _sorts: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        names = [n for n, _ in self.bindings]
-        if len(set(names)) != len(names):
-            raise KernelError(f"duplicate variable in context: {names}")
+        sorts = dict(self.bindings)
+        if len(sorts) != len(self.bindings):
+            raise KernelError(f"duplicate variable in context: {self.names()}")
+        object.__setattr__(self, "_sorts", sorts)
 
     def sort_of(self, name: str) -> Sort:
-        for n, s in self.bindings:
-            if n == name:
-                return s
-        raise UnknownVariable(name)
+        s = self._sorts.get(name)
+        if s is None:
+            raise UnknownVariable(name)
+        return s
 
     def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self.bindings)
+        return name in self._sorts
 
     def names(self) -> list[str]:
         return [n for n, _ in self.bindings]

@@ -18,8 +18,8 @@ from .kernel import (
 )
 from .schema import (
     Schema, SchemaError, SchemaMapping, SchemaMismatch, SchemaPresentation,
-    _norm_obs, attr_lifts, compile_schema, edge_lifts,
-    is_discrete_opfibration, saturate_entity_category,
+    _norm_obs, compile_schema, discrete_opfibration_lifts,
+    saturate_entity_category,
 )
 from .instance import (
     DomainDependence, InstancePresentation, SaturatedInstance,
@@ -78,10 +78,10 @@ def sigma(F: SchemaMapping, I: InstancePresentation) -> InstancePresentation:
 def sigma_pointwise(F: SchemaMapping, I: SaturatedInstance) -> SaturatedInstance:
     """Coproduct-over-preimages formula, valid when F induces a discrete
     opfibration on collages."""
-    if is_discrete_opfibration(F) != "yes":
+    verdict, lifts = discrete_opfibration_lifts(F)
+    if verdict != "yes":
         raise NotOpfibration("mapping is not a discrete opfibration")
     src, tgt = F.source, F.target
-    src_homs = saturate_entity_category(src)
     preim = {t: [s for s in src.entities if F.on_entity(s) == t]
              for t in tgt.entities}
     row_list: dict[Sort, list[Term]] = {t: [] for t in tgt.entities}
@@ -96,20 +96,14 @@ def sigma_pointwise(F: SchemaMapping, I: SaturatedInstance) -> SaturatedInstance
                 row_list[t].append(r)
 
     # an opfibration lifts every target edge and attribute uniquely
-    edge_cols = {}
-    for g in tgt.edges:
-        lifts = {s: edge_lifts(F, src_homs, s, g)[0]
-                 for s in preim[g.dom[0]]}
-        edge_cols[g] = {
-            r: I.eval_entity(subst_map(lifts[row_home[r]], {"x": r}))
+    edge_cols = {
+        g: {r: I.eval_entity(subst_map(lifts[row_home[r], g], {"x": r}))
             for r in row_list[g.dom[0]]}
-    attr_cols = {}
-    for a in tgt.attributes:
-        lifts = {s: attr_lifts(F, src_homs, s, a)[0]
-                 for s in preim[a.dom[0]]}
-        attr_cols[a] = {
-            r: I.eval_type(subst_map(lifts[row_home[r]], {"x": r}))
+        for g in tgt.edges}
+    attr_cols = {
+        a: {r: I.eval_type(subst_map(lifts[row_home[r], a], {"x": r}))
             for r in row_list[a.dom[0]]}
+        for a in tgt.attributes}
     return SaturatedInstance(tgt, row_list, edge_cols, attr_cols,
                              I.typealg, dict(I.gen_env))
 

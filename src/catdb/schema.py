@@ -264,26 +264,33 @@ def attr_lifts(F: SchemaMapping, homs, s: Sort, a: FunctionSymbol):
             if _norm_obs(F.target, F.translate(app(b, p))) == want]
 
 
-def is_discrete_opfibration(F: SchemaMapping, budget: int = 10_000) -> str:
-    """'yes' | 'no' | 'unknown'.
+def discrete_opfibration_lifts(F: SchemaMapping, budget: int = 10_000):
+    """('yes', lifts) | ('no', None) | ('unknown', None).
 
     Checks unique lifting of generating target edges and attributes on the
     saturated entity categories: out of every image object, and — for
-    edges whose codomain has a preimage — into every such preimage."""
+    edges whose codomain has a preimage — into every such preimage.  On
+    'yes', lifts[s, g] is the lift out of s of each target edge or
+    attribute g out of F(s)."""
     try:
         src_homs = saturate_entity_category(F.source, budget)
-        tgt_rs = F.target.entity_rs
     except PossiblyInfinite:
-        return "unknown"
+        return "unknown", None
+    tgt_rs = F.target.entity_rs
 
+    lifts: dict[tuple[Sort, FunctionSymbol], Term] = {}
     for s in F.source.entities:
         fs = F.on_entity(s)
         for g in F.target.edges_from(fs):
-            if len(edge_lifts(F, src_homs, s, g)) != 1:
-                return "no"
+            found = edge_lifts(F, src_homs, s, g)
+            if len(found) != 1:
+                return "no", None
+            lifts[s, g] = found[0]
         for a in F.target.attrs_from(fs):
-            if len(attr_lifts(F, src_homs, s, a)) != 1:
-                return "no"
+            found = attr_lifts(F, src_homs, s, a)
+            if len(found) != 1:
+                return "no", None
+            lifts[s, a] = found[0]
     # edges into the image must also lift uniquely
     for g in F.target.edges:
         for s2 in F.source.entities:
@@ -298,8 +305,13 @@ def is_discrete_opfibration(F: SchemaMapping, budget: int = 10_000) -> str:
                     if tgt_rs.normalize(F.translate(p)) == image:
                         count += 1
             if count != 1:
-                return "no"
-    return "yes"
+                return "no", None
+    return "yes", lifts
+
+
+def is_discrete_opfibration(F: SchemaMapping, budget: int = 10_000) -> str:
+    """'yes' | 'no' | 'unknown', as in discrete_opfibration_lifts."""
+    return discrete_opfibration_lifts(F, budget)[0]
 
 
 def _norm_obs(schema: Schema, t: Term) -> Term:

@@ -96,6 +96,24 @@ class TestEq:
                            "a*nonsense", "a")
         assert code == 1 and "nonsense" in err
 
+    @pytest.mark.parametrize("terms,message", [
+        (('"a" * b', "1"), '"a" in "a"'),
+        (("a <= b", "true"), "<= in <=(a, b)"),
+    ])
+    def test_ill_sorted_terms_are_domain_errors(self, capsys, terms, message):
+        code, out, err = run(capsys, "eq", GROUP, "--theory", "Grp", *terms)
+        assert code == 1 and out == ""
+        assert message in err and "Traceback" not in err
+
+    def test_sides_of_different_sorts_are_domain_errors(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "two.cdb"
+        path.write_text("theory T {\n  sorts A B;\n  symbols a : A;\n"
+                        "  symbols b : B;\n}\n", encoding="utf-8")
+        code, out, err = run(capsys, "eq", str(path), "--theory", "T", "a", "b")
+        assert (code, out) == (1, "")
+        assert err == "error: <arg>:1:1: equation sides have sorts A and B\n"
+
 
 class TestSaturate:
     def test_employee_tables(self, capsys):
@@ -169,6 +187,20 @@ class TestQuery:
         code, out, _ = run(capsys, "query", WORKSPACE, "--query", "N",
                            "--instance", "J")
         assert code == 0 and '"Euclid"' in out and "A'" in out
+
+
+    @pytest.mark.parametrize("command", ["check", "query"])
+    def test_ill_sorted_return_is_domain_error(self, capsys, tmp_path,
+                                               command):
+        path = tmp_path / "paper.cdb"
+        path.write_text((FIXTURES / "paper.cdb").read_text().replace(
+            "return dept_name := d.name,", "return dept_name := d.name + 1,"))
+        argv = [command, str(path)]
+        if command == "query":
+            argv += ["--query", "N", "--instance", "J"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: argument d.name of + has sort Str, expected Int\n"
 
 
 class TestMigrate:

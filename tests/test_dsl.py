@@ -1,6 +1,7 @@
 """Workspace text format: tokenizer, parser, and pretty printer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catdb.dsl import (
     DslError, parse_workspace, render_workspace, tokenize,
@@ -152,3 +153,77 @@ schema S { entities A; attributes a : A -> Int;
 """
         ws = parse_workspace(text)
         assert len(ws.schemas["S"].presentation.obs_eqs) == 1
+
+
+KEYS = "keys f := A[e := e', d := e'.wrk];"
+
+
+class TestUberqueryChecks:
+    """One-line edits of the paper's uber-query N, each refused at parse
+    time at the token that is wrong."""
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("return dept_name := d.name,", "return dept_name := d.sec.sal,",
+         "paper.cdb:135:25: d.sec.sal has sort Int, expected Str"),
+        (KEYS, "keys f := A[e := e'];",
+         "paper.cdb:140:15: keys f must assign d"),
+        (KEYS, "keys f := A[e := e', d := e'.last];",
+         "paper.cdb:140:31: e'.last has sort Str, expected Dept"),
+        (KEYS, "keys f := Zzz[e := e', d := e'.wrk];",
+         "paper.cdb:140:15: keys f names Zzz, not its target A"),
+        (KEYS, "keys f := A[e := e', d := e'.wrk, z := e'];",
+         "paper.cdb:140:39: block A has no FOR variable 'z'"),
+    ], ids=["return sort", "missing key", "key sort", "block name",
+            "extra key"])
+    def test_refused_edit(self, old, new, message):
+        from tests.conftest import FIXTURES
+        text = (FIXTURES / "paper.cdb").read_text()
+        assert text.count(old) == 1
+        with pytest.raises(DslError) as err:
+            parse_workspace(text.replace(old, new), "paper.cdb")
+        assert str(err.value) == message
+
+    def test_ill_sorted_return_term(self):
+        from catdb.kernel import AritySortMismatch
+        from tests.conftest import FIXTURES
+        text = (FIXTURES / "paper.cdb").read_text()
+        with pytest.raises(AritySortMismatch):
+            parse_workspace(text.replace("return dept_name := d.name,",
+                                         "return dept_name := d.name + 1,"))
+
+    def test_keys_into_a_missing_block(self):
+        text = """
+schema S { entities E; }
+schema R { entities A B; edges f : B -> A; }
+uberquery N on S -> R {
+  entity B { for x:E; keys f := A[y := x]; }
+}
+"""
+        with pytest.raises(DslError) as err:
+            parse_workspace(text, "u.cdb")
+        assert str(err.value) == "u.cdb:5:33: no block for result entity A"
+
+
+class TestMutatedFixtures:
+    """Deleting, duplicating or swapping one token of a fixture may make
+    it malformed, but never crashes the parser."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(("group.cdb", "paper.cdb")), st.data())
+    def test_only_domain_errors(self, fixture, data):
+        from catdb.cli import DOMAIN_ERRORS
+        from tests.conftest import FIXTURES
+        words = [t.text for t in
+                 tokenize((FIXTURES / fixture).read_text())[:-1]]
+        i = data.draw(st.integers(0, len(words) - 2))
+        edit = data.draw(st.sampled_from(("delete", "duplicate", "swap")))
+        if edit == "delete":
+            del words[i]
+        elif edit == "duplicate":
+            words.insert(i, words[i])
+        else:
+            words[i], words[i + 1] = words[i + 1], words[i]
+        try:
+            parse_workspace(" ".join(words), fixture)
+        except DOMAIN_ERRORS + (RecursionError,):
+            pass

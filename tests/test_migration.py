@@ -189,6 +189,19 @@ class TestSigmaPointwise:
         with pytest.raises(MigrationError):
             sigma_pointwise(ws.mappings["H"], satJ)
 
+    def test_saturates_each_representable_once(self, ws, satJ, monkeypatch):
+        import catdb.instance
+        calls = []
+        real = catdb.instance.saturate
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(catdb.instance, "saturate", counting)
+        sigma_pointwise(identity_mapping(ws.schemas["S"]), satJ)
+        assert len(calls) == 2  # one representable per entity of S
+
 
 class TestBimodules:
     def test_companion_lambda_recovers_renamed_instance(self, ws, satJ):

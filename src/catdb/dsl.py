@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .kernel import (
     AlgSignature, App, Context, ContextMorphism, Equation, FunctionSymbol,
@@ -55,33 +56,35 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | string | op | eof
     text: str
-    span: SourceSpan
+    file: str
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.column)
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     out = []
-    line, col, i = 1, 1, 0
+    line, start, i = 1, 0, 0  # start: offset of the current line
     while i < len(text):
         m = _TOKEN_RE.match(text, i)
         if not m:
             raise DslError(f"unexpected character {text[i]!r}",
-                           SourceSpan(filename, line, col))
-        kind = m.lastgroup
-        tok = m.group(0)
-        if kind != "ws":
-            out.append(Token(kind, tok, SourceSpan(filename, line, col)))
-        nl = tok.count("\n")
-        if nl:
+                           SourceSpan(filename, line, i - start + 1))
+        end = m.end()
+        if m.lastgroup != "ws":
+            out.append(Token(m.lastgroup, m.group(), filename, line,
+                             i - start + 1))
+        if nl := text.count("\n", i, end):
             line += nl
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-        i = m.end()
-    out.append(Token("eof", "", SourceSpan(filename, line, col)))
+            start = text.rfind("\n", i, end) + 1
+        i = end
+    out.append(Token("eof", "", filename, line, i - start + 1))
     return out
 
 
@@ -243,7 +246,6 @@ class Parser:
         sorts: dict[str, Sort] = {}
         symbols: list[FunctionSymbol] = []
         equations: list[Equation] = []
-        sig: AlgSignature | None = None
         while not self.accept("}"):
             section = self.expect_ident()
             if section.text == "sorts":
@@ -278,8 +280,7 @@ class Parser:
             else:
                 raise DslError(f"unknown theory section {section.text!r}",
                                section.span)
-        if sig is None:
-            sig = AlgSignature(tuple(sorts.values()), tuple(symbols))
+        sig = AlgSignature(tuple(sorts.values()), tuple(symbols))
         ws.theories[name.text] = Presentation(sig, tuple(equations))
         ws.order.append(("theory", name.text))
 

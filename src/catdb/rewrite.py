@@ -355,64 +355,72 @@ class GroundClosure:
     under rewriting by a background system.
 
     The closure is incremental, after Downey-Sethi-Tarjan (1980) and
-    Nieuwenhuis-Oliveras (2007).  Each root keeps the members of its class
-    and a use-list: the compound terms with an argument in its class.  A
-    union queues the use-list of the root it absorbs, and a rebuild
-    re-canonicalises only the queued terms."""
+    Nieuwenhuis-Oliveras (2007), over hash-consed integer nodes as in egg
+    (Willsey et al. 2021).  Each root keeps its class members and a
+    use-list: the compound terms with an argument in its class.  A union
+    queues the use-list of the root it absorbs, and a rebuild re-canonicalises
+    only the queued terms."""
 
     def __init__(self, ground_eqs, rs: RewriteSystem, budget: int = 100_000):
         self.rs = rs
         self.budget = budget
-        self.parent: dict[Term, Term] = {}
-        self.known: set[Term] = set()
-        self.members: dict[Term, list[Term]] = {}
-        self.uses: dict[Term, list[Term]] = {}
+        self.ids: dict[Term, int] = {}  # hash-cons table: term -> node
+        self.known = self.ids.keys()
+        self.terms, self.keys, self.parent = [], [], []  # indexed by node
+        self.members, self.uses = {}, {}  # root -> member, user terms
         self.pending: list[Term] = []
+        self.closed = 0  # nodes below this id are closed: see _add
         # Free variables act as inert constants (e.g. instance generators);
         # rewrite-rule variables never capture them.
         for eq in ground_eqs:
             self._union(self._add(eq.lhs), self._add(eq.rhs))
         self._rebuild()
 
-    def _add(self, t: Term) -> Term:
+    def _add(self, t: Term) -> int:
         """Register t under both readings — rewrite the raw term, and
         rewrite with arguments replaced by their representatives — and
         union them.  The two can differ: a rule may only fire on the raw
         argument (e.g. a two-step path) while congruence only sees the
-        representative."""
-        t0 = normalize(t, self.rs)
-        self._register(t0)
+        representative.  A closed node needs neither: registered terms are
+        normal forms, and at quiescence each registered f(args) has
+        normalize(f(find(args))) in its class, which holds until a union."""
+        i = self.ids.get(t, self.closed)
+        if i < self.closed:
+            return self._find(i)
+        t0 = self._register(normalize(t, self.rs))
         if isinstance(t, App) and t.args:
-            args = tuple(self._find(self._add(a)) for a in t.args)
-            t1 = normalize(App(t.symbol, args), self.rs)
-            self._register(t1)
-            self._union(self._find(t0), self._find(t1))
+            args = tuple(self.terms[self._add(a)] for a in t.args)
+            t1 = self._register(normalize(App(t.symbol, args), self.rs))
+            self._union(t0, t1)
         return self._find(t0)
 
-    def _register(self, t: Term):
-        if t in self.known:
-            return
-        self.known.add(t)
-        self.parent[t] = t
-        self.members[t] = [t]
-        if isinstance(t, App) and t.args:
-            for a in t.args:
-                self._register(a)
-                self.uses.setdefault(self._find(a), []).append(t)
-            self.pending.append(t)
+    def _register(self, t: Term) -> int:
+        i = self.ids.get(t)
+        if i is None:
+            i = self.ids[t] = len(self.terms)
+            self.terms.append(t)
+            self.keys.append(term_key(t))
+            self.parent.append(i)
+            self.members[i] = [t]
+            if isinstance(t, App) and t.args:
+                for a in t.args:
+                    r = self._find(self._register(a))
+                    self.uses.setdefault(r, []).append(t)
+                self.pending.append(t)
+        return i
 
-    def _find(self, t: Term) -> Term:
-        while self.parent.get(t, t) != t:
-            self.parent[t] = self.parent.get(self.parent[t], self.parent[t])
-            t = self.parent[t]
-        return t
+    def _find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = i = self.parent[self.parent[i]]
+        return i
 
-    def _union(self, a: Term, b: Term):
+    def _union(self, a: int, b: int):
         ra, rb = self._find(a), self._find(b)
         if ra == rb:
             return
+        self.closed = 0
         # prefer the smaller term as representative
-        if term_key(rb) < term_key(ra):
+        if self.keys[rb] < self.keys[ra]:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.members[ra].extend(self.members.pop(rb))
@@ -432,18 +440,18 @@ class GroundClosure:
                 raise BudgetExceeded(
                     f"congruence closure exceeded {limit} worklist steps")
             t = self.pending.pop()
-            c = normalize(
-                App(t.symbol, tuple(self._find(a) for a in t.args)), self.rs)
-            self._register(c)
-            self._union(t, c)
+            c = normalize(App(t.symbol, tuple(
+                self.terms[self._find(self.ids[a])] for a in t.args)), self.rs)
+            self._union(self.ids[t], self._register(c))
+        self.closed = len(self.terms)
 
     def representative(self, t: Term) -> Term:
         r = self._add(t)
         self._rebuild()
-        return self._find(r)
+        return self.terms[self._find(r)]
 
     def class_members(self, t: Term) -> list[Term]:
-        return list(self.members[self.representative(t)])
+        return list(self.members[self.ids[self.representative(t)]])
 
     def same(self, a: Term, b: Term) -> bool:
         return self.representative(a) == self.representative(b)

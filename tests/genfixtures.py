@@ -44,3 +44,31 @@ def random_instance(rng: random.Random, schema: Schema,
                 eqs.append(Equation(
                     G, app(a, Var(n)), str_literal(word), STR))
     return InstancePresentation(schema, G, tuple(eqs))
+
+
+def word(rng: random.Random) -> str:
+    return "".join(rng.choice(string.ascii_lowercase) for _ in range(6))
+
+
+def company_instance(rng: random.Random, n_emp: int = 50,
+                     n_dept: int = 10) -> str:
+    """Instance W on S: the boss of each department manages itself and is
+    its secretary; every fifth staff member has no manager given, every
+    seventh a labelled null salary, and every third department no name."""
+    nulls = [f"x{k}" for k in range(0, n_emp - n_dept, 7)]
+    lines = ["instance W on S {",
+             f"  generators {' '.join(f'e{i}' for i in range(n_emp))} : Emp;",
+             f"  generators {' '.join(f'd{j}' for j in range(n_dept))} : Dept;",
+             f"  generators {' '.join(nulls)} : Int;"]
+    for j in range(n_dept):
+        name = "" if j % 3 == 2 else f'd{j}.name = "{word(rng)}", '
+        lines.append(f"  equations {name}d{j}.sec = e{j}, e{j}.wrk = d{j}, "
+                     f"e{j}.mgr = e{j}, e{j}.sal = 1000, "
+                     f'e{j}.last = "{word(rng)}";')
+    for k, i in enumerate(range(n_dept, n_emp)):
+        d = rng.randrange(n_dept)
+        mgr = "" if k % 5 == 4 else f"e{i}.mgr = e{d}, "
+        sal = f"x{k}" if k % 7 == 0 else str(rng.randrange(100, 900))
+        lines.append(f"  equations {mgr}e{i}.wrk = d{d}, e{i}.sal = {sal}, "
+                     f'e{i}.last = "{word(rng)}";')
+    return "\n".join(lines + ["}"]) + "\n"

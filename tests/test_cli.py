@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from catdb.cli import run_cli
 from tests.conftest import FIXTURES
+from tests.genfixtures import company_instance
 
 GROUP = str(FIXTURES / "group.cdb")
 WORKSPACE = str(FIXTURES / "paper.cdb")
@@ -324,3 +326,37 @@ class TestModuleEntryPoint:
         finally:
             os.close(write_end)
         assert proc.returncode == 1 and proc.stderr == ""
+
+
+class TestTheorySections:
+    def test_symbols_declared_after_equations(self, capsys, tmp_path):
+        path = tmp_path / "late.cdb"
+        path.write_text("theory T { sorts G; equations forall x : G . x = x; "
+                        "symbols a : G; }\n", encoding="utf-8")
+        code, out, err = run(capsys, "eq", str(path), "--theory", "T",
+                             "a", "a")
+        assert (code, out.strip(), err) == (0, "Equal", "")
+
+
+class TestGeneratedDeterminism:
+    """A 60-row instance: the closure's node ids and member lists follow
+    insertion order, so its output must not depend on the hash seed."""
+
+    @pytest.fixture(scope="class")
+    def company(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("company") / "company.cdb"
+        path.write_text((FIXTURES / "paper.cdb").read_text(encoding="utf-8")
+                        + "\n" + company_instance(random.Random(60)),
+                        encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("extra", [
+        ("saturate", "--format", "json"),
+        ("migrate", "--mapping", "H", "--mode", "sigma", "--saturate"),
+    ])
+    def test_byte_identical_across_hash_seeds(self, company, extra):
+        argv = (extra[0], company, "--instance", "W", *extra[1:])
+        runs = [run_module(*argv, hash_seed=seed) for seed in ("0", "1")]
+        assert all(p.returncode == 0 and p.stdout for p in runs), \
+            [p.stderr for p in runs]
+        assert runs[0].stdout == runs[1].stdout

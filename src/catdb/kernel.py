@@ -36,6 +36,26 @@ class ContextMismatch(KernelError):
     pass
 
 
+def hash_once(cls):
+    """Class decorator for an immutable dataclass: its generated `__hash__`
+    runs once per instance (the hash-once half of hash-consing).  The value
+    is kept on the instance outside the dataclass fields, so the hash
+    itself, `==` and `repr` stay those of the dataclass."""
+    generated = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = generated(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None  # until an instance sets its own
+    cls.__hash__ = __hash__
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True)
 class Sort:
     name: str
@@ -44,6 +64,7 @@ class Sort:
         return self.name
 
 
+@hash_once
 @dataclass(frozen=True)
 class FunctionSymbol:
     name: str
@@ -122,6 +143,7 @@ class Term:
     __slots__ = ()
 
 
+@hash_once
 @dataclass(frozen=True)
 class Var(Term):
     name: str

@@ -122,7 +122,14 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
         names = row_generator_names(dI)
         cp = canonical_presentation(dI)
         alphas = enumerate_transforms(cp, I)
+        # the atoms the algebra defines as another bare atom, by that atom
+        defined_as: dict[Term, list[Term]] = {}
+        for key, val in sat.typealg._subst.items():
+            bare = _bare_atom(val)
+            if bare is not None:
+                defined_as.setdefault(bare, []).append(key)
         per[t] = {"sat": sat, "names": names, "alphas": alphas,
+                  "defined_as": defined_as,
                   "rows": [Var(f"{t.name.lower()}{i + 1}")
                            for i in range(len(alphas))]}
 
@@ -136,6 +143,7 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
         names = per[t]["names"]
         assign = alpha.row_assignment()
         alg = per[t]["sat"].typealg
+        defined_as = per[t]["defined_as"]
 
         def direct(atom: Term) -> CanonicalValue | None:
             if isinstance(atom, App) and atom.args and atom.args[0] in names:
@@ -150,11 +158,10 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
                 return v
             # the algebra may know this atom as the definition of a
             # resolvable one (e.g. a pulled-back copy of the same cell)
-            for key, val in alg._subst.items():
-                if _bare_atom(val) == atom:
-                    v = direct(key)
-                    if v is not None:
-                        return v
+            for key in defined_as.get(atom, ()):
+                v = direct(key)
+                if v is not None:
+                    return v
             # or relate it to an expressible value in an unoriented way
             seen = _seen or frozenset()
             if atom not in seen:

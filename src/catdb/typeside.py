@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .kernel import (
-    App, Context, FunctionSymbol, Sort, Term, Var, app, int_literal,
-    is_int_literal, is_str_literal, render_term, str_literal_symbol,
+    App, Context, FunctionSymbol, Sort, Term, UnknownVariable, Var, app,
+    hash_once, int_literal, is_int_literal, is_str_literal, render_term,
+    str_literal_symbol,
 )
 from .rewrite import EqResult
 
@@ -75,8 +76,31 @@ def _atom_key(t: Term):
     return (1, t.symbol.name) + tuple(_atom_key(a) for a in t.args)
 
 
+# shared by every atom-free value, so that caching its atoms allocates nothing
+_NO_ATOMS: frozenset = frozenset()
+
+
+class CanonicalValue:
+    """An immutable value in canonical form (`IntPoly`, `StrWord` or a
+    `BoolForm`); its set of opaque atoms is computed once."""
+
+    __slots__ = ()
+    _atoms = None  # until an instance sets its own
+
+    def atoms(self) -> frozenset[Term]:
+        out = self._atoms
+        if out is None:
+            out = self._atom_set() or _NO_ATOMS
+            object.__setattr__(self, "_atoms", out)
+        return out
+
+    def _atom_set(self) -> frozenset[Term]:
+        return _NO_ATOMS
+
+
+@hash_once
 @dataclass(frozen=True)
-class IntPoly:
+class IntPoly(CanonicalValue):
     """Multivariate polynomial over opaque atoms; monomials sorted."""
 
     # tuple of (monomial, coeff); monomial = tuple of (atom, power)
@@ -126,8 +150,8 @@ class IntPoly:
         assert self.is_const()
         return self.terms[0][1] if self.terms else 0
 
-    def atoms(self) -> set[Term]:
-        return {a for m, _ in self.terms for a, _ in m}
+    def _atom_set(self) -> frozenset[Term]:
+        return frozenset(a for m, _ in self.terms for a, _ in m)
 
     def render(self) -> str:
         if not self.terms:
@@ -151,8 +175,9 @@ class IntPoly:
         return out
 
 
+@hash_once
 @dataclass(frozen=True)
-class StrWord:
+class StrWord(CanonicalValue):
     """Flattened concatenation: literal letters and opaque atoms."""
 
     items: tuple[tuple[str, object], ...]  # ('lit', char) | ('atom', Term)
@@ -175,8 +200,8 @@ class StrWord:
         assert self.is_literal()
         return "".join(c for _, c in self.items)  # type: ignore[misc]
 
-    def atoms(self) -> set[Term]:
-        return {t for k, t in self.items if k == "atom"}  # type: ignore[misc]
+    def _atom_set(self) -> frozenset[Term]:
+        return frozenset(t for k, t in self.items if k == "atom")
 
     def key(self):
         return tuple(
@@ -200,11 +225,8 @@ class StrWord:
         return " . ".join(parts) if parts else '""'
 
 
-class BoolForm:
+class BoolForm(CanonicalValue):
     __slots__ = ()
-
-    def atoms(self) -> set[Term]:
-        return set()
 
 
 @dataclass(frozen=True)
@@ -218,6 +240,7 @@ class BConst(BoolForm):
 BTRUE, BFALSE = BConst(True), BConst(False)
 
 
+@hash_once
 @dataclass(frozen=True)
 class BAtom(BoolForm):
     positive: bool
@@ -227,18 +250,11 @@ class BAtom(BoolForm):
     def flip(self) -> "BAtom":
         return BAtom(not self.positive, self.kind, self.payload)
 
-    def atoms(self) -> set[Term]:
+    def _atom_set(self) -> frozenset[Term]:
         if self.kind == "var":
-            return {self.payload[0]}
-        if self.kind == "le":
-            out = set()
-            for p in self.payload:
-                out |= p.atoms()
-            return out
-        out = set()
-        for w in self.payload:
-            out |= w.atoms()
-        return out
+            return frozenset(self.payload[:1])
+        l, r = self.payload
+        return l.atoms() | r.atoms()
 
     def key(self):
         if self.kind == "var":
@@ -263,16 +279,14 @@ class BAtom(BoolForm):
         return body if self.positive else f"not {body}"
 
 
+@hash_once
 @dataclass(frozen=True)
 class BNode(BoolForm):
     op: str  # 'and' | 'or'
     args: tuple[BoolForm, ...]
 
-    def atoms(self) -> set[Term]:
-        out: set[Term] = set()
-        for a in self.args:
-            out |= a.atoms()
-        return out
+    def _atom_set(self) -> frozenset[Term]:
+        return frozenset().union(*(a.atoms() for a in self.args))
 
     def key(self):
         return (self.op, tuple(_form_key(a) for a in self.args))
@@ -365,9 +379,6 @@ def _eq_atom(l: StrWord, r: StrWord) -> BoolForm:
     return BAtom(True, "eq", (pair[0], pair[1]))
 
 
-CanonicalValue = object  # IntPoly | StrWord | BoolForm
-
-
 class TypeAlgebra:
     """A presented algebra over the built-in theory: labelled-null context
     plus ground-with-nulls hypothesis equations."""
@@ -394,7 +405,7 @@ class TypeAlgebra:
                 l, r = self._resubst(l), self._resubst(r)
                 if l == r:
                     continue
-                if not _value_atoms(l) and not _value_atoms(r):
+                if not l.atoms() and not r.atoms():
                     self.inconsistent = True
                     continue
                 if not self._try_subst(l, r) and not self._try_subst(r, l):
@@ -415,7 +426,7 @@ class TypeAlgebra:
         atom = _bare_atom(side)
         if atom is None:
             return False
-        if atom in _value_atoms(value):
+        if atom in value.atoms():
             return False
         if _value_weight(value) > _value_weight(side):
             return False
@@ -429,6 +440,9 @@ class TypeAlgebra:
         return self._subst.get(t)
 
     def simplify(self, v: CanonicalValue) -> CanonicalValue:
+        # no fact key and no rewrite's big side is atom-free
+        if not v.atoms():
+            return v
         v = _apply_subst(v, self._subst)
         for _ in range(len(self._rewrites) + len(self._facts) + 2):
             before = v
@@ -463,15 +477,10 @@ def _bare_atom(v: CanonicalValue) -> Term | None:
     return None
 
 
-def _value_atoms(v: CanonicalValue) -> set[Term]:
-    return v.atoms() if hasattr(v, "atoms") else set()
-
-
 def _value_weight(v: CanonicalValue):
     """Preference order for representatives: constants, then nulls, then
     compounds; ties by size then rendering."""
-    atoms = _value_atoms(v)
-    if not atoms:
+    if not v.atoms():
         cls = 0
     elif _bare_atom(v) is not None:
         a = _bare_atom(v)
@@ -482,7 +491,9 @@ def _value_weight(v: CanonicalValue):
 
 
 def _apply_subst(v, subst: dict[Term, CanonicalValue]):
-    if not subst:
+    # values are built canonical, so rebuilding one whose atoms are all
+    # kept would give it back unchanged
+    if subst.keys().isdisjoint(v.atoms()):
         return v
     if isinstance(v, IntPoly):
         out = IntPoly.const(0)
@@ -555,7 +566,7 @@ def _canon(term: Term, alg: TypeAlgebra) -> CanonicalValue:
             return got
         try:
             s = alg.nulls.sort_of(term.name)
-        except Exception:
+        except UnknownVariable:
             s = None
         if s == STR:
             return StrWord.atom(term)
@@ -647,7 +658,7 @@ _EMPTY_ALGEBRA = TypeAlgebra()
 
 def eval_ground(term: Term) -> CanonicalValue:
     v = ts_normalize(term)
-    if _value_atoms(v):
+    if v.atoms():
         raise NonGround(render_term(term))
     return v
 
@@ -660,7 +671,7 @@ def ts_decide(t1: Term, t2: Term, alg: TypeAlgebra | None = None) -> EqResult:
 def decide_values(v1: CanonicalValue, v2: CanonicalValue) -> EqResult:
     if v1 == v2:
         return EqResult.Equal
-    ground1, ground2 = not _value_atoms(v1), not _value_atoms(v2)
+    ground1, ground2 = not v1.atoms(), not v2.atoms()
     if ground1 and ground2:
         return EqResult.NotEqual
     # distinct literal boundary letters separate words even around atoms
@@ -677,7 +688,7 @@ def render_value(v: CanonicalValue) -> str:
 def map_value_atoms(v: CanonicalValue, fn) -> CanonicalValue:
     """Rebuild a canonical value with every opaque atom replaced by
     fn(atom) -> CanonicalValue."""
-    subst = {a: fn(a) for a in _value_atoms(v)}
+    subst = {a: fn(a) for a in v.atoms()}
     return _apply_subst(v, subst)
 
 

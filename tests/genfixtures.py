@@ -72,3 +72,30 @@ def company_instance(rng: random.Random, n_emp: int = 50,
         lines.append(f"  equations {mgr}e{i}.wrk = d{d}, e{i}.sal = {sal}, "
                      f'e{i}.last = "{word(rng)}";')
     return "\n".join(lines + ["}"]) + "\n"
+
+
+def typeside_instance() -> str:
+    """Schema P and instance K on it, whose cells and constraints use each
+    canonical value form: Int, Str and Bool nulls, an ordering fact on a
+    null, a string comparison, a product of nulls and a negation."""
+    return """\
+schema P {
+  entities Item Box;
+  edges box : Item -> Box;
+  attributes qty : Item -> Int, tag : Item -> Str, flag : Item -> Bool;
+  attributes cap : Box -> Int;
+}
+
+instance K on P {
+  generators i1 i2 i3 : Item;
+  generators c1 c2 : Box;
+  generators n k : Int;
+  generators m : Str;
+  generators b : Bool;
+  equations i1.box = c1, i2.box = c1, i3.box = c2;
+  equations i1.qty = n, i1.tag = m, i1.flag = b, i2.qty = k;
+  equations (n <= 2) = false, n * n = k;
+  equations i2.flag = eq("c", m), i3.flag = not(and(b, n <= 5));
+  equations i3.qty = n * n + 1, i3.tag = "c", c1.cap = n + k;
+}
+"""

@@ -1,0 +1,191 @@
+"""Cached identity of terms and canonical values.
+
+Terms and values keep their hash and their atom set after computing them
+once, `_apply_subst` gives back a value none of whose atoms it replaces,
+and `TypeAlgebra.simplify` gives back an atom-free value at once.  These
+tests pin the cached hashes to the dataclass ones and compare the
+shortcuts against the rebuilding oracle in `tests/typeside_oracle.py`.
+"""
+
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import catdb.kernel as kernel
+import catdb.typeside as typeside
+from catdb.kernel import Context, Equation, FunctionSymbol, Sort, Var, app
+from catdb.typeside import (
+    AND, BOOL, CONCAT, EPS, EQS, FALSE, INT, LE, NEG, NOT, OR, PLUS, STR,
+    TIMES, TRUE, BAtom, IntPoly, StrWord, TypeAlgebra, _apply_subst,
+    apply_symbol, int_term, str_literal, ts_normalize,
+)
+from tests.genfixtures import typeside_instance
+from tests.test_cli import run_module
+from tests.typeside_oracle import OracleTypeAlgebra, apply_subst, simplify
+
+ITEM = Sort("Item")
+NULLS = Context((("n1", INT), ("n2", INT), ("s1", STR), ("b1", BOOL)))
+PLAIN = TypeAlgebra(NULLS)
+ATTRS = {INT: FunctionSymbol("qty", (ITEM,), INT),
+         STR: FunctionSymbol("tag", (ITEM,), STR),
+         BOOL: FunctionSymbol("flag", (ITEM,), BOOL)}
+ROWS = (Var("r1"), Var("r2"))
+
+
+def _poly():
+    return apply_symbol(PLUS, [IntPoly.atom(Var("n")), IntPoly.const(2)])
+
+
+def _node():
+    le = apply_symbol(LE, [_poly(), IntPoly.const(7)])
+    return apply_symbol(AND, [BAtom(True, "var", (Var("b"),)), le])
+
+
+# a fresh, not yet hashed instance of each class with a cached hash
+EXAMPLES = {
+    "Sort": lambda: Sort("Int"),
+    "FunctionSymbol": lambda: FunctionSymbol("f", (Sort("A"),), Sort("B")),
+    "Var": lambda: Var("n"),
+    "IntPoly": _poly,
+    "StrWord": lambda: StrWord.lit("ab").concat(StrWord.atom(Var("s"))),
+    "BAtom": lambda: BAtom(True, "var", (Var("b"),)),
+    "BNode": _node,
+}
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_cached_hash_is_the_dataclass_hash(name, monkeypatch):
+    make = EXAMPLES[name]
+    x = make()
+    assert type(x).__name__ == name
+    compare = tuple(getattr(x, f.name) for f in fields(x) if f.compare)
+    assert hash(x) == hash(compare)
+    fresh = make()
+    assert fresh == x and repr(fresh) == repr(x)
+    assert "_hash" not in {f.name for f in fields(x)}
+
+    # the generated hash calls the `hash` builtin of the class's module
+    module = kernel if type(x).__module__ == kernel.__name__ else typeside
+    calls = []
+
+    def counting(obj):
+        calls.append(obj)
+        return hash(obj)
+
+    monkeypatch.setattr(module, "hash", counting, raising=False)
+    y = make()
+    calls.clear()
+    assert hash(y) == hash(compare)
+    assert calls
+    calls.clear()
+    assert hash(y) == hash(compare)
+    assert not calls
+
+
+def test_atoms_are_one_cached_frozenset():
+    for make in (_poly, EXAMPLES["StrWord"], _node):
+        v = make()
+        got = v.atoms()
+        assert isinstance(got, frozenset)
+        assert v.atoms() is got
+        twin = make()
+        assert twin == v and repr(twin) == repr(v)
+    assert typeside.BTRUE.atoms() == frozenset()
+
+
+def _atom_leaves(sort):
+    nulls = [Var(n) for n, s in NULLS.bindings if s == sort]
+    return nulls + [app(ATTRS[sort], r) for r in ROWS]
+
+
+LEAVES = {
+    INT: _atom_leaves(INT) + [int_term(0), int_term(1), int_term(2),
+                              app(NEG, int_term(3))],
+    STR: _atom_leaves(STR) + [str_literal("a"), str_literal("ab"),
+                              str_literal("c"), app(EPS)],
+    BOOL: _atom_leaves(BOOL) + [app(TRUE), app(FALSE)],
+}
+BRANCHES = {INT: (PLUS, TIMES, NEG), STR: (CONCAT,),
+            BOOL: (NOT, AND, OR, LE, EQS)}
+ATOMS = _atom_leaves(INT) + _atom_leaves(STR) + _atom_leaves(BOOL)
+
+
+def _term(draw, sort, depth):
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return draw(st.sampled_from(LEAVES[sort]))
+    sym = draw(st.sampled_from(BRANCHES[sort]))
+    return app(sym, *(_term(draw, d, depth - 1) for d in sym.dom))
+
+
+@st.composite
+def terms(draw, sort=None, depth=3):
+    if sort is None:
+        sort = draw(st.sampled_from((INT, STR, BOOL)))
+    return _term(draw, sort, depth)
+
+
+@st.composite
+def values(draw, alg=None, depth=3):
+    """A canonical value, built by normalising a random term."""
+    return ts_normalize(draw(terms(depth=depth)), alg or PLAIN)
+
+
+@st.composite
+def substitutions(draw, favoured=()):
+    """Some atoms, the favoured ones more often, each mapped to a value of
+    its own sort or, now and then, of another sort."""
+    pool = sorted(favoured, key=repr) * 5 + ATOMS
+    out = {}
+    for atom in draw(st.lists(st.sampled_from(pool), max_size=4,
+                              unique=True)):
+        out[atom] = draw(values(depth=2))
+    return out
+
+
+@st.composite
+def algebras(draw):
+    hyps = []
+    for _ in range(draw(st.integers(0, 4))):
+        sort = draw(st.sampled_from((INT, STR, BOOL)))
+        hyps.append(Equation(NULLS, draw(terms(sort, 2)),
+                             draw(terms(sort, 2)), sort))
+    return hyps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values(), st.data())
+def test_apply_subst_matches_rebuilding_oracle(v, data):
+    subst = data.draw(substitutions(v.atoms()))
+    assert _apply_subst(v, subst) == apply_subst(v, subst)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(algebras(), st.lists(terms(), max_size=4))
+def test_type_algebra_matches_rebuilding_oracle(hyps, probes):
+    alg, ref = TypeAlgebra(NULLS, hyps), OracleTypeAlgebra(NULLS, hyps)
+    assert alg.inconsistent == ref.inconsistent
+    assert list(alg._subst.items()) == list(ref._subst.items())
+    assert list(alg._facts.items()) == list(ref._facts.items())
+    assert alg._rewrites == ref._rewrites
+    assert alg.residual_constraints() == ref.residual_constraints()
+    sides = [t for e in hyps for t in (e.lhs, e.rhs)]
+    for t in probes + sides:
+        assert ts_normalize(t, alg) == ts_normalize(t, ref)
+        v = ts_normalize(t, PLAIN)
+        assert alg.simplify(v) == simplify(ref, v)
+
+
+@pytest.mark.parametrize("argv", [
+    ("saturate", "--instance", "K", "--format", "json"),
+    ("homs", "--from", "K", "--to", "K"),
+])
+def test_typeside_instance_output_ignores_hash_seed(tmp_path, argv):
+    path = tmp_path / "typeside.cdb"
+    path.write_text(typeside_instance(), encoding="utf-8")
+    outs = []
+    for seed in ("0", "1"):
+        proc = run_module(argv[0], str(path), *argv[1:], hash_seed=seed)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

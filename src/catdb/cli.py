@@ -12,7 +12,7 @@ import os
 import sys
 
 from .kernel import KernelError, Presentation, render_term
-from .rewrite import BudgetExceeded, DEFAULT_CP_BUDGET, complete
+from .rewrite import DEFAULT_BUDGET, Budget, BudgetExceeded, complete
 from .schema import PossiblyInfinite, SchemaError
 from .instance import (
     InstanceError, enumerate_transforms, render_tables, saturate, tables_json,
@@ -173,6 +173,10 @@ def cmd_migrate(ws: Workspace, args) -> int:
     return 0
 
 
+def budget(text: str) -> Budget:
+    return Budget(critical_pairs=int(text), rows=int(text))
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="catdb",
@@ -182,8 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("file", help="workspace file (.cdb)")
-        sp.add_argument("--budget", type=int, default=DEFAULT_CP_BUDGET,
-                        help="work budget for completion/saturation")
+        sp.add_argument("--budget", type=budget, default=DEFAULT_BUDGET,
+                        metavar="N",
+                        help="limit on critical pairs in completion and on "
+                             "rows per entity in saturation")
         sp.add_argument("--format", choices=("ascii", "json"),
                         default="ascii")
         return sp

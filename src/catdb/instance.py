@@ -20,16 +20,15 @@ from .kernel import (
     App, Context, Equation, FunctionSymbol, Sort, Term, Var, app, ctx,
     render_term, subst_map, term_key, term_vars, well_sort_check,
 )
-from .rewrite import EqResult, GroundClosure
+from .rewrite import (
+    DEFAULT_BUDGET, Budget, EqResult, GroundClosure, _positions, match,
+)
 from .schema import PossiblyInfinite, Schema
 from .typeside import (
     CanonicalValue, TypeAlgebra, apply_symbol, decide_values, is_type_symbol,
     map_value_atoms, opaque_atom, render_value, ts_normalize, value_sort,
     value_to_term,
 )
-
-DEFAULT_ROW_BUDGET = 10_000
-
 
 class InstanceError(Exception):
     pass
@@ -138,43 +137,49 @@ def _term_sort(t: Term, gens: Context) -> Sort:
     return t.symbol.cod
 
 
-def saturate(ip: InstancePresentation,
-             budget: int = DEFAULT_ROW_BUDGET) -> SaturatedInstance:
+def chase(ip: InstancePresentation, budget: Budget = DEFAULT_BUDGET
+          ) -> tuple[GroundClosure, dict[Sort, list[Term]]]:
+    """The entity stage of saturation, a semi-naive chase: each pass walks
+    a snapshot of the rows found so far and applies each edge once to each
+    class member it needs; a pass that applies nothing new ends it.  Returns
+    the closure and the rows per entity, as representatives."""
     sch = ip.schema
     rs = sch.entity_rs
-    gens = ip.generators
-    nulls = Context(tuple(ip.type_generators()))
+    limit = budget.rows
+    cl = GroundClosure([eq for eq in ip.equations if sch.is_entity(eq.sort)],
+                       rs, budget)
 
-    is_ent = sch.is_entity
-    ent_eqs = [eq for eq in ip.equations if is_ent(eq.sort)]
-    type_eqs = [eq for eq in ip.equations if not is_ent(eq.sort)]
-    cl = GroundClosure(ent_eqs, rs)
+    # Members are normal forms, and a redex of f(m) that does not reach into
+    # m rewrites m and the representative alike.  So f is applied to a member
+    # other than the representative only when f(m) matches a path of two or
+    # more edges that begins a rule's side (x.mgr.on ~> x.on needs x.mgr).
+    sides = [r.lhs for r in rs.rules]
+    sides += [t for eq in rs.unoriented for t in (eq.lhs, eq.rhs)]
+    patterns = [p for side in sides for _, p in _positions(side)
+                if isinstance(p.args[0], App)]
 
-    # Semi-naive chase: each pass walks a snapshot of the rows found so far
-    # and applies each edge once to each class member; a pass that applies
-    # nothing new ends it.
     items: dict[Term, Sort] = {}
     for n, s in ip.entity_generators():
         items.setdefault(cl.representative(Var(n)), s)
     applied: set[tuple[FunctionSymbol, Term]] = set()
     fired = True
     while fired:
-        # Edges are applied to every member of a row's congruence class,
-        # not just its representative: a path rule may only fire on a
-        # longer member (e.g. x.mgr.on ~> x.on needs the mgr spelling).
         fired = False
         for t, s in list(items.items()):
+            rep = cl.representative(t)
             for f in sch.edges_from(s):
-                for m in cl.class_members(t):
-                    if (f, m) in applied:
+                for m in cl.class_members(rep):
+                    if (f, m) in applied or m != rep and all(
+                            match(p, app(f, m)) is None for p in patterns):
                         continue
                     applied.add((f, m))
                     fired = True
                     u = cl.representative(app(f, m))
                     if u not in items:
                         items[u] = f.cod
-        if len(items) > budget * max(1, len(sch.entities)):
-            raise PossiblyInfinite("instance saturation exceeded row budget")
+        if len(items) > limit * max(1, len(sch.entities)):
+            raise PossiblyInfinite(
+                budget.exhausted("instance saturation", "rows"))
 
     row_list: dict[Sort, list[Term]] = {e: [] for e in sch.entities}
     listed: set[Term] = set()
@@ -183,9 +188,19 @@ def saturate(ip: InstancePresentation,
         if rep not in listed:
             listed.add(rep)
             row_list[items[t]].append(rep)
-            if len(row_list[items[t]]) > budget:
-                raise PossiblyInfinite(
-                    f"entity {items[t]} exceeded {budget} rows")
+            if len(row_list[items[t]]) > limit:
+                raise PossiblyInfinite(budget.exhausted(
+                    f"instance saturation of {items[t].name}", "rows"))
+    return cl, row_list
+
+
+def saturate(ip: InstancePresentation,
+             budget: Budget = DEFAULT_BUDGET) -> SaturatedInstance:
+    sch = ip.schema
+    gens = ip.generators
+    nulls = Context(tuple(ip.type_generators()))
+    is_ent = sch.is_entity
+    cl, row_list = chase(ip, budget)
 
     edge_cols = {
         f: {r: cl.representative(app(f, r)) for r in row_list[f.dom[0]]}
@@ -200,7 +215,7 @@ def saturate(ip: InstancePresentation,
         return App(t.symbol, tuple(resolve(a) for a in t.args))
 
     hypotheses = [Equation(nulls, resolve(eq.lhs), resolve(eq.rhs), eq.sort)
-                  for eq in type_eqs]
+                  for eq in ip.equations if not is_ent(eq.sort)]
     for eq in sch.obs_eqs:
         zname, zsort = eq.context.bindings[0]
         for r in row_list.get(zsort, ()):

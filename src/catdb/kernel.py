@@ -208,20 +208,6 @@ class Context:
     def names(self) -> list[str]:
         return [n for n, _ in self.bindings]
 
-    def extend(self, other: "Context") -> "Context":
-        """Concatenate, freshening clashing names with a numeric suffix."""
-        taken = set(self.names())
-        out = list(self.bindings)
-        for n, s in other.bindings:
-            fresh = n
-            i = 1
-            while fresh in taken:
-                fresh = f"{n}_{i}"
-                i += 1
-            taken.add(fresh)
-            out.append((fresh, s))
-        return Context(tuple(out))
-
     def __repr__(self):
         return "(" + ", ".join(f"{n}:{s.name}" for n, s in self.bindings) + ")"
 
@@ -258,17 +244,6 @@ class Equation:
     lhs: Term
     rhs: Term
     sort: Sort
-
-    @staticmethod
-    def checked(context: Context, lhs: Term, rhs: Term, sig: AlgSignature) -> "Equation":
-        sl = well_sort_check(lhs, context, sig)
-        sr = well_sort_check(rhs, context, sig)
-        if sl != sr:
-            raise SortMismatch(
-                f"equation sides have sorts {sl.name} and {sr.name}: "
-                f"{render_term(lhs)} = {render_term(rhs)}"
-            )
-        return Equation(context, lhs, rhs, sl)
 
     def __repr__(self):
         return f"{self.context} |- {render_term(self.lhs)} = {render_term(self.rhs)}"
@@ -310,19 +285,6 @@ class ContextMorphism:
         return ContextMorphism(
             source, target, tuple((n, mapping[n]) for n in target.names())
         )
-
-    @staticmethod
-    def identity(context: Context) -> "ContextMorphism":
-        return ContextMorphism(
-            context, context, tuple((n, Var(n)) for n in context.names())
-        )
-
-    def check(self, sig: AlgSignature):
-        for n, t in self.assignment:
-            want = self.target.sort_of(n)
-            got = well_sort_check(t, self.source, sig)
-            if got != want:
-                raise SortMismatch(f"{n} := {render_term(t)} has sort {got.name}, expected {want.name}")
 
     def __repr__(self):
         parts = ", ".join(f"{n} := {render_term(t)}" for n, t in self.assignment)

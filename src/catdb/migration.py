@@ -26,6 +26,7 @@ from .instance import (
     canonical_presentation, enumerate_transforms, representable_instance,
     row_generator_names, rows_by_assignment, saturate,
 )
+from .rewrite import DEFAULT_BUDGET, Budget
 from .typeside import CanonicalValue, _bare_atom, map_value_atoms
 
 
@@ -109,7 +110,7 @@ def sigma_pointwise(F: SchemaMapping, I: SaturatedInstance) -> SaturatedInstance
 
 
 def pi(F: SchemaMapping, I: SaturatedInstance,
-       budget: int = 10_000) -> SaturatedInstance:
+       budget: Budget = DEFAULT_BUDGET) -> SaturatedInstance:
     """Right pushforward: a row at target entity t is a transform from the
     canonical presentation of delta(F, saturate(y(t))) into I; edges act
     by path precomposition, attributes by evaluating their value in the
@@ -257,7 +258,7 @@ class CollageSchema:
 
 
 def collage_of_bimodule(M: BimodulePresentation,
-                        budget: int | None = None) -> CollageSchema:
+                        budget: Budget = DEFAULT_BUDGET) -> CollageSchema:
     sp, dp = M.src.presentation, M.dst.presentation
     ent_names = {e.name for e in sp.entities} & {e.name for e in dp.entities}
     sym_names = ({f.name for f in sp.edges + sp.attributes}
@@ -274,7 +275,7 @@ def collage_of_bimodule(M: BimodulePresentation,
         sp.edges + dp.edges + M.gen_edges,
         sp.attributes + dp.attributes + M.gen_attrs,
         tuple(path_eqs), tuple(obs_eqs))
-    col = compile_schema(pres) if budget is None else compile_schema(pres, budget)
+    col = compile_schema(pres, budget)
 
     def inclusion(side: Schema) -> SchemaMapping:
         return SchemaMapping.make(
@@ -379,7 +380,7 @@ def rename_schema(s: Schema, ren) -> tuple[Schema, SchemaMapping]:
 
 
 def compose_bimodules(M: BimodulePresentation, N: BimodulePresentation,
-                      budget: int = 10_000) -> BimodulePresentation:
+                      budget: Budget = DEFAULT_BUDGET) -> BimodulePresentation:
     """Composite bimodule via the double collage: its generating edges are
     the normal-form paths from a src entity of M into a dst entity of N,
     its extra generating attributes the normal-form observations of middle
@@ -498,12 +499,12 @@ def compose_bimodules(M: BimodulePresentation, N: BimodulePresentation,
 
 
 def lambda_(M: BimodulePresentation, I: InstancePresentation,
-            budget: int = 10_000) -> SaturatedInstance:
-    col = collage_of_bimodule(M)
+            budget: Budget = DEFAULT_BUDGET) -> SaturatedInstance:
+    col = collage_of_bimodule(M, budget)
     return delta(col.incl_dst, saturate(sigma(col.incl_src, I), budget))
 
 
 def gamma(M: BimodulePresentation, J: SaturatedInstance,
-          budget: int = 10_000) -> SaturatedInstance:
-    col = collage_of_bimodule(M)
+          budget: Budget = DEFAULT_BUDGET) -> SaturatedInstance:
+    col = collage_of_bimodule(M, budget)
     return delta(col.incl_src, pi(col.incl_dst, J, budget))

@@ -25,6 +25,7 @@ from .instance import (
     render_tables, rows_by_assignment, saturate,
 )
 from .migration import BimodulePresentation, gamma
+from .rewrite import DEFAULT_BUDGET, Budget
 from .typeside import TYPE_SORTS
 
 
@@ -227,7 +228,7 @@ def eval_uber_query(N: UberQuery, J: SaturatedInstance) -> SaturatedInstance:
 
 
 def crosscheck_migration(Q: Query, J: SaturatedInstance,
-                         budget: int = 10_000) -> str:
+                         budget: Budget = DEFAULT_BUDGET) -> str:
     """Evaluate Q directly and through the bimodule collage (restriction
     after right extension); 'ok' if the two tables are isomorphic."""
     direct = eval_query(Q, J).instance

@@ -21,14 +21,29 @@ class BudgetExceeded(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class Budget:
+    """The limits on loops that can diverge: equations completion processes,
+    rewrite steps per normalize call, closure worklist pops per registered
+    term, and rows per entity.  `--budget N` sets critical_pairs and rows."""
+
+    critical_pairs: int = 10_000
+    rewrite_steps: int = 100_000
+    closure_steps: int = 100_000
+    rows: int = 10_000
+
+    def exhausted(self, phase: str, limit: str) -> str:
+        """The message for a phase that ran out of the named limit."""
+        return f"{phase}: {limit} budget ({getattr(self, limit)}) exhausted"
+
+
+DEFAULT_BUDGET = Budget()
+
+
 class EqResult(Enum):
     Equal = "Equal"
     NotEqual = "NotEqual"
     Unknown = "Unknown"
-
-
-DEFAULT_CP_BUDGET = 10_000
-DEFAULT_STEP_BUDGET = 100_000
 
 
 class TermOrder:
@@ -114,7 +129,7 @@ class RewriteSystem:
     order: TermOrder
     status: str  # "confluent" | "unoriented" | "budget-exhausted"
     unoriented: list[Equation] = field(default_factory=list)
-    step_budget: int = DEFAULT_STEP_BUDGET
+    budget: Budget = DEFAULT_BUDGET
 
     def __post_init__(self):
         self._nf_cache: dict[Term, Term] = {}
@@ -146,26 +161,25 @@ def normalize(term: Term, rs: RewriteSystem) -> Term:
     cached = rs._nf_cache.get(term)
     if cached is not None:
         return cached
-    steps = [0]
-    out = _normalize(term, rs, steps)
+    out = _normalize(term, rs, [rs.budget.rewrite_steps])
     rs._nf_cache[term] = out
     return out
 
 
-def _normalize(term: Term, rs: RewriteSystem, steps: list[int]) -> Term:
+def _normalize(term: Term, rs: RewriteSystem, left: list[int]) -> Term:
     # leftmost-innermost
     while True:
         cached = rs._nf_cache.get(term)
         if cached is not None:
             return cached
         if isinstance(term, App) and term.args:
-            term = App(term.symbol, tuple(_normalize(a, rs, steps) for a in term.args))
+            term = App(term.symbol, tuple(_normalize(a, rs, left) for a in term.args))
         reduced = _rewrite_head(term, rs)
         if reduced is None:
             return term
-        steps[0] += 1
-        if steps[0] > rs.step_budget:
-            raise BudgetExceeded(f"normalize exceeded {rs.step_budget} steps")
+        left[0] -= 1
+        if left[0] < 0:
+            raise BudgetExceeded(rs.budget.exhausted("rewriting", "rewrite_steps"))
         term = reduced
 
 
@@ -261,12 +275,12 @@ def _critical_pairs(r1: RewriteRule, r2: RewriteRule):
 
 
 def complete(pres: Presentation, order: TermOrder | None = None,
-             budget: int = DEFAULT_CP_BUDGET,
-             step_budget: int = DEFAULT_STEP_BUDGET) -> RewriteSystem:
+             budget: Budget = DEFAULT_BUDGET) -> RewriteSystem:
     """Unfailing Knuth-Bendix completion of a presentation."""
     if order is None:
         order = TermOrder(pres.signature)
-    rs = RewriteSystem([], order, "confluent", [], step_budget)
+    rs = RewriteSystem([], order, "confluent", [], budget)
+    limit = budget.critical_pairs
     pending: list[Equation] = list(pres.equations)
     processed = 0
     exhausted = False
@@ -275,7 +289,7 @@ def complete(pres: Presentation, order: TermOrder | None = None,
         # interreduce: drop/revise existing rules the new rule touches
         kept, reopened = [], []
         for old in rs.rules:
-            probe = RewriteSystem([rule], order, "budget-exhausted", [], step_budget)
+            probe = RewriteSystem([rule], order, "budget-exhausted", [], budget)
             if normalize(old.lhs, probe) != old.lhs:
                 reopened.append(Equation(old.context, old.lhs, old.rhs, _sort_of(old.lhs)))
             else:
@@ -297,7 +311,7 @@ def complete(pres: Presentation, order: TermOrder | None = None,
         pending.sort(key=lambda e: term_size(e.lhs) + term_size(e.rhs))
         eq = pending.pop(0)
         processed += 1
-        if processed > budget:
+        if processed > limit:
             exhausted = True
             break
         lhs, rhs = normalize(eq.lhs, rs), normalize(eq.rhs, rs)
@@ -361,7 +375,7 @@ class GroundClosure:
     queues the use-list of the root it absorbs, and a rebuild re-canonicalises
     only the queued terms."""
 
-    def __init__(self, ground_eqs, rs: RewriteSystem, budget: int = 100_000):
+    def __init__(self, ground_eqs, rs: RewriteSystem, budget=DEFAULT_BUDGET):
         self.rs = rs
         self.budget = budget
         self.ids: dict[Term, int] = {}  # hash-cons table: term -> node
@@ -432,13 +446,12 @@ class GroundClosure:
         self.uses.setdefault(ra, []).extend(absorbed)
 
     def _rebuild(self):
-        pops = 0
+        pops, per_term = 0, self.budget.closure_steps
         while self.pending:
             pops += 1
-            limit = self.budget * max(1, len(self.known))
-            if pops > limit:
-                raise BudgetExceeded(
-                    f"congruence closure exceeded {limit} worklist steps")
+            if pops > per_term * max(1, len(self.known)):
+                raise BudgetExceeded(self.budget.exhausted(
+                    "congruence closure", "closure_steps"))
             t = self.pending.pop()
             c = normalize(App(t.symbol, tuple(
                 self.terms[self._find(self.ids[a])] for a in t.args)), self.rs)

@@ -17,7 +17,9 @@ from .kernel import (
     AlgSignature, App, Context, Equation, FunctionSymbol, Presentation, Sort,
     Term, Var, app, ctx, subst_map, term_key, well_sort_check,
 )
-from .rewrite import DEFAULT_CP_BUDGET, EqResult, RewriteSystem, complete
+from .rewrite import (
+    DEFAULT_BUDGET, Budget, BudgetExceeded, EqResult, RewriteSystem, complete,
+)
 from .typeside import TYPE_SORTS, TYPE_SYMBOLS
 
 
@@ -96,7 +98,7 @@ class Schema:
 
 
 def compile_schema(pres: SchemaPresentation,
-                   budget: int = DEFAULT_CP_BUDGET) -> Schema:
+                   budget: Budget = DEFAULT_BUDGET) -> Schema:
     entity_sig = AlgSignature(pres.entities, pres.edges)
     for eq in pres.path_eqs:
         well_sort_check(eq.lhs, eq.context, entity_sig)
@@ -109,6 +111,11 @@ def compile_schema(pres: SchemaPresentation,
         well_sort_check(eq.lhs, eq.context, collage_sig)
         well_sort_check(eq.rhs, eq.context, collage_sig)
     entity_rs = complete(Presentation(entity_sig, pres.path_eqs), budget=budget)
+    # Saturation treats entity_rs as canonical.  A total precedence orients
+    # every equation between unary paths, so only the budget stops short.
+    if entity_rs.status != "confluent":
+        raise BudgetExceeded(
+            budget.exhausted("schema completion", "critical_pairs"))
     return Schema(pres, collage_sig, entity_sig, entity_rs)
 
 
@@ -233,17 +240,17 @@ def check_mapping(F: SchemaMapping) -> list[str]:
 # --- saturated entity categories ---------------------------------------
 
 
-def saturate_entity_category(s: Schema, budget: int = 10_000
+def saturate_entity_category(s: Schema, budget: Budget = DEFAULT_BUDGET
                              ) -> dict[tuple[Sort, Sort], list[Term]]:
     """Hom-set tables: for each entity pair (a, b), the normal-form path
-    terms x:a |- p : b, read off as the rows at b of the saturated
+    terms x:a |- p : b, read off as the rows at b of the chased
     representable y(a)."""
     # late import: layered modules
-    from .instance import representable_instance, saturate
+    from .instance import chase, representable_instance
 
-    ys = {a: saturate(representable_instance(s, a), budget)
+    ys = {a: chase(representable_instance(s, a), budget)[1]
           for a in s.entities}
-    return {(a, b): sorted(ys[a].rows(b), key=term_key)
+    return {(a, b): sorted(ys[a][b], key=term_key)
             for a in s.entities for b in s.entities}
 
 
@@ -264,7 +271,8 @@ def attr_lifts(F: SchemaMapping, homs, s: Sort, a: FunctionSymbol):
             if _norm_obs(F.target, F.translate(app(b, p))) == want]
 
 
-def discrete_opfibration_lifts(F: SchemaMapping, budget: int = 10_000):
+def discrete_opfibration_lifts(F: SchemaMapping,
+                               budget: Budget = DEFAULT_BUDGET):
     """('yes', lifts) | ('no', None) | ('unknown', None).
 
     Checks unique lifting of generating target edges and attributes on the
@@ -309,7 +317,8 @@ def discrete_opfibration_lifts(F: SchemaMapping, budget: int = 10_000):
     return "yes", lifts
 
 
-def is_discrete_opfibration(F: SchemaMapping, budget: int = 10_000) -> str:
+def is_discrete_opfibration(F: SchemaMapping,
+                            budget: Budget = DEFAULT_BUDGET) -> str:
     """'yes' | 'no' | 'unknown', as in discrete_opfibration_lifts."""
     return discrete_opfibration_lifts(F, budget)[0]
 

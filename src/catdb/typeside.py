@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .kernel import (
-    App, Context, FunctionSymbol, Sort, Term, UnknownVariable, Var, app,
+    App, Context, FunctionSymbol, Sort, Term, Var, app,
     hash_once, int_literal, is_int_literal, is_str_literal, render_term,
     str_literal_symbol,
 )
@@ -393,10 +393,9 @@ class TypeAlgebra:
         self._compile()
 
     def _compile(self):
-        plain = TypeAlgebra.__new__(TypeAlgebra)
-        plain.nulls = self.nulls
-        plain.inconsistent = False
-        plain._subst, plain._facts, plain._rewrites = {}, {}, []
+        if not self.hypotheses:
+            return  # and so ends the recursion through `plain`
+        plain = TypeAlgebra(self.nulls)
         pending = [(ts_normalize(e.lhs, plain), ts_normalize(e.rhs, plain))
                    for e in self.hypotheses]
         for _ in range(len(pending) + 4):  # fixpoint over substitution chains
@@ -564,15 +563,8 @@ def _canon(term: Term, alg: TypeAlgebra) -> CanonicalValue:
         got = alg.lookup_atom(term)
         if got is not None:
             return got
-        try:
-            s = alg.nulls.sort_of(term.name)
-        except UnknownVariable:
-            s = None
-        if s == STR:
-            return StrWord.atom(term)
-        if s == BOOL:
-            return BAtom(True, "var", (term,))
-        return IntPoly.atom(term)
+        s = alg.nulls.sort_of(term.name) if term.name in alg.nulls else None
+        return opaque_atom(term, s)
     assert isinstance(term, App)
     sym = term.symbol
     if is_type_symbol(sym):

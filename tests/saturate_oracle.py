@@ -12,19 +12,19 @@ compare the chase against them.  Nothing under ``src/`` imports this.
 from __future__ import annotations
 
 from catdb.instance import (
-    DEFAULT_ROW_BUDGET, InconsistentInstance, InstancePresentation,
+    InconsistentInstance, InstancePresentation,
     SaturatedInstance, _term_sort,
 )
 from catdb.kernel import (
     App, Context, Equation, Sort, Term, Var, app, subst_map, term_key,
 )
-from catdb.rewrite import GroundClosure
+from catdb.rewrite import DEFAULT_BUDGET, GroundClosure
 from catdb.schema import PossiblyInfinite, Schema
 from catdb.typeside import TypeAlgebra, ts_normalize
 
 
 def saturate(ip: InstancePresentation,
-             budget: int = DEFAULT_ROW_BUDGET) -> SaturatedInstance:
+             budget: int = DEFAULT_BUDGET.rows) -> SaturatedInstance:
     sch = ip.schema
     rs = sch.entity_rs
     gens = ip.generators

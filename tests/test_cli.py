@@ -67,6 +67,12 @@ class TestComplete:
         assert out.splitlines() == ["*(x, y) = *(y, x)  (unoriented)",
                                     "status: unoriented"]
 
+    def test_budget_limits_critical_pairs(self, capsys):
+        code, out, _ = run(capsys, "complete", GROUP, "--theory", "Grp",
+                           "--budget", "2")
+        assert code == 1
+        assert out.splitlines()[-1] == "status: budget-exhausted"
+
 
 COMMUTATIVE = ("theory C {\n  sorts S;\n  symbols a : S;\n  symbols b : S;\n"
                "  symbols * : S S -> S;\n"
@@ -145,6 +151,12 @@ class TestSaturate:
     def test_unknown_instance_is_usage_error(self, capsys):
         code, _, err = run(capsys, "saturate", WORKSPACE, "--instance", "ZZ")
         assert code == 2 and "ZZ" in err
+
+    def test_budget_limits_rows(self, capsys):
+        code, _, err = run(capsys, "saturate", WORKSPACE, "--instance", "J",
+                           "--budget", "1")
+        assert code == 1
+        assert err == "error: instance saturation: rows budget (1) exhausted\n"
 
 
 class TestHoms:

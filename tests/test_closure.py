@@ -6,7 +6,8 @@ from catdb.kernel import (
     AlgSignature, Context, Equation, FunctionSymbol, Sort, Var, app,
 )
 from catdb.rewrite import (
-    BudgetExceeded, GroundClosure, RewriteRule, RewriteSystem, TermOrder,
+    Budget, BudgetExceeded, GroundClosure, RewriteRule, RewriteSystem,
+    TermOrder,
 )
 from tests.closure_oracle import FullRebuildClosure
 
@@ -99,4 +100,4 @@ def test_paper_instances_match_oracle(ws, name):
 def test_zero_budget_raises_naming_the_phase():
     eqs = [Equation(Context(()), app(FE, app(K1)), app(K2), E)]
     with pytest.raises(BudgetExceeded, match="congruence closure"):
-        GroundClosure(eqs, EMPTY, budget=0)
+        GroundClosure(eqs, EMPTY, budget=Budget(closure_steps=0))

@@ -16,7 +16,9 @@ from catdb.instance import saturate
 from catdb.kernel import (
     AlgSignature, Context, Equation, FunctionSymbol, app,
 )
-from catdb.rewrite import GroundClosure, RewriteRule, RewriteSystem, TermOrder
+from catdb.rewrite import (
+    DEFAULT_BUDGET, GroundClosure, RewriteRule, RewriteSystem, TermOrder,
+)
 from tests.closure_oracle import TermKeyedClosure
 from tests.conftest import FIXTURES
 from tests.genfixtures import company_instance
@@ -28,9 +30,9 @@ from tests.test_closure import (
 class PairedClosure:
     """Runs every query on both closures and checks they agree."""
 
-    def __init__(self, ground_eqs, rs, budget=100_000):
+    def __init__(self, ground_eqs, rs, budget=DEFAULT_BUDGET):
         self.new = GroundClosure(ground_eqs, rs, budget)
-        self.old = TermKeyedClosure(ground_eqs, rs, budget)
+        self.old = TermKeyedClosure(ground_eqs, rs, budget.closure_steps)
         self.queries = 0
         self._check_known()
 

@@ -8,7 +8,7 @@ import pytest
 from catdb.kernel import (
     Context, Equation, FunctionSymbol, Sort, Var, app, ctx, render_term,
 )
-from catdb.rewrite import EqResult
+from catdb.rewrite import Budget, EqResult
 from catdb.schema import PossiblyInfinite, SchemaPresentation, compile_schema
 from catdb.instance import (
     DomainDependence, InconsistentInstance, InstanceError,
@@ -89,7 +89,7 @@ class TestSaturation:
         loop = FunctionSymbol("loop", (A,), A)
         s = compile_schema(SchemaPresentation((A,), (loop,), ()))
         with pytest.raises(PossiblyInfinite):
-            saturate(InstancePresentation(s, ctx(("a", A))), budget=5)
+            saturate(InstancePresentation(s, ctx(("a", A))), budget=Budget(rows=5))
 
     def test_representable_instance(self, ws):
         s = ws.schemas["S"]

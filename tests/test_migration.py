@@ -192,13 +192,13 @@ class TestSigmaPointwise:
     def test_saturates_each_representable_once(self, ws, satJ, monkeypatch):
         import catdb.instance
         calls = []
-        real = catdb.instance.saturate
+        real = catdb.instance.chase
 
         def counting(*args):
             calls.append(args[0])
             return real(*args)
 
-        monkeypatch.setattr(catdb.instance, "saturate", counting)
+        monkeypatch.setattr(catdb.instance, "chase", counting)
         sigma_pointwise(identity_mapping(ws.schemas["S"]), satJ)
         assert len(calls) == 2  # one representable per entity of S
 

@@ -11,7 +11,7 @@ from catdb.kernel import (
     Sort, Term, Var, app, ctx, enumerate_terms, term_key,
 )
 from catdb.rewrite import (
-    BudgetExceeded, EqResult, GroundClosure, RewriteSystem, TermOrder,
+    Budget, BudgetExceeded, EqResult, GroundClosure, RewriteSystem, TermOrder,
     complete, decide_equal, match, normalize, unify,
 )
 
@@ -95,7 +95,7 @@ class TestGroupCompletion:
         assert grs.decide_equal(t1, t2) == EqResult.NotEqual
 
     def test_budget_exhaustion_reported(self):
-        rs = complete(group_presentation(), budget=2)
+        rs = complete(group_presentation(), budget=Budget(critical_pairs=2))
         assert rs.status == "budget-exhausted"
 
 

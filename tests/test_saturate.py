@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from catdb.dsl import parse_workspace
 from catdb.instance import (
-    InstanceError, representable_instance, saturate, tables_json,
+    InstanceError, representable_instance, saturate, tables, tables_json,
 )
 from catdb.migration import collage_of_bimodule, sigma
 from catdb.query import query_to_bimodule
 from catdb.schema import SchemaError, saturate_entity_category
+from catdb.typeside import TypeAlgebra
 from tests import saturate_oracle as oracle
 from tests.genfixtures import random_instance
 
@@ -73,3 +75,49 @@ def test_hom_sets(ws):
     for s in schemas:
         assert saturate_entity_category(s) \
             == oracle.saturate_entity_category(s)
+
+
+CYCLES = """
+schema P {
+  entities Item;
+  edges nxt : Item -> Item;
+  attributes qty : Item -> Int;
+}
+instance K1 on P {
+  generators i1 : Item;
+  equations i1.nxt = i1;
+}
+instance K3 on P {
+  generators i1 i2 i3 : Item;
+  equations i1.nxt = i2, i2.nxt = i3, i3.nxt = i1;
+}
+"""
+
+
+@pytest.mark.parametrize("name, cells", [
+    ("K1", [["i1", "i1", "i1.qty"]]),
+    ("K3", [["i1", "i2", "i1.qty"], ["i2", "i3", "i2.qty"],
+            ["i3", "i1", "i3.qty"]]),
+])
+def test_edge_cycles_end(name, cells):
+    # No rule reads through nxt, so the chase applies nxt to each row's
+    # representative only, and i1.nxt.nxt... is never built.
+    ws = parse_workspace(CYCLES, "<cycles>")
+    si = saturate(ws.instances[name])
+    assert tables(si)["entities"]["Item"]["rows"] == cells
+
+
+def test_hom_sets_build_no_type_algebra(ws, monkeypatch):
+    built = []
+    real = TypeAlgebra.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(TypeAlgebra, "__init__", counting)
+    for name in SCHEMAS:
+        s = ws.schemas[name]
+        assert saturate_entity_category(s) \
+            == oracle.saturate_entity_category(s)
+    assert built == []

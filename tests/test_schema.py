@@ -6,7 +6,7 @@ from catdb.kernel import (
     Context, Equation, FunctionSymbol, Presentation, Sort, Var, app, ctx,
     enumerate_terms,
 )
-from catdb.rewrite import EqResult, complete
+from catdb.rewrite import Budget, EqResult, complete
 from catdb.schema import (
     PossiblyInfinite, Schema, SchemaError, SchemaMapping, SchemaMismatch,
     SchemaPresentation, check_mapping, compile_schema, compose_mappings,
@@ -63,7 +63,7 @@ class TestEntityCategory:
         loop = FunctionSymbol("loop", (A,), A)
         s = compile_schema(SchemaPresentation((A,), (loop,), ()))
         with pytest.raises(PossiblyInfinite):
-            saturate_entity_category(s, budget=50)
+            saturate_entity_category(s, budget=Budget(rows=50))
 
 
 class TestSchemaValidation:

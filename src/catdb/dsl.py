@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .kernel import (
     AlgSignature, App, Context, ContextMorphism, Equation, FunctionSymbol,
-    Presentation, Sort, Term, Var, app, well_sort_check,
+    KernelError, Presentation, Sort, Term, Var, app, well_sort_check,
 )
 from .typeside import (
     FALSE, LE, NEG, PLUS, TIMES, TRUE, TYPE_SORTS, TYPE_SYMBOLS, int_term,
@@ -119,15 +119,22 @@ _DECLARATIONS = ("theory", "schema", "instance", "mapping", "bimodule",
 def check_equation(env: "TermEnv", lhs: Term, rhs: Term | Sort | None = None,
                    span: SourceSpan | None = None) -> Sort:
     """Well-sort `lhs` in `env` and return its sort.  `rhs` is the other
-    side of an equation or a wanted sort; a different sort raises DslError
-    at `span`."""
-    ls = well_sort_check(lhs, env.context, env.sig)
+    side of an equation or a wanted sort; a different sort, or an
+    ill-sorted subterm of either side, raises DslError at `span`."""
+
+    def sort_of(t: Term) -> Sort:
+        try:
+            return well_sort_check(t, env.context, env.sig)
+        except KernelError as exc:
+            raise DslError(str(exc), span) from exc
+
+    ls = sort_of(lhs)
     if isinstance(rhs, Sort):
         if ls != rhs:
             raise DslError(f"{render_dsl_term(lhs)} has sort {ls.name}, "
                            f"expected {rhs.name}", span)
     elif rhs is not None:
-        rs = well_sort_check(rhs, env.context, env.sig)
+        rs = sort_of(rhs)
         if ls != rs:
             raise DslError(
                 f"equation sides have sorts {ls.name} and {rs.name}", span)
@@ -467,8 +474,9 @@ class Parser:
         if keys:
             raise DslError("keys clauses require an uberquery",
                            keys[0][0].span)
-        ret_ctx = Context(tuple((n.text, check_equation(env, t))
-                                for n, _, t in returns))
+        ret_ctx = Context(tuple(
+            (n.text, check_equation(env, t, span=ttok.span))
+            for n, ttok, t in returns))
         ws.queries[name.text] = Query(
             schema, env.context, tuple(where_eqs), ret_ctx,
             ContextMorphism.make(env.context, ret_ctx,

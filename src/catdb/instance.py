@@ -323,6 +323,10 @@ def canonical_presentation(si: SaturatedInstance) -> InstancePresentation:
 
 # --- transforms ---------------------------------------------------------
 
+# stands for the generator of a side over one generator, so that sides
+# that differ only in it (e1.last, e2.last) share one inverse index
+HOLE = Var("?")
+
 
 @dataclass(frozen=True)
 class Transform:
@@ -380,18 +384,40 @@ def enumerate_transforms(src: InstancePresentation,
     equations, in deterministic order (generators by declaration, rows by
     table order).  Type-sorted generators must be forced by equations.
 
-    A depth-first search that branches on the first unbound entity
-    generator.  A node looks only at the equations of the generators it
+    Branching.  A node branches on the first unbound entity generator in
+    declaration order when an inverse index narrows it, and otherwise on
+    the unbound entity generator with the smallest target table, ties to
+    declaration order: like the variable orders of Generic Join and
+    Leapfrog Triejoin, it never scans a whole table while a smaller one is
+    at hand.  If any node left declaration order, the transforms are
+    sorted at the end by the table positions of their entity rows in
+    declaration order, which is the order a search that always branches in
+    declaration order emits.
+
+    Propagation.  A node looks only at the equations of the generators it
     binds: an equation is checked once, when its last generator is bound
     (bindings only grow along a path, so a check that passed keeps
-    passing), and an equation with a bare unbound generator on one side
-    and a bound other side forces that generator.  Side values are
-    memoised for the call, keyed by the side and the rows and values bound
-    to its generators.  Branching on g keeps only the rows that an inverse
-    index (side value -> rows in table order, built once per call) lists
-    for each equation with one side over g alone and the other side bound.
-    The index is exact because entity sides compare as rows and
-    decide_values is Equal exactly when the two canonical values are ==."""
+    passing), and an equation with a bare unbound generator on one side and
+    a bound other side forces that generator.  Side values are memoised
+    for the call, keyed by the side and the rows and values bound to its
+    generators.
+
+    Indexes.  Branching on g keeps only the rows that an inverse index
+    (side value -> rows in table order) lists for each equation with one
+    side over g alone and the other side bound.  There is one index per
+    path: it is keyed by the side with g replaced by a hole, so e1.last and
+    e2.last share one.  Building it fills the memo of the side it was built
+    for.  The index is exact because entity sides compare as rows and
+    decide_values is Equal exactly when the two canonical values are ==.
+
+    Stack.  The search is a loop over an explicit stack of frames, not a
+    recursion, so its depth is not bounded by Python's recursion limit.
+    There is one dict of bindings and a trail of the names bound along
+    the current path; a frame records where the trail stood when it was
+    pushed, and backtracking unbinds the names past that point.  A cursor
+    per entity sort points at its first unbound generator and is restored
+    with the frame, so finding the next generator does not rescan the
+    bound ones."""
     if src.schema.presentation != dst.schema.presentation:
         raise InstanceError("transform endpoints live on different schemas")
     is_ent = src.schema.is_entity
@@ -410,29 +436,37 @@ def enumerate_transforms(src: InstancePresentation,
         eq_info.append((is_ent(eq.sort), eq.lhs, eq.rhs))
 
     memo: dict = {}
-    indexes: dict[Term, dict] = {}
+    side_index: dict[Term, tuple] = {}  # a side over one generator -> index
+    indexes: dict[tuple[Term, str], tuple] = {}  # by (shape, sort name)
     results: list[Transform] = []
+    bound: dict = {}
+    # the names bound along the current path, in binding order, up to top;
+    # preallocated, like the frame stack below, so that binding a name and
+    # pushing a frame make no call
+    trail: list = [None] * len(watch)
+    top = 0
 
-    def value(t: Term, ent: bool, bound: dict):
-        key = (t, tuple(bound[v] for v in side_vars[t]))
+    def value(t: Term, ent: bool, env: dict):
+        key = (t, tuple(env[v] for v in side_vars[t]))
         v = memo.get(key)
         if v is None:
-            v = memo[key] = (dst.eval_entity(t, bound) if ent
-                             else dst.eval_type(t, bound, bound))
+            v = memo[key] = (dst.eval_entity(t, env) if ent
+                             else dst.eval_type(t, env, env))
         return v
 
-    def is_bound(t: Term, bound: dict) -> bool:
+    def is_bound(t: Term) -> bool:
         return all(v in bound for v in side_vars[t])
 
-    def propagate(bound: dict, todo) -> bool:
+    def propagate(todo) -> bool:
         # todo: the equations of the generators bound since the parent node;
         # checked keeps one that mentions two of them from being checked twice
+        nonlocal top
         queue, checked = list(todo), set()
         for i in queue:
             if i in checked:
                 continue
             ent, lhs, rhs = eq_info[i]
-            lhs_bound, rhs_bound = is_bound(lhs, bound), is_bound(rhs, bound)
+            lhs_bound, rhs_bound = is_bound(lhs), is_bound(rhs)
             if lhs_bound and rhs_bound:
                 checked.add(i)
                 l, r = value(lhs, ent, bound), value(rhs, ent, bound)
@@ -444,53 +478,133 @@ def enumerate_transforms(src: InstancePresentation,
                                              (rhs, lhs, lhs_bound)):
                 if isinstance(bare, Var) and other_bound:
                     bound[bare.name] = value(other, ent, bound)
+                    trail[top] = bare.name
+                    top += 1
                     queue.extend(watch[bare.name])
                     break
         return True
 
-    def index(side: Term, ent: bool, name: str, sort: Sort) -> dict:
-        idx = indexes.get(side)
-        if idx is None:
-            idx = indexes[side] = {}
+    def shared_index(side: Term, ent: bool, name: str, sort: Sort) -> tuple:
+        """The inverse index of a side over name alone, shared by the sides
+        of the same shape: (rows by side value, side value by row)."""
+        key = (subst_map(side, {name: HOLE}), sort.name)
+        index = indexes.get(key)
+        if index is None:
+            buckets, at = index = indexes[key] = ({}, {})
             for row in dst.rows(sort):
-                idx.setdefault(value(side, ent, {name: row}), []).append(row)
-        return idx
+                v = at[row] = value(side, ent, {name: row})
+                buckets.setdefault(v, []).append(row)
+        return index
 
-    def candidates(name: str, sort: Sort, bound: dict) -> list[Term]:
-        hits = []
+    def narrowed(name: str, sort: Sort) -> list[Term] | None:
+        """The rows that the inverse index of each equation of name with
+        one side over name alone and the other side bound lists at the
+        other side's value, or None when there is no such equation."""
+        hits = []  # (bucket size, equation, bucket, side value by row, key)
         for i in watch[name]:
             ent, lhs, rhs = eq_info[i]
             for side, other in ((lhs, rhs), (rhs, lhs)):
-                if side_vars[side] == (name,) and is_bound(other, bound):
-                    hits.append(index(side, ent, name, sort).get(
-                        value(other, ent, bound), []))
+                if side_vars[side] == (name,) and is_bound(other):
+                    index = side_index.get(side)
+                    if index is None:
+                        index = side_index[side] = shared_index(
+                            side, ent, name, sort)
+                    buckets, at = index
+                    want = value(other, ent, bound)
+                    bucket = buckets.get(want, ())
+                    hits.append((len(bucket), i, bucket, at, want))
                     break
         if not hits:
-            return dst.rows(sort)
-        hits.sort(key=len)
-        rest = [set(h) for h in hits[1:]]
-        return [r for r in hits[0] if all(r in h for h in rest)]
+            return None
+        hits.sort()
+        rest = hits[1:]
+        if not rest:
+            return hits[0][2]
+        # a row is in another side's bucket iff its side value is the key
+        return [r for r in hits[0][2]
+                if all(at[r] == want for _, _, _, at, want in rest)]
 
-    def search(bound: dict, todo) -> None:
-        if not propagate(bound, todo):
-            return
-        pending = [(n, s) for n, s in ent_gens if n not in bound]
-        if not pending:
-            unforced = [n for n in type_gen_names if n not in bound]
-            if unforced:
-                raise DomainDependence(
-                    "type-sorted generators not determined by equations: "
-                    + ", ".join(unforced))
-            results.append(Transform(
-                src, dst,
-                tuple((n, bound[n]) for n, _ in ent_gens),
-                tuple((n, bound[n]) for n in type_gen_names)))
-            return
-        name, sort = pending[0]
-        for row in candidates(name, sort, bound):
-            search({**bound, name: row}, watch[name])
+    # the entity generators of each sort as (position, name, sort), in
+    # declaration order, with the size of the sort's table
+    groups: dict[str, list] = {}
+    for k, (n, s) in enumerate(ent_gens):
+        groups.setdefault(s.name, []).append((k, n, s))
+    per_sort = [(gens, len(gens), len(dst.rows(gens[0][2])))
+                for gens in groups.values()]
+    cursors = [0] * len(per_sort)
+    reordered = False
 
-    search({}, range(len(eq_info)))
+    def choose():
+        """The generator to branch on and its candidate rows, or None when
+        every entity generator is bound."""
+        nonlocal reordered
+        first = smallest = None
+        for j, (gens, n, size) in enumerate(per_sort):
+            c = cursors[j]
+            while c < n and gens[c][1] in bound:
+                c += 1
+            cursors[j] = c
+            if c < n:
+                here = gens[c]
+                if first is None or here < first:
+                    first = here
+                if smallest is None or (size, here) < smallest:
+                    smallest = (size, here)
+        if first is None:
+            return None
+        _, name, sort = first
+        rows = narrowed(name, sort)
+        if rows is None and smallest[1] != first:
+            reordered = True
+            _, name, sort = smallest[1]
+            rows = narrowed(name, sort)
+        return name, dst.rows(sort) if rows is None else rows
+
+    # frames, up to depth: [generator, candidate rows, their number, next
+    # candidate, top of the trail before the frame, cursors at the frame]
+    stack: list = [None] * (len(ent_gens) + 1)
+    depth = 0
+    ok = propagate(range(len(eq_info)))
+    while True:
+        if ok:
+            branch = choose()
+            if branch is not None:
+                name, rows = branch
+                stack[depth] = [name, rows, len(rows), 0, top, tuple(cursors)]
+                depth += 1
+            else:
+                unforced = [n for n in type_gen_names if n not in bound]
+                if unforced:
+                    raise DomainDependence(
+                        "type-sorted generators not determined by equations: "
+                        + ", ".join(unforced))
+                results.append(Transform(
+                    src, dst,
+                    tuple((n, bound[n]) for n, _ in ent_gens),
+                    tuple((n, bound[n]) for n in type_gen_names)))
+        while depth:
+            frame = stack[depth - 1]
+            name, rows, n, k, mark, saved = frame
+            for undone in trail[mark:top]:
+                del bound[undone]
+            top = mark
+            cursors[:] = saved
+            if k == n:
+                depth -= 1
+                continue
+            frame[3] = k + 1
+            bound[name] = rows[k]
+            trail[top] = name
+            top += 1
+            ok = propagate(watch[name])
+            break
+        else:
+            break
+
+    if reordered:
+        pos = {r: k for rows in dst.row_list.values()
+               for k, r in enumerate(rows)}
+        results.sort(key=lambda t: tuple(pos[r] for _, r in t.rows))
     return results
 
 
@@ -505,7 +619,14 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
 
     Entities and columns are matched by name unless correspondences are
     given.  Ground cells must be equal; indeterminate cells must agree up
-    to a single consistent one-to-one renaming of atoms."""
+    to a single consistent one-to-one renaming of atoms.
+
+    A row of a may only map to a row of b whose attribute cells have the
+    same shapes (the value with its atoms replaced by numbered holes).  The
+    search assigns the rows of a in entity and table order on an explicit
+    stack.  Each assignment checks at once every edge cell whose two ends
+    are assigned and extends the atom bijection by the row's cells; the
+    atoms it adds are kept on a trail and undone on backtracking."""
     ea = {e.name: e for e in a.schema.entities}
     eb = {e.name: e for e in b.schema.entities}
     emap = entity_names or {n: n for n in ea}
@@ -538,9 +659,7 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
     cells_b = {(att, r): shape_and_atoms(b.attr_cols[att_b][r], b.typealg)
                for att, att_b in attr_pairs for r in b.rows(att_b.dom[0])}
 
-    # Each row of a may only map to a row of b whose attribute cells have
-    # the same shapes, which consistent() needs anyway.
-    pairs = []  # (a row, candidate b rows in table order)
+    pairs = []  # (a row, candidate b rows in table order, its columns)
     for name, e in ea.items():
         e2 = eb[emap[name]]
         if len(a.rows(e)) != len(b.rows(e2)):
@@ -555,39 +674,73 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
         by_shape: dict[tuple, list[Term]] = {}
         for r, k in zip(b.rows(e2), shapes_b):
             by_shape.setdefault(k, []).append(r)
-        pairs += [(r, by_shape[k]) for r, k in zip(a.rows(e), shapes_a)]
+        pairs += [(r, by_shape[k], atts) for r, k in zip(a.rows(e), shapes_a)]
 
-    def consistent(rowmap):
-        for f in a.schema.edges:
-            fb = cols_b[cmap[f.name]]
-            for r in a.rows(f.dom[0]):
-                if rowmap[a.edge_cols[f][r]] != b.edge_cols[fb][rowmap[r]]:
+    # edge cells at each row of a: (b's column, the row at the other end)
+    edges_out: dict[Term, list] = {r: [] for r, _, _ in pairs}
+    edges_in: dict[Term, list] = {r: [] for r, _, _ in pairs}
+    for f in a.schema.edges:
+        col_b = b.edge_cols[cols_b[cmap[f.name]]]
+        for r in a.rows(f.dom[0]):
+            r2 = a.edge_cols[f][r]
+            edges_out[r].append((col_b, r2))
+            edges_in[r2].append((col_b, r))
+
+    rowmap: dict[Term, Term] = {}
+    used: set[Term] = set()
+    atom_map: dict = {}
+    inverse: dict = {}
+    added: list = []  # atoms of a in the order atom_map took them
+
+    def assign(r, cand, atts) -> bool:
+        rowmap[r] = cand
+        used.add(cand)
+        for col_b, r2 in edges_out[r]:
+            if r2 in rowmap and rowmap[r2] != col_b[cand]:
+                return False
+        for col_b, r0 in edges_in[r]:
+            if r0 in rowmap and col_b[rowmap[r0]] != cand:
+                return False
+        for att in atts:
+            for x, y in zip(cells_a[att, r][1], cells_b[att, cand][1]):
+                y0, x0 = atom_map.get(x), inverse.get(y)
+                if y0 is None and x0 is None:
+                    atom_map[x], inverse[y] = y, x
+                    added.append(x)
+                elif y0 != y or x0 != x:
                     return False
-        # the atom renaming must be a bijection
-        atom_map: dict = {}
-        inverse: dict = {}
-        for att, _ in attr_pairs:
-            for r in a.rows(att.dom[0]):
-                for x, y in zip(cells_a[att, r][1], cells_b[att, rowmap[r]][1]):
-                    if atom_map.setdefault(x, y) != y \
-                            or inverse.setdefault(y, x) != x:
-                        return False
         return True
 
-    def search(i, rowmap, used):
-        if i == len(pairs):
-            return consistent(rowmap)
-        r, cands = pairs[i]
-        for cand in cands:
+    def unassign(r, mark):
+        used.discard(rowmap.pop(r))
+        while len(added) > mark:
+            del inverse[atom_map.pop(added.pop())]
+
+    nxt = [0] * len(pairs)  # per depth: the next candidate to try
+    marks = [0] * len(pairs)  # per depth: len(added) before its assignment
+    i = 0
+    while i < len(pairs):
+        r, cands, atts = pairs[i]
+        k = nxt[i]
+        while k < len(cands):
+            cand = cands[k]
+            k += 1
             if cand in used:
                 continue
-            rowmap[r] = cand
-            if search(i + 1, rowmap, used | {cand}):
-                return True
-            del rowmap[r]
-        return False
-
-    return search(0, {}, frozenset())
+            marks[i] = len(added)
+            if assign(r, cand, atts):
+                break
+            unassign(r, marks[i])
+        else:
+            nxt[i] = 0
+            i -= 1
+            if i < 0:
+                return False
+            unassign(pairs[i][0], marks[i])
+            continue
+        nxt[i] = k
+        i += 1
+    return True
 
 
 # --- observable equality within a schema (used by mapping checks) ------

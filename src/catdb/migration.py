@@ -183,18 +183,22 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
     edge_cols = {}
     for h in tgt.edges:
         t, t1 = h.dom[0], h.cod
+        names_t, names_t1 = per[t]["names"], per[t1]["names"]
+        sat_t = per[t]["sat"]
+        rows = per[t]["rows"]
+        # (generator of y(t1), generator of y(t) it lands on when its row,
+        # a path term over x:t1, is precomposed with h), once for all rows
+        pre = []
+        if rows:
+            x_t = {"x": sat_t.gen_env["x"]}
+            for r1, g1 in names_t1.items():
+                r_in_t = sat_t.eval_entity(
+                    subst_map(r1, {"x": app(h, Var("x"))}), x_t)
+                pre.append((g1, names_t[r_in_t]))
         col = {}
-        for row in per[t]["rows"]:
-            alpha = alpha_of[t][row]
-            assign = alpha.row_assignment()
-            names_t, names_t1 = per[t]["names"], per[t1]["names"]
-            sat_t = per[t]["sat"]
-            beta = {}
-            for r1 in names_t1:  # rows of y(t1), as path terms over x:t1
-                pre = subst_map(r1, {"x": app(h, Var("x"))})
-                r_in_t = sat_t.eval_entity(pre, {"x": sat_t.gen_env["x"]})
-                if names_t[r_in_t] in assign:
-                    beta[names_t1[r1]] = assign[names_t[r_in_t]]
+        for row in rows:
+            assign = alpha_of[t][row].row_assignment()
+            beta = {g1: assign[g] for g1, g in pre if g in assign}
             hits = row_of[t1].get(frozenset(beta.items()), [])
             if len(hits) != 1:
                 raise MigrationError("edge precomposition did not land on "
@@ -203,15 +207,19 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
         edge_cols[h] = col
 
     attr_cols = {}
+    resolvers: dict = {}  # (t, row) -> its atom resolver, built once
     for a in tgt.attributes:
         t = a.dom[0]
+        rows = per[t]["rows"]
         col = {}
-        for row in per[t]["rows"]:
-            alpha = alpha_of[t][row]
+        if rows:
             sat_t = per[t]["sat"]
             v0 = sat_t.eval_type(app(a, Var("x")), {"x": sat_t.gen_env["x"]})
-            col[row] = I.typealg.simplify(
-                map_value_atoms(v0, resolve_atom_fn(t, alpha)))
+        for row in rows:
+            fn = resolvers.get((t, row))
+            if fn is None:
+                fn = resolvers[t, row] = resolve_atom_fn(t, alpha_of[t][row])
+            col[row] = I.typealg.simplify(map_value_atoms(v0, fn))
         attr_cols[a] = col
 
     out = SaturatedInstance(tgt, row_list, edge_cols, attr_cols,

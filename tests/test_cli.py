@@ -214,7 +214,8 @@ class TestQuery:
             argv += ["--query", "N", "--instance", "J"]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err == "error: argument d.name of + has sort Str, expected Int\n"
+        assert err == (f"error: {path}:135:25: argument d.name of + has sort "
+                       "Str, expected Int\n")
 
 
 class TestMigrate:

@@ -184,10 +184,9 @@ class TestUberqueryChecks:
         assert str(err.value) == message
 
     def test_ill_sorted_return_term(self):
-        from catdb.kernel import AritySortMismatch
         from tests.conftest import FIXTURES
         text = (FIXTURES / "paper.cdb").read_text()
-        with pytest.raises(AritySortMismatch):
+        with pytest.raises(DslError):
             parse_workspace(text.replace("return dept_name := d.name,",
                                          "return dept_name := d.name + 1,"))
 

@@ -5,6 +5,7 @@ import pytest
 
 from catdb.dsl import DslError, parse_workspace
 from catdb.kernel import AritySortMismatch, KernelError
+from tests.conftest import FIXTURES
 
 S = ("schema S { entities A B; edges f : A -> B; "
      "attributes a : A -> Int, s : B -> Str; }\n")
@@ -63,7 +64,11 @@ CASES = [
      "  equations forall x : A . x.g.n = x.f;\n}",
      DslError, "e.cdb:5:34: equation sides have sorts Int and B"),
     ("ill-sorted argument", S + "instance I on S {\n  generators x : A;\n  equations x.f.a = 1;\n}",
-     AritySortMismatch, "argument x.f of a has sort B, expected A"),
+     DslError, "e.cdb:4:19: argument x.f of a has sort B, expected A"),
+    ("ill-sorted where", S + "query Q on S {\n  for x:A;\n  where x.a + x.f = 1;\n}",
+     DslError, "e.cdb:4:19: argument x.f of + has sort B, expected Int"),
+    ("ill-sorted return", S + "query Q on S {\n  for x:A;\n  return r := x.f + 1;\n}",
+     DslError, "e.cdb:4:15: argument x.f of + has sort B, expected Int"),
     # duplicate generators and binders
     ("duplicate generator", S + "instance I on S {\n  generators x y : A;\n  generators x : B;\n}",
      KernelError, "duplicate variable in context: ['x', 'y', 'x']"),
@@ -93,3 +98,16 @@ def test_error_class_and_message(text, exc, message):
         parse_workspace(text, "e.cdb")
     assert type(err.value) is exc
     assert str(err.value) == message
+
+
+def test_ill_sorted_subterm_of_a_fixture_return():
+    """The sort error of a subterm is reported at its RETURN term, and
+    chains the kernel's error."""
+    text = (FIXTURES / "paper.cdb").read_text()
+    old = "emp_last := e.last, dept_name := d.name,"
+    assert text.count(old) == 1
+    with pytest.raises(DslError) as err:
+        parse_workspace(text.replace(old, old[:-1] + " + 1,"), "paper.cdb")
+    assert str(err.value) == ("paper.cdb:128:43: argument d.name of + has "
+                              "sort Str, expected Int")
+    assert type(err.value.__cause__) is AritySortMismatch

@@ -144,9 +144,10 @@ def cmd_query(ws: Workspace, args) -> int:
                        args.format)
         return 0
     Q = _pick(ws.queries, args.query, "query")
-    _emit_instance(eval_query(Q, J).instance, args.format)
+    direct = eval_query(Q, J).instance
+    _emit_instance(direct, args.format)
     if args.crosscheck:
-        report = crosscheck_migration(Q, J, args.budget)
+        report = crosscheck_migration(Q, J, args.budget, direct)
         print(f"crosscheck: {report}")
         if report != "ok":
             return 1

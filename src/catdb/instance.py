@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .kernel import (
     App, Context, Equation, FunctionSymbol, Sort, Term, Var, app, ctx,
@@ -25,9 +27,9 @@ from .rewrite import (
 )
 from .schema import PossiblyInfinite, Schema
 from .typeside import (
-    CanonicalValue, TypeAlgebra, apply_symbol, decide_values, is_type_symbol,
-    map_value_atoms, opaque_atom, render_value, ts_normalize, value_sort,
-    value_to_term,
+    CanonicalValue, TypeAlgebra, decide_values, is_type_symbol,
+    map_value_atoms, opaque_atom, render_value, symbol_operation,
+    ts_normalize, value_sort, value_to_term,
 )
 
 class InstanceError(Exception):
@@ -96,39 +98,111 @@ class SaturatedInstance:
 
     def eval_entity(self, t: Term, env: dict[str, Term] | None = None) -> Term:
         """The row of t, with t's variables bound by env first, then by the
-        generators of this instance.  A term over bound variables is
-        evaluated through its edges even if it spells a row of this
-        instance: a source generator may share its name with a row."""
-        if isinstance(t, Var):
-            if env and t.name in env:
-                return env[t.name]
-            return t if t in self.row_sort else self.gen_env[t.name]
-        if not env and t in self.row_sort:
-            return t
-        assert isinstance(t, App)
-        row = self.eval_entity(t.args[0], env)
-        return self.edge_cols[t.symbol][row]
+        generators of this instance."""
+        env = env or {}
+        return self.compile(t, env.keys(), entity=True)(env)
 
     def eval_type(self, t: Term, env: dict[str, Term] | None = None,
                   vals: dict[str, CanonicalValue] | None = None) -> CanonicalValue:
-        v = self._eval_type(t, env or {}, vals or {})
-        return self.typealg.simplify(v)
+        """The value of t, with its entity variables bound by env and its
+        type variables by vals (a name bound by both reads vals)."""
+        if env and vals and env is not vals:
+            env = {**env, **vals}
+        env = env or vals or {}
+        return self.compile(t, env.keys())(env)
 
-    def _eval_type(self, t: Term, env, vals) -> CanonicalValue:
+    def compile(self, t: Term, names=(), entity: bool = False):
+        """t as a function of a dict that binds every name in names: the
+        row of an entity term, the simplified value of a type term.
+
+        A path is a tuple of columns applied in a loop, and an attribute
+        read is one more column.  A type symbol is resolved to its
+        operation once.  A variable outside names is a generator of this
+        instance, a row or a null, and like a literal it is a constant, as
+        is every subterm over constants.  With no names, a subterm that
+        spells a row is that row; with names, a term is evaluated through
+        its edges even if it spells a row, since a source generator may
+        share its name with a row."""
+        if entity:
+            name, cols, row = self._path(t, names)
+            return _constant(row) if name is None else _follow(name, cols)
+        fn, v = self._type_plan(t, names)
+        simplify = self.typealg.simplify
+        if fn is None:
+            return _constant(simplify(v))
+        return lambda env: simplify(fn(env))
+
+    def _path(self, t: Term, names, last=None):
+        """(bound name, its columns, None) for a path out of a name in
+        names, else (None, (), its row); last is a column read at the
+        end."""
+        syms = []
+        while isinstance(t, App) and (names or t not in self.row_sort):
+            syms.append(t.symbol)
+            t = t.args[0]
+        if isinstance(t, Var) and t.name in names:
+            name, row = t.name, None
+        else:
+            name = None
+            row = t if t in self.row_sort else self.gen_env[t.name]
+        cols = [self.edge_cols[s] for s in reversed(syms)]
+        if last is not None:
+            cols.append(last)
+        if name is None:
+            for col in cols:
+                row = col[row]
+            return None, (), row
+        return name, tuple(cols), None
+
+    def _type_plan(self, t: Term, names):
+        """(function of the bindings, None), or (None, constant value)
+        when t has no name in names; values before the final simplify."""
         if isinstance(t, Var):
-            if t.name in vals:
-                return vals[t.name]
-            return ts_normalize(t, self.typealg)
-        assert isinstance(t, App)
+            if t.name in names:
+                return itemgetter(t.name), None
+            return None, ts_normalize(t, self.typealg)
         sym = t.symbol
-        if sym in self.attr_cols:
-            row = self.eval_entity(t.args[0], env)
-            return self.attr_cols[sym][row]
-        if is_type_symbol(sym):
-            return apply_symbol(
-                sym, [self._eval_type(a, env, vals) for a in t.args],
-                self.typealg)
-        raise InstanceError(f"cannot evaluate symbol {sym} in this instance")
+        col = self.attr_cols.get(sym)
+        if col is not None:
+            name, cols, v = self._path(t.args[0], names, col)
+            return (None, v) if name is None else (_follow(name, cols), None)
+        if not is_type_symbol(sym):
+            raise InstanceError(
+                f"cannot evaluate symbol {sym} in this instance")
+        op, alg = symbol_operation(sym), self.typealg
+        plans = [self._type_plan(a, names) for a in t.args]
+        if all(fn is None for fn, _ in plans):
+            return None, op(alg, *(v for _, v in plans))
+        fns = [_constant(v) if fn is None else fn for fn, v in plans]
+        if len(fns) == 1:
+            f = fns[0]
+            return (lambda env: op(alg, f(env))), None
+        f, g = fns
+        return (lambda env: op(alg, f(env), g(env))), None
+
+
+def _constant(v):
+    return lambda env: v
+
+
+def _follow(name: str, cols: tuple):
+    """The function of the bindings that applies cols to the row bound to
+    name, in order."""
+    if not cols:
+        return itemgetter(name)
+    if len(cols) == 1:
+        c = cols[0]
+        return lambda env: c[env[name]]
+    if len(cols) == 2:
+        c, d = cols
+        return lambda env: d[c[env[name]]]
+
+    def follow(env):
+        row = env[name]
+        for col in cols:
+            row = col[row]
+        return row
+    return follow
 
 
 def _term_sort(t: Term, gens: Context) -> Sort:
@@ -361,13 +435,16 @@ def _check_equations(src: InstancePresentation, dst: SaturatedInstance,
                      env: dict[str, Term], vals: dict) -> list[str]:
     out = []
     is_ent = src.schema.is_entity
+    bindings = {**env, **vals}
     for eq in src.equations:
-        if is_ent(eq.sort):
-            if dst.eval_entity(eq.lhs, env) != dst.eval_entity(eq.rhs, env):
+        ent = is_ent(eq.sort)
+        l, r = (dst.compile(t, bindings.keys(), ent)(bindings)
+                for t in (eq.lhs, eq.rhs))
+        if ent:
+            if l != r:
                 out.append(f"entity equation fails: {eq}")
         else:
-            got = decide_values(dst.eval_type(eq.lhs, env, vals),
-                                dst.eval_type(eq.rhs, env, vals))
+            got = decide_values(l, r)
             if got != EqResult.Equal:
                 out.append(f"type equation not provable ({got.name}): {eq}")
     return out
@@ -394,21 +471,25 @@ def enumerate_transforms(src: InstancePresentation,
     declaration order, which is the order a search that always branches in
     declaration order emits.
 
-    Propagation.  A node looks only at the equations of the generators it
-    binds: an equation is checked once, when its last generator is bound
-    (bindings only grow along a path, so a check that passed keeps
-    passing), and an equation with a bare unbound generator on one side and
-    a bound other side forces that generator.  Side values are memoised
-    for the call, keyed by the side and the rows and values bound to its
-    generators.
+    Propagation.  Each equation side is compiled once per call, by
+    `SaturatedInstance.compile`, into a function of the bindings that
+    reads dst's columns; no side is interpreted per binding.  A node looks
+    only at the equations of the generators it binds: an equation is
+    checked once, when its last generator is bound (bindings only grow
+    along a path, so a check that passed keeps passing), and an equation
+    with a bare unbound generator on one side and a bound other side forces
+    that generator.  A side is bound when the set of its generators is
+    within the keys of the bindings.  Side values are memoised for the
+    call, keyed by an itemgetter over the side's generators.
 
     Indexes.  Branching on g keeps only the rows that an inverse index
     (side value -> rows in table order) lists for each equation with one
     side over g alone and the other side bound.  There is one index per
     path: it is keyed by the side with g replaced by a hole, so e1.last and
-    e2.last share one.  Building it fills the memo of the side it was built
-    for.  The index is exact because entity sides compare as rows and
-    decide_values is Equal exactly when the two canonical values are ==.
+    e2.last share one, and the sides of one shape share one memo, keyed by
+    row, which is the index's side value by row.  The index is exact
+    because entity sides compare as rows and decide_values is Equal
+    exactly when the two canonical values are ==.
 
     Stack.  The search is a loop over an explicit stack of frames, not a
     recursion, so its depth is not bounded by Python's recursion limit.
@@ -426,36 +507,46 @@ def enumerate_transforms(src: InstancePresentation,
 
     # equations by generator, each list in equation order
     watch: dict[str, list[int]] = {n: [] for n in src.generators.names()}
-    side_vars: dict[Term, tuple[str, ...]] = {}
-    eq_info: list[tuple[bool, Term, Term]] = []
-    for i, eq in enumerate(src.equations):
-        for t in (eq.lhs, eq.rhs):
-            side_vars[t] = tuple(sorted(v for v in term_vars(t) if v in watch))
-        for v in set(side_vars[eq.lhs] + side_vars[eq.rhs]):
-            watch[v].append(i)
-        eq_info.append((is_ent(eq.sort), eq.lhs, eq.rhs))
+    # each side compiled once; the sides of one shape share one memo
+    plans: dict[tuple[Term, bool], _Side] = {}
+    memos: dict[tuple[Term, bool], dict] = {}
 
-    memo: dict = {}
-    side_index: dict[Term, tuple] = {}  # a side over one generator -> index
-    indexes: dict[tuple[Term, str], tuple] = {}  # by (shape, sort name)
+    def plan(t: Term, ent: bool) -> _Side:
+        got = plans.get((t, ent))
+        if got is None:
+            vs = sorted(v for v in term_vars(t) if v in watch)
+            value = dst.compile(t, vs, ent)
+            memo = shape = None
+            if len(vs) == 1:
+                shape = (subst_map(t, {vs[0]: HOLE}), ent)
+                memo = memos.setdefault(shape, {})
+            elif vs:
+                memo = {}
+            if memo is not None:
+                value = _memoised(value, itemgetter(*vs), memo)
+            bare = t.name if isinstance(t, Var) else None
+            got = plans[t, ent] = _Side(frozenset(vs), value, bare, memo,
+                                        shape)
+        return got
+
+    # per equation: (entity-sorted, lhs, rhs)
+    eq_info: list[tuple[bool, _Side, _Side]] = []
+    for i, eq in enumerate(src.equations):
+        ent = is_ent(eq.sort)
+        lhs, rhs = plan(eq.lhs, ent), plan(eq.rhs, ent)
+        for v in lhs.names | rhs.names:
+            watch[v].append(i)
+        eq_info.append((ent, lhs, rhs))
+
+    indexes: dict[tuple[tuple, str], tuple] = {}  # by (shape, sort name)
     results: list[Transform] = []
     bound: dict = {}
+    is_bound = bound.keys().__ge__
     # the names bound along the current path, in binding order, up to top;
     # preallocated, like the frame stack below, so that binding a name and
     # pushing a frame make no call
     trail: list = [None] * len(watch)
     top = 0
-
-    def value(t: Term, ent: bool, env: dict):
-        key = (t, tuple(env[v] for v in side_vars[t]))
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = (dst.eval_entity(t, env) if ent
-                             else dst.eval_type(t, env, env))
-        return v
-
-    def is_bound(t: Term) -> bool:
-        return all(v in bound for v in side_vars[t])
 
     def propagate(todo) -> bool:
         # todo: the equations of the generators bound since the parent node;
@@ -465,35 +556,37 @@ def enumerate_transforms(src: InstancePresentation,
         for i in queue:
             if i in checked:
                 continue
-            ent, lhs, rhs = eq_info[i]
-            lhs_bound, rhs_bound = is_bound(lhs), is_bound(rhs)
+            ent, (lhs_vars, lhs_value, lhs_bare, *_), \
+                (rhs_vars, rhs_value, rhs_bare, *_) = eq_info[i]
+            lhs_bound, rhs_bound = is_bound(lhs_vars), is_bound(rhs_vars)
             if lhs_bound and rhs_bound:
                 checked.add(i)
-                l, r = value(lhs, ent, bound), value(rhs, ent, bound)
+                l, r = lhs_value(bound), rhs_value(bound)
                 holds = l == r if ent else decide_values(l, r) == EqResult.Equal
                 if not holds:
                     return False
                 continue
-            for bare, other, other_bound in ((lhs, rhs, rhs_bound),
-                                             (rhs, lhs, lhs_bound)):
-                if isinstance(bare, Var) and other_bound:
-                    bound[bare.name] = value(other, ent, bound)
-                    trail[top] = bare.name
+            for bare, other_value, other_bound in (
+                    (lhs_bare, rhs_value, rhs_bound),
+                    (rhs_bare, lhs_value, lhs_bound)):
+                if bare is not None and other_bound:
+                    bound[bare] = other_value(bound)
+                    trail[top] = bare
                     top += 1
-                    queue.extend(watch[bare.name])
+                    queue.extend(watch[bare])
                     break
         return True
 
-    def shared_index(side: Term, ent: bool, name: str, sort: Sort) -> tuple:
+    def shared_index(side: _Side, name: str, sort: Sort) -> tuple:
         """The inverse index of a side over name alone, shared by the sides
         of the same shape: (rows by side value, side value by row)."""
-        key = (subst_map(side, {name: HOLE}), sort.name)
+        key = (side.shape, sort.name)
         index = indexes.get(key)
         if index is None:
-            buckets, at = index = indexes[key] = ({}, {})
+            buckets: dict = {}
             for row in dst.rows(sort):
-                v = at[row] = value(side, ent, {name: row})
-                buckets.setdefault(v, []).append(row)
+                buckets.setdefault(side.value({name: row}), []).append(row)
+            index = indexes[key] = (buckets, side.memo)
         return index
 
     def narrowed(name: str, sort: Sort) -> list[Term] | None:
@@ -502,15 +595,12 @@ def enumerate_transforms(src: InstancePresentation,
         other side's value, or None when there is no such equation."""
         hits = []  # (bucket size, equation, bucket, side value by row, key)
         for i in watch[name]:
-            ent, lhs, rhs = eq_info[i]
+            _, lhs, rhs = eq_info[i]
             for side, other in ((lhs, rhs), (rhs, lhs)):
-                if side_vars[side] == (name,) and is_bound(other):
-                    index = side_index.get(side)
-                    if index is None:
-                        index = side_index[side] = shared_index(
-                            side, ent, name, sort)
-                    buckets, at = index
-                    want = value(other, ent, bound)
+                if side.shape and name in side.names \
+                        and is_bound(other.names):
+                    buckets, at = shared_index(side, name, sort)
+                    want = other.value(bound)
                     bucket = buckets.get(want, ())
                     hits.append((len(bucket), i, bucket, at, want))
                     break
@@ -606,6 +696,26 @@ def enumerate_transforms(src: InstancePresentation,
                for k, r in enumerate(rows)}
         results.sort(key=lambda t: tuple(pos[r] for _, r in t.rows))
     return results
+
+
+class _Side(NamedTuple):
+    """An equation side compiled for one transform search."""
+    names: frozenset  # its generators
+    value: Callable  # a function of the bindings, memoised
+    bare: str | None  # its generator, if the side is one
+    memo: dict | None  # its values by the bindings of its generators
+    shape: tuple | None  # (the side with a hole for its one generator, ent)
+
+
+def _memoised(fn, key, memo: dict):
+    """fn, remembering its value per key of the bindings in memo."""
+    def value(env):
+        k = key(env)
+        v = memo.get(k)
+        if v is None:
+            v = memo[k] = fn(env)
+        return v
+    return value
 
 
 def hom_count(src: InstancePresentation, dst: SaturatedInstance) -> int:

@@ -52,14 +52,12 @@ def delta(F: SchemaMapping, K: SaturatedInstance) -> SaturatedInstance:
     row_list = {s: list(K.rows(F.on_entity(s))) for s in src.entities}
     edge_cols = {}
     for f in src.edges:
-        img = F.on_edge(f)
-        edge_cols[f] = {r: K.eval_entity(subst_map(img, {"x": r}))
-                        for r in row_list[f.dom[0]]}
+        img = K.compile(F.on_edge(f), ("x",), entity=True)
+        edge_cols[f] = {r: img({"x": r}) for r in row_list[f.dom[0]]}
     attr_cols = {}
     for a in src.attributes:
-        img = F.on_attr(a)
-        attr_cols[a] = {r: K.eval_type(subst_map(img, {"x": r}))
-                        for r in row_list[a.dom[0]]}
+        img = K.compile(F.on_attr(a), ("x",))
+        attr_cols[a] = {r: img({"x": r}) for r in row_list[a.dom[0]]}
     return SaturatedInstance(src, row_list, edge_cols, attr_cols,
                              K.typealg, dict(K.gen_env))
 
@@ -97,13 +95,13 @@ def sigma_pointwise(F: SchemaMapping, I: SaturatedInstance) -> SaturatedInstance
                 row_list[t].append(r)
 
     # an opfibration lifts every target edge and attribute uniquely
+    lift = {key: I.compile(t, ("x",), entity=key[1] in tgt.edges)
+            for key, t in lifts.items()}
     edge_cols = {
-        g: {r: I.eval_entity(subst_map(lifts[row_home[r], g], {"x": r}))
-            for r in row_list[g.dom[0]]}
+        g: {r: lift[row_home[r], g]({"x": r}) for r in row_list[g.dom[0]]}
         for g in tgt.edges}
     attr_cols = {
-        a: {r: I.eval_type(subst_map(lifts[row_home[r], a], {"x": r}))
-            for r in row_list[a.dom[0]]}
+        a: {r: lift[row_home[r], a]({"x": r}) for r in row_list[a.dom[0]]}
         for a in tgt.attributes}
     return SaturatedInstance(tgt, row_list, edge_cols, attr_cols,
                              I.typealg, dict(I.gen_env))

@@ -108,12 +108,14 @@ def eval_query(Q: Query, J: SaturatedInstance) -> QueryResult:
     alphas = enumerate_transforms(frozen_instance(Q), J)
     rows = [Var(f"{i + 1}") for i in range(len(alphas))]
     attrs = {a.name: a for a in R.attributes}
+    names = Q.for_ctx.names()
+    returns = [(attrs[n], J.compile(Q.return_morph(n), names))
+               for n, _ in Q.return_ctx.bindings]
     attr_cols = {a: {} for a in R.attributes}
     for r, alpha in zip(rows, alphas):
         assign = alpha.row_assignment()
-        for n, _ in Q.return_ctx.bindings:
-            t = subst_map(Q.return_morph(n), assign)
-            attr_cols[attrs[n]][r] = J.eval_type(t)
+        for a, value in returns:
+            attr_cols[a][r] = value(assign)
     si = SaturatedInstance(R, {STAR: rows}, {}, attr_cols, J.typealg, {})
     return QueryResult(si)
 
@@ -200,11 +202,13 @@ def eval_uber_query(N: UberQuery, J: SaturatedInstance) -> SaturatedInstance:
         cb, crows, calphas = per[f.cod]
         m = b.key_for(f)
         crow_of = rows_by_assignment(crows, calphas)
+        names = b.for_ctx.names()
+        targets = [(n, J.compile(m(n), names, entity=True))
+                   for n in cb.for_ctx.names()]
         col = {}
         for r, alpha in zip(rows, alphas):
             assign = alpha.row_assignment()
-            target = {n: J.eval_entity(subst_map(m(n), assign))
-                      for n, s in cb.for_ctx.bindings}
+            target = {n: row(assign) for n, row in targets}
             hits = crow_of.get(frozenset(target.items()), [])
             if len(hits) != 1:
                 raise InvalidKeys(
@@ -215,11 +219,9 @@ def eval_uber_query(N: UberQuery, J: SaturatedInstance) -> SaturatedInstance:
     attr_cols = {}
     for a in R.attributes:
         b, rows, alphas = per[a.dom[0]]
-        col = {}
-        for r, alpha in zip(rows, alphas):
-            assign = alpha.row_assignment()
-            col[r] = J.eval_type(subst_map(b.return_for(a), assign))
-        attr_cols[a] = col
+        value = J.compile(b.return_for(a), b.for_ctx.names())
+        attr_cols[a] = {r: value(alpha.row_assignment())
+                        for r, alpha in zip(rows, alphas)}
     return SaturatedInstance(R, row_list, edge_cols, attr_cols,
                              J.typealg, {})
 
@@ -228,10 +230,13 @@ def eval_uber_query(N: UberQuery, J: SaturatedInstance) -> SaturatedInstance:
 
 
 def crosscheck_migration(Q: Query, J: SaturatedInstance,
-                         budget: Budget = DEFAULT_BUDGET) -> str:
+                         budget: Budget = DEFAULT_BUDGET,
+                         direct: SaturatedInstance | None = None) -> str:
     """Evaluate Q directly and through the bimodule collage (restriction
-    after right extension); 'ok' if the two tables are isomorphic."""
-    direct = eval_query(Q, J).instance
+    after right extension); 'ok' if the two tables are isomorphic.  direct
+    is Q's result on J when the caller has it already."""
+    if direct is None:
+        direct = eval_query(Q, J).instance
     R, M = query_to_bimodule(Q)
     via = gamma(M, J, budget)
     if instances_isomorphic(direct, via):

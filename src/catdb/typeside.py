@@ -398,10 +398,13 @@ class TypeAlgebra:
         plain = TypeAlgebra(self.nulls)
         pending = [(ts_normalize(e.lhs, plain), ts_normalize(e.rhs, plain))
                    for e in self.hypotheses]
-        for _ in range(len(pending) + 4):  # fixpoint over substitution chains
+        # fixpoint over substitution chains; a pass in which no hypothesis
+        # dropped and no value changed leaves the next pass identical
+        for _ in range(len(pending) + 4):
             rest = []
-            for l, r in pending:
-                l, r = self._resubst(l), self._resubst(r)
+            changed = False
+            for l0, r0 in pending:
+                l, r = self._resubst(l0), self._resubst(r0)
                 if l == r:
                     continue
                 if not l.atoms() and not r.atoms():
@@ -409,8 +412,10 @@ class TypeAlgebra:
                     continue
                 if not self._try_subst(l, r) and not self._try_subst(r, l):
                     rest.append((l, r))
+                    changed = changed or l is not l0 or r is not r0
+            settled = not changed and len(rest) == len(pending)
             pending = rest
-            if not pending:
+            if not pending or settled:
                 break
         for l, r in pending:
             if isinstance(l, BoolForm) and isinstance(r, BConst):
@@ -594,40 +599,46 @@ def opaque_atom(term: Term, sort: Sort) -> CanonicalValue:
 def apply_symbol(sym: FunctionSymbol, args: list,
                  alg: "TypeAlgebra | None" = None) -> CanonicalValue:
     """Apply a built-in type symbol to canonical values."""
-    if alg is None:
-        alg = _EMPTY_ALGEBRA
+    op = _OPERATIONS.get(sym)
+    if op is None:
+        return _literal_value(sym)
+    return op(_EMPTY_ALGEBRA if alg is None else alg, *args)
+
+
+def symbol_operation(sym: FunctionSymbol):
+    """The operation of a built-in type symbol: a function of the type
+    algebra (in which `<=` and `eq` simplify) and the argument values."""
+    op = _OPERATIONS.get(sym)
+    if op is None:
+        value = _literal_value(sym)
+        return lambda alg: value
+    return op
+
+
+def _literal_value(sym: FunctionSymbol) -> CanonicalValue:
     if is_int_literal(sym):
         return IntPoly.const(int(sym.name))
     if is_str_literal(sym):
         return StrWord.lit(sym.name[1:-1])
-    if sym == ZERO:
-        return IntPoly.const(0)
-    if sym == ONE:
-        return IntPoly.const(1)
-    if sym == NEG:
-        return _as_poly(args[0]).neg()
-    if sym == PLUS:
-        return _as_poly(args[0]).add(_as_poly(args[1]))
-    if sym == TIMES:
-        return _as_poly(args[0]).mul(_as_poly(args[1]))
-    if sym == LE:
-        return alg.simplify(_le_atom(_as_poly(args[0]), _as_poly(args[1])))
-    if sym == TRUE:
-        return BTRUE
-    if sym == FALSE:
-        return BFALSE
-    if sym == NOT:
-        return _bnot(_as_bool(args[0]))
-    if sym in (AND, OR):
-        return _bnode("and" if sym == AND else "or",
-                      [_as_bool(a) for a in args])
-    if sym == EPS:
-        return StrWord(())
-    if sym == CONCAT:
-        return _as_word(args[0]).concat(_as_word(args[1]))
-    if sym == EQS:
-        return alg.simplify(_eq_atom(_as_word(args[0]), _as_word(args[1])))
     raise ValueError(f"not a type symbol: {sym}")
+
+
+_OPERATIONS = {
+    ZERO: lambda alg: IntPoly.const(0),
+    ONE: lambda alg: IntPoly.const(1),
+    NEG: lambda alg, a: _as_poly(a).neg(),
+    PLUS: lambda alg, a, b: _as_poly(a).add(_as_poly(b)),
+    TIMES: lambda alg, a, b: _as_poly(a).mul(_as_poly(b)),
+    LE: lambda alg, a, b: alg.simplify(_le_atom(_as_poly(a), _as_poly(b))),
+    TRUE: lambda alg: BTRUE,
+    FALSE: lambda alg: BFALSE,
+    NOT: lambda alg, a: _bnot(_as_bool(a)),
+    AND: lambda alg, a, b: _bnode("and", [_as_bool(a), _as_bool(b)]),
+    OR: lambda alg, a, b: _bnode("or", [_as_bool(a), _as_bool(b)]),
+    EPS: lambda alg: StrWord(()),
+    CONCAT: lambda alg, a, b: _as_word(a).concat(_as_word(b)),
+    EQS: lambda alg, a, b: alg.simplify(_eq_atom(_as_word(a), _as_word(b))),
+}
 
 
 def _as_poly(v) -> IntPoly:

@@ -1,7 +1,10 @@
 """Seeded random instance presentations for the property suites."""
 
+import importlib.util
 import random
 import string
+import sys
+from pathlib import Path
 
 from catdb.kernel import Context, Equation, Var, app
 from catdb.schema import Schema
@@ -44,6 +47,22 @@ def random_instance(rng: random.Random, schema: Schema,
                 eqs.append(Equation(
                     G, app(a, Var(n)), str_literal(word), STR))
     return InstancePresentation(schema, G, tuple(eqs))
+
+
+def bench_company(seed: int, n_emp: int, n_dept: int, **kw) -> str:
+    """The benchmark's workspace text: the declarations of
+    fixtures/paper.cdb, query SJ and instance W of
+    ``bench/gen.make_company(random.Random(seed), n_emp, n_dept, **kw)``."""
+    root = Path(__file__).resolve().parent.parent
+    gen = sys.modules.get("bench_gen")
+    if gen is None:
+        spec = importlib.util.spec_from_file_location(
+            "bench_gen", root / "bench" / "gen.py")
+        gen = sys.modules["bench_gen"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+    paper = (root / "fixtures" / "paper.cdb").read_text(encoding="utf-8")
+    return gen.workspace_text(
+        paper, gen.make_company(random.Random(seed), n_emp, n_dept, **kw))
 
 
 def word(rng: random.Random) -> str:

@@ -4,9 +4,10 @@
 simplification before values cached their atom sets: every value is
 rebuilt through the canonicalising constructors, whether or not any atom
 of it is substituted, and atom-free values run the whole fact and rewrite
-loop.  ``OracleTypeAlgebra`` compiles its hypotheses through them.  The
-tests compare ``catdb.typeside`` against these.  Nothing under ``src/``
-imports this.
+loop.  ``OracleTypeAlgebra`` compiles its hypotheses through them, in a
+fixpoint that runs every one of its passes: it does not stop at a pass
+that changes nothing.  The tests compare ``catdb.typeside`` against these.
+Nothing under ``src/`` imports this.
 """
 
 from __future__ import annotations
@@ -15,11 +16,42 @@ from catdb.kernel import Term
 from catdb.typeside import (
     BAtom, BConst, BNode, BoolForm, CanonicalValue, IntPoly, StrWord,
     TypeAlgebra, _apply_facts, _bnode, _bnot, _eq_atom, _le_atom,
+    _value_weight, ts_normalize,
 )
 
 
 class OracleTypeAlgebra(TypeAlgebra):
-    """`TypeAlgebra` with the rebuilding substitution and simplification."""
+    """`TypeAlgebra` with the rebuilding substitution and simplification
+    and the fixpoint without an early exit."""
+
+    def _compile(self):
+        if not self.hypotheses:
+            return
+        plain = TypeAlgebra(self.nulls)
+        pending = [(ts_normalize(e.lhs, plain), ts_normalize(e.rhs, plain))
+                   for e in self.hypotheses]
+        for _ in range(len(pending) + 4):
+            rest = []
+            for l, r in pending:
+                l, r = self._resubst(l), self._resubst(r)
+                if l == r:
+                    continue
+                if not l.atoms() and not r.atoms():
+                    self.inconsistent = True
+                    continue
+                if not self._try_subst(l, r) and not self._try_subst(r, l):
+                    rest.append((l, r))
+            pending = rest
+            if not pending:
+                break
+        for l, r in pending:
+            if isinstance(l, BoolForm) and isinstance(r, BConst):
+                self._facts[l] = r
+            elif isinstance(r, BoolForm) and isinstance(l, BConst):
+                self._facts[r] = l
+            else:
+                big, small = sorted((l, r), key=_value_weight, reverse=True)
+                self._rewrites.append((big, small))
 
     def _resubst(self, v: CanonicalValue) -> CanonicalValue:
         return apply_subst(v, self._subst)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -268,6 +269,15 @@ def chase(ip: InstancePresentation, budget: Budget = DEFAULT_BUDGET
     return cl, row_list
 
 
+def _rows_in(t: Term, cl: GroundClosure, gens: Context, is_ent) -> Term:
+    """t with each entity-sorted subterm replaced by its row."""
+    if is_ent(_term_sort(t, gens)):
+        return cl.representative(t)
+    if isinstance(t, Var):
+        return t
+    return App(t.symbol, tuple(_rows_in(a, cl, gens, is_ent) for a in t.args))
+
+
 def saturate(ip: InstancePresentation,
              budget: Budget = DEFAULT_BUDGET) -> SaturatedInstance:
     sch = ip.schema
@@ -280,13 +290,7 @@ def saturate(ip: InstancePresentation,
         f: {r: cl.representative(app(f, r)) for r in row_list[f.dom[0]]}
         for f in sch.edges}
 
-    def resolve(t: Term) -> Term:
-        if is_ent(_term_sort(t, gens)):
-            return cl.representative(t)
-        if isinstance(t, Var):
-            return t
-        assert isinstance(t, App)
-        return App(t.symbol, tuple(resolve(a) for a in t.args))
+    resolve = partial(_rows_in, cl=cl, gens=gens, is_ent=is_ent)
 
     hypotheses = [Equation(nulls, resolve(eq.lhs), resolve(eq.rhs), eq.sort)
                   for eq in ip.equations if not is_ent(eq.sort)]
@@ -332,11 +336,20 @@ def row_generator_names(si: SaturatedInstance) -> dict[Term, str]:
 
 def canonical_presentation(si: SaturatedInstance) -> InstancePresentation:
     """One generator per row and per null; one equation per edge cell, per
-    constrained attribute cell, and per residual type-algebra constraint.
+    constrained attribute cell, and per residual type-algebra constraint."""
+    return canonical_form(si)[0]
 
-    Constraints are re-expressed over this instance's own schema: an atom
-    that is not an attribute applied to a retained row (possible after a
-    pullback) becomes a fresh null generator."""
+
+def canonical_form(si: SaturatedInstance
+                   ) -> tuple[InstancePresentation, Callable[..., Term]]:
+    """The canonical presentation of si, and the function that writes a
+    value of si's type algebra as a term over its generators.
+
+    This is the one place that decides how an atom is written: an
+    attribute of a retained row as that attribute of the row's generator,
+    a null as itself.  While the presentation is built, any other atom
+    (possible after a pullback) becomes a fresh null generator; afterwards
+    an atom that no generator names is a domain error."""
     alg = si.typealg
     names = row_generator_names(si)
     used = set(names.values()) | {n for n, _ in alg.nulls.bindings}
@@ -344,6 +357,7 @@ def canonical_presentation(si: SaturatedInstance) -> InstancePresentation:
     attrs = set(si.schema.attributes)
     extra_nulls: list[tuple[str, Sort]] = []
     orphan: dict[Term, str] = {}
+    building = True
 
     def row_var(r: Term) -> Term:
         return Var(names[r])
@@ -354,6 +368,10 @@ def canonical_presentation(si: SaturatedInstance) -> InstancePresentation:
         if isinstance(at, App) and at.symbol in attrs and at.args[0] in names:
             return App(at.symbol, (row_var(at.args[0]),))
         if at not in orphan:
+            if not building:
+                raise DomainDependence(
+                    f"attribute cell depends on a value outside the image: "
+                    f"{render_term(at)}")
             sort = at.symbol.cod if isinstance(at, App) else None
             base = render_term(at).replace(".", "_").replace('"', "")
             name, k = base, 1
@@ -392,7 +410,9 @@ def canonical_presentation(si: SaturatedInstance) -> InstancePresentation:
     bindings += list(alg.nulls.bindings) + extra_nulls
     context = Context(tuple(bindings))
     eqs = [Equation(context, l, r, s) for l, r, s in eqs_raw]
-    return InstancePresentation(si.schema, context, tuple(eqs))
+    building = False
+    return (InstancePresentation(si.schema, context, tuple(eqs)),
+            partial(value_to_term, atom_fn=atom_term))
 
 
 # --- transforms ---------------------------------------------------------

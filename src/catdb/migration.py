@@ -11,6 +11,7 @@ which lambda and gamma are defined as composites of sigma/delta/pi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .kernel import (
     App, Context, Equation, FunctionSymbol, Sort, Term, Var, app, ctx,
@@ -22,12 +23,11 @@ from .schema import (
     saturate_entity_category,
 )
 from .instance import (
-    DomainDependence, InstancePresentation, SaturatedInstance,
-    canonical_presentation, enumerate_transforms, representable_instance,
+    InstancePresentation, SaturatedInstance, canonical_form,
+    enumerate_transforms, representable_instance,
     row_generator_names, rows_by_assignment, saturate,
 )
 from .rewrite import DEFAULT_BUDGET, Budget
-from .typeside import CanonicalValue, _bare_atom, map_value_atoms
 
 
 class MigrationError(Exception):
@@ -49,15 +49,20 @@ def delta(F: SchemaMapping, K: SaturatedInstance) -> SaturatedInstance:
     """Pullback: rows of s are K's rows at F(s); columns chase the images
     of edges and attributes; the type algebra is untouched."""
     src = F.source
-    row_list = {s: list(K.rows(F.on_entity(s))) for s in src.entities}
-    edge_cols = {}
-    for f in src.edges:
-        img = K.compile(F.on_edge(f), ("x",), entity=True)
-        edge_cols[f] = {r: img({"x": r}) for r in row_list[f.dom[0]]}
-    attr_cols = {}
-    for a in src.attributes:
-        img = K.compile(F.on_attr(a), ("x",))
-        attr_cols[a] = {r: img({"x": r}) for r in row_list[a.dom[0]]}
+    try:
+        row_list = {s: list(K.rows(F.on_entity(s))) for s in src.entities}
+        edge_img = {f: K.compile(F.on_edge(f), ("x",), entity=True)
+                    for f in src.edges}
+        attr_img = {a: K.compile(F.on_attr(a), ("x",)) for a in src.attributes}
+    except KeyError as exc:  # K has no table or column the image reads
+        what = ("table for entity" if isinstance(exc.args[0], Sort)
+                else "column for edge")
+        raise MigrationError(f"delta: the instance has no {what} "
+                             f"{exc.args[0].name}") from None
+    edge_cols = {f: {r: img({"x": r}) for r in row_list[f.dom[0]]}
+                 for f, img in edge_img.items()}
+    attr_cols = {a: {r: img({"x": r}) for r in row_list[a.dom[0]]}
+                 for a, img in attr_img.items()}
     return SaturatedInstance(src, row_list, edge_cols, attr_cols,
                              K.typealg, dict(K.gen_env))
 
@@ -109,26 +114,22 @@ def sigma_pointwise(F: SchemaMapping, I: SaturatedInstance) -> SaturatedInstance
 
 def pi(F: SchemaMapping, I: SaturatedInstance,
        budget: Budget = DEFAULT_BUDGET) -> SaturatedInstance:
-    """Right pushforward: a row at target entity t is a transform from the
-    canonical presentation of delta(F, saturate(y(t))) into I; edges act
-    by path precomposition, attributes by evaluating their value in the
-    representable's type algebra under the transform."""
+    """Right pushforward: a row at target entity t is a transform alpha
+    from the canonical presentation of delta(F, saturate(y(t))) into I.
+    Edges act by path precomposition.  A mapping is the identity on the
+    type side, so a row's attribute cell is the representable's value of
+    that attribute written over the presentation's generators and
+    evaluated in I at alpha; a value that the generators cannot write
+    depends on data outside the image of F, a domain error."""
     tgt = F.target
     per: dict[Sort, dict] = {}
     for t in tgt.entities:
         sat = saturate(representable_instance(tgt, t), budget)
         dI = delta(F, sat)
-        names = row_generator_names(dI)
-        cp = canonical_presentation(dI)
+        cp, term_of = canonical_form(dI)
         alphas = enumerate_transforms(cp, I)
-        # the atoms the algebra defines as another bare atom, by that atom
-        defined_as: dict[Term, list[Term]] = {}
-        for key, val in sat.typealg._subst.items():
-            bare = _bare_atom(val)
-            if bare is not None:
-                defined_as.setdefault(bare, []).append(key)
-        per[t] = {"sat": sat, "names": names, "alphas": alphas,
-                  "defined_as": defined_as,
+        per[t] = {"sat": sat, "names": row_generator_names(dI),
+                  "cp": cp, "term_of": term_of, "alphas": alphas,
                   "rows": [Var(f"{t.name.lower()}{i + 1}")
                            for i in range(len(alphas))]}
 
@@ -137,46 +138,6 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
                 for t in tgt.entities}
     row_of = {t: rows_by_assignment(per[t]["rows"], per[t]["alphas"])
               for t in tgt.entities}
-
-    def resolve_atom_fn(t, alpha):
-        names = per[t]["names"]
-        assign = alpha.row_assignment()
-        alg = per[t]["sat"].typealg
-        defined_as = per[t]["defined_as"]
-
-        def direct(atom: Term) -> CanonicalValue | None:
-            if isinstance(atom, App) and atom.args and atom.args[0] in names:
-                att, r2 = atom.symbol, atom.args[0]
-                if att in I.attr_cols:
-                    return I.attr_cols[att][assign[names[r2]]]
-            return None
-
-        def fn(atom: Term, _seen=None) -> CanonicalValue:
-            v = direct(atom)
-            if v is not None:
-                return v
-            # the algebra may know this atom as the definition of a
-            # resolvable one (e.g. a pulled-back copy of the same cell)
-            for key in defined_as.get(atom, ()):
-                v = direct(key)
-                if v is not None:
-                    return v
-            # or relate it to an expressible value in an unoriented way
-            seen = _seen or frozenset()
-            if atom not in seen:
-                for big, small in alg._rewrites:
-                    for this, other in ((big, small), (small, big)):
-                        if _bare_atom(this) == atom:
-                            try:
-                                return I.typealg.simplify(map_value_atoms(
-                                    other,
-                                    lambda a: fn(a, seen | {atom})))
-                            except DomainDependence:
-                                continue
-            raise DomainDependence(
-                f"attribute cell depends on a value outside the image: "
-                f"{render_term(atom)}")
-        return fn
 
     edge_cols = {}
     for h in tgt.edges:
@@ -205,19 +166,15 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
         edge_cols[h] = col
 
     attr_cols = {}
-    resolvers: dict = {}  # (t, row) -> its atom resolver, built once
     for a in tgt.attributes:
-        t = a.dom[0]
-        rows = per[t]["rows"]
+        d = per[a.dom[0]]
         col = {}
-        if rows:
-            sat_t = per[t]["sat"]
+        if d["rows"]:
+            sat_t = d["sat"]
             v0 = sat_t.eval_type(app(a, Var("x")), {"x": sat_t.gen_env["x"]})
-        for row in rows:
-            fn = resolvers.get((t, row))
-            if fn is None:
-                fn = resolvers[t, row] = resolve_atom_fn(t, alpha_of[t][row])
-            col[row] = I.typealg.simplify(map_value_atoms(v0, fn))
+            cell = I.compile(d["term_of"](v0), d["cp"].generators.names())
+            for row, alpha in zip(d["rows"], d["alphas"]):
+                col[row] = cell(dict(alpha.rows + alpha.vals))
         attr_cols[a] = col
 
     out = SaturatedInstance(tgt, row_list, edge_cols, attr_cols,
@@ -360,15 +317,12 @@ def rename_schema(s: Schema, ren) -> tuple[Schema, SchemaMapping]:
     for a in s.attributes:
         syms[a] = FunctionSymbol(ren(a.name), (ents[a.dom[0]],), a.cod)
 
-    def rt(t: Term) -> Term:
-        if isinstance(t, Var):
-            return t
-        return App(syms.get(t.symbol, t.symbol), tuple(rt(x) for x in t.args))
-
     def req(eq: Equation) -> Equation:
         c = Context(tuple((n, ents.get(srt, srt))
                           for n, srt in eq.context.bindings))
-        return Equation(c, rt(eq.lhs), rt(eq.rhs), ents.get(eq.sort, eq.sort))
+        return Equation(c, _rename_symbols(eq.lhs, syms),
+                        _rename_symbols(eq.rhs, syms),
+                        ents.get(eq.sort, eq.sort))
 
     pres = s.presentation
     copy = compile_schema(SchemaPresentation(
@@ -383,6 +337,24 @@ def rename_schema(s: Schema, ren) -> tuple[Schema, SchemaMapping]:
         {f: app(syms[f], Var("x")) for f in s.edges},
         {a: app(syms[a], Var("x")) for a in s.attributes})
     return copy, to_copy
+
+
+def _rename_symbols(t: Term, syms: dict) -> Term:
+    if isinstance(t, Var):
+        return t
+    return App(syms.get(t.symbol, t.symbol),
+               tuple(_rename_symbols(x, syms) for x in t.args))
+
+
+def _map_observables(t: Term, schema: Schema, fn) -> Term:
+    """t with fn applied to each largest subterm headed by an edge or an
+    attribute of schema."""
+    if isinstance(t, Var):
+        return t
+    if t.symbol in schema.edges or t.symbol in schema.attributes:
+        return fn(t)
+    return App(t.symbol,
+               tuple(_map_observables(a, schema, fn) for a in t.args))
 
 
 def compose_bimodules(M: BimodulePresentation, N: BimodulePresentation,
@@ -438,24 +410,21 @@ def compose_bimodules(M: BimodulePresentation, N: BimodulePresentation,
     t_ents = set(tp.entities)
     s_ents = set(sp.entities)
 
-    def tau(t: Term) -> Term:
-        """Rewrite a double-collage observable over x:r into the composite
-        bimodule's language."""
-        if isinstance(t, Var):
-            return t
-        sym = t.symbol
-        if sym in double.edges or sym in double.attributes:
-            nt = _norm_obs(double, t)
-            asym = nt.symbol
-            if asym in double.attributes:
-                dom = asym.dom[0]
-                if asym in r_attrs or dom in set(rp.entities):
-                    return nt
-                if dom in s_ents:
-                    return app(gen_attrs[nt], x)
-                return App(asym, (app(gen_edges[nt.args[0]], x),))
-            raise SchemaError(f"entity-sorted term in observable position: {t}")
-        return App(sym, tuple(tau(a) for a in t.args))
+    def observable(t: Term) -> Term:
+        """A double-collage observable over x:r, headed by an edge or an
+        attribute, in the composite bimodule's language."""
+        nt = _norm_obs(double, t)
+        asym = nt.symbol
+        if asym in double.attributes:
+            dom = asym.dom[0]
+            if asym in r_attrs or dom in set(rp.entities):
+                return nt
+            if dom in s_ents:
+                return app(gen_attrs[nt], x)
+            return App(asym, (app(gen_edges[nt.args[0]], x),))
+        raise SchemaError(f"entity-sorted term in observable position: {t}")
+
+    tau = partial(_map_observables, schema=double, fn=observable)
 
     eqs: list[Equation] = []
     for p, E in gen_edges.items():

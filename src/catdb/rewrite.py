@@ -339,26 +339,22 @@ def complete(pres: Presentation, order: TermOrder | None = None,
 def _tidy_rule(rule: RewriteRule) -> RewriteRule:
     """Rename rule variables canonically (x, y, z, v3, ...)."""
     names: list[str] = []
-
-    def collect(t: Term):
-        if isinstance(t, Var):
-            if t.name not in names:
-                names.append(t.name)
-        else:
-            for a in t.args:
-                collect(a)
-
-    collect(rule.lhs)
-    collect(rule.rhs)
+    _collect_vars(rule.lhs, names)
+    _collect_vars(rule.rhs, names)
     fresh = ["x", "y", "z"] + [f"v{i}" for i in range(3, len(names) + 3)]
     ren = {old: Var(new) for old, new in zip(names, fresh)}
+    return RewriteRule(rule.context, subst_map(rule.lhs, ren),
+                       subst_map(rule.rhs, ren))
 
-    def rename(t: Term) -> Term:
-        if isinstance(t, Var):
-            return ren[t.name]
-        return App(t.symbol, tuple(rename(a) for a in t.args))
 
-    return RewriteRule(rule.context, rename(rule.lhs), rename(rule.rhs))
+def _collect_vars(t: Term, names: list[str]) -> None:
+    """Append t's variables to names, in order of first occurrence."""
+    if isinstance(t, Var):
+        if t.name not in names:
+            names.append(t.name)
+    else:
+        for a in t.args:
+            _collect_vars(a, names)
 
 
 # --- ground congruence closure -----------------------------------------

@@ -248,6 +248,56 @@ class TestMigrate:
         assert 'd2.name = "Admin"' in out.splitlines()
 
 
+class TestMigrateAcrossSchemas:
+    """Mappings between schemas that share no function symbol: an
+    isomorphism for pi, and instances missing a table or a column for
+    delta."""
+
+    WORKSPACE = """\
+schema S2 { entities A; attributes p : A -> Int; }
+schema T3 { entities B; attributes p : B -> Int; }
+schema T4 { entities B; attributes p : B -> Int, q : B -> Int; }
+schema S5 { entities A; edges e : A -> A; }
+schema T5 { entities A; edges e2 : A -> A; }
+mapping Iso : S2 -> T3 { entity A -> B; attribute p -> p; }
+mapping Wide : S2 -> T4 { entity A -> B; attribute p -> p; }
+mapping Ren : S5 -> T5 { entity A -> A; edge e -> e2; }
+instance K on S2 { generators a1 a2 : A; equations a1.p = 5, a2.p = 7; }
+instance K5 on S5 { generators a : A; equations a.e = a; }
+"""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "iso.cdb"
+        path.write_text(self.WORKSPACE, encoding="utf-8")
+        return str(path)
+
+    def migrate(self, capsys, path, mapping, mode, instance="K"):
+        return run(capsys, "migrate", path, "--mapping", mapping,
+                   "--instance", instance, "--mode", mode)
+
+    def test_pi_along_an_isomorphism(self, capsys, path):
+        code, out, err = self.migrate(capsys, path, "Iso", "pi")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == ["b1 | 5", "b2 | 7"]
+
+    def test_pi_attribute_without_preimage(self, capsys, path):
+        code, out, err = self.migrate(capsys, path, "Wide", "pi")
+        assert (code, out) == (1, "")
+        assert err == ("error: attribute cell depends on a value outside "
+                       "the image: x.q\n")
+
+    def test_delta_missing_entity(self, capsys, path):
+        code, out, err = self.migrate(capsys, path, "Iso", "delta")
+        assert (code, out) == (1, "")
+        assert err == "error: delta: the instance has no table for entity B\n"
+
+    def test_delta_missing_edge(self, capsys, path):
+        code, out, err = self.migrate(capsys, path, "Ren", "delta", "K5")
+        assert (code, out) == (1, "")
+        assert err == "error: delta: the instance has no column for edge e2\n"
+
+
 class TestStringLiterals:
     @staticmethod
     def workspace(tmp_path, literal):
@@ -366,6 +416,8 @@ class TestGeneratedDeterminism:
     @pytest.mark.parametrize("extra", [
         ("saturate", "--format", "json"),
         ("migrate", "--mapping", "H", "--mode", "sigma", "--saturate"),
+        ("migrate", "--mapping", "G", "--mode", "pi"),
+        ("query", "--query", "Q", "--crosscheck"),
     ])
     def test_byte_identical_across_hash_seeds(self, company, extra):
         argv = (extra[0], company, "--instance", "W", *extra[1:])

@@ -4,9 +4,10 @@
 `eval_entity` and `eval_type` compile and apply.  These tests compare them
 with the interpreter kept in `tests/eval_oracle.py` on random terms over
 null-bearing company instances, walk a path deeper than the recursion
-limit, check that compiled plans leave no cyclic garbage, that the type
-stage's early exit compiles what the full fixpoint does, and that
-`catdb query --crosscheck` evaluates its query once.
+limit, check that compiled plans and the engine's operations leave no
+cyclic garbage, that the type stage's early exit compiles what the full
+fixpoint does, and that `catdb query --crosscheck` evaluates its query
+once.
 """
 
 import gc
@@ -23,7 +24,10 @@ from catdb.instance import InstanceError, enumerate_transforms, saturate
 from catdb.kernel import (
     App, Context, Equation, FunctionSymbol, Sort, Var, int_literal,
 )
-from catdb.query import crosscheck_migration, eval_query
+from catdb.migration import (
+    companion_presentation, compose_bimodules, pi, rename_schema, sigma,
+)
+from catdb.query import crosscheck_migration, eval_query, eval_uber_query
 from catdb.typeside import (
     AND, BOOL, CONCAT, EPS, EQS, FALSE, INT, LE, NEG, NOT, OR, PLUS, STR,
     TIMES, TRUE, IntPoly, StrWord, TypeAlgebra, apply_symbol, opaque_atom,
@@ -234,6 +238,34 @@ def test_plans_leave_no_cyclic_garbage(ws, satJ):
         enumerate_transforms(ws.instances["I"], satJ)
         assert gc.collect() == 0
         eval_query(ws.queries["Q"], satJ)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _composite_companion(S):
+    copy1, r1 = rename_schema(S, lambda n: n + "_c")
+    _, r2 = rename_schema(copy1, lambda n: n + "c")
+    return compose_bimodules(companion_presentation(r1, "p"),
+                             companion_presentation(r2, "q"))
+
+
+ENGINE_OPS = {
+    "saturate": lambda ws, J: saturate(ws.instances["J"]),
+    "pi": lambda ws, J: pi(ws.mappings["G"], J),
+    "sigma": lambda ws, J: saturate(sigma(ws.mappings["H"], ws.instances["J"])),
+    "uberquery": lambda ws, J: eval_uber_query(ws.uberqueries["N"], J),
+    "crosscheck": lambda ws, J: crosscheck_migration(ws.queries["Q"], J),
+    "compose_bimodules": lambda ws, J: _composite_companion(ws.schemas["S"]),
+}
+
+
+@pytest.mark.parametrize("op", list(ENGINE_OPS))
+def test_engine_ops_leave_no_cyclic_garbage(ws, satJ, op):
+    gc.collect()
+    gc.disable()
+    try:
+        ENGINE_OPS[op](ws, satJ)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -742,6 +742,51 @@ def hom_count(src: InstancePresentation, dst: SaturatedInstance) -> int:
     return len(enumerate_transforms(src, dst))
 
 
+def tabulate(schema: Schema, J: SaturatedInstance, blocks: dict,
+             keys: Callable, returns: Callable):
+    """The tables of a For-Where-Return evaluation over J.  blocks maps
+    each entity of schema to a row-name prefix and a presentation; its rows
+    are the transforms from the presentation into J, named prefix1,
+    prefix2, ...  Edge f sends a row to the row whose transform is the
+    row's precomposed with keys(f), which writes each generator of f.cod's
+    block as a term over f.dom's; attribute a reads returns(a), a term over
+    a.dom's block, at the row's transform.  keys and returns are called
+    after every block is enumerated, never for a block with no rows.
+    Returns the instance and each entity's rows and transforms."""
+    per = {}
+    for e, (prefix, pres) in blocks.items():
+        alphas = enumerate_transforms(pres, J)
+        per[e] = ([Var(f"{prefix}{i + 1}") for i in range(len(alphas))],
+                  alphas, pres.generators.names(),
+                  [dict(t.rows + t.vals) for t in alphas])
+    row_of = {e: rows_by_assignment(*per[e][:2])
+              for e in {f.cod for f in schema.edges}}
+    edge_cols = {f: {} for f in schema.edges}
+    for f, col in edge_cols.items():
+        rows, _, names, envs = per[f.dom[0]]
+        if not rows:
+            continue
+        cells = [(g, J.compile(t, names, entity=True))
+                 for g, t in keys(f).items()]
+        for row, env in zip(rows, envs):
+            key = frozenset((g, cell(env)) for g, cell in cells)
+            hits = row_of[f.cod].get(key, ())
+            if len(hits) != 1:
+                raise InstanceError(f"the keys of edge {f.name} do not "
+                                    f"determine a unique row")
+            col[row] = hits[0]
+    attr_cols = {a: {} for a in schema.attributes}
+    for a, col in attr_cols.items():
+        rows, _, names, envs = per[a.dom[0]]
+        if rows:
+            cell = J.compile(returns(a), names)
+            col.update((row, cell(env)) for row, env in zip(rows, envs))
+    row_list = {e: per[e][0] for e in schema.entities}
+    return (SaturatedInstance(schema, row_list, edge_cols, attr_cols,
+                              J.typealg, {}),
+            {e: per[e][:2] for e in schema.entities})
+
+
 def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
                          entity_names: dict | None = None,
                          column_names: dict | None = None) -> bool:
@@ -771,10 +816,7 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
     def atom_sort(at, alg):
         if isinstance(at, App):
             return at.symbol.cod
-        for n, s in alg.nulls.bindings:
-            if n == at.name:
-                return s
-        return at.sort if hasattr(at, "sort") else None
+        return alg.nulls.sort_of(at.name) if at.name in alg.nulls else None
 
     def shape_and_atoms(v, alg):
         atoms = sorted(v.atoms(), key=term_key)

@@ -24,8 +24,7 @@ from .schema import (
 )
 from .instance import (
     InstancePresentation, SaturatedInstance, canonical_form,
-    enumerate_transforms, representable_instance,
-    row_generator_names, rows_by_assignment, saturate,
+    representable_instance, row_generator_names, saturate, tabulate,
 )
 from .rewrite import DEFAULT_BUDGET, Budget
 
@@ -122,64 +121,31 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
     evaluated in I at alpha; a value that the generators cannot write
     depends on data outside the image of F, a domain error."""
     tgt = F.target
-    per: dict[Sort, dict] = {}
+    per, blocks = {}, {}
     for t in tgt.entities:
         sat = saturate(representable_instance(tgt, t), budget)
         dI = delta(F, sat)
         cp, term_of = canonical_form(dI)
-        alphas = enumerate_transforms(cp, I)
-        per[t] = {"sat": sat, "names": row_generator_names(dI),
-                  "cp": cp, "term_of": term_of, "alphas": alphas,
-                  "rows": [Var(f"{t.name.lower()}{i + 1}")
-                           for i in range(len(alphas))]}
+        per[t] = (sat, row_generator_names(dI), term_of)
+        blocks[t] = (t.name.lower(), cp)
 
-    row_list = {t: list(per[t]["rows"]) for t in tgt.entities}
-    alpha_of = {t: dict(zip(per[t]["rows"], per[t]["alphas"]))
-                for t in tgt.entities}
-    row_of = {t: rows_by_assignment(per[t]["rows"], per[t]["alphas"])
-              for t in tgt.entities}
+    def keys(h: FunctionSymbol) -> dict[str, Term]:
+        # each generator of y(t1), a row that is a path term over x:t1,
+        # precomposed with h lands on a row of y(t), named by its generator
+        (sat, names, _), names1 = per[h.dom[0]], per[h.cod][1]
+        x = {"x": sat.gen_env["x"]}
+        return {g1: Var(names[sat.eval_entity(
+                    subst_map(r1, {"x": app(h, Var("x"))}), x)])
+                for r1, g1 in names1.items()}
 
-    edge_cols = {}
-    for h in tgt.edges:
-        t, t1 = h.dom[0], h.cod
-        names_t, names_t1 = per[t]["names"], per[t1]["names"]
-        sat_t = per[t]["sat"]
-        rows = per[t]["rows"]
-        # (generator of y(t1), generator of y(t) it lands on when its row,
-        # a path term over x:t1, is precomposed with h), once for all rows
-        pre = []
-        if rows:
-            x_t = {"x": sat_t.gen_env["x"]}
-            for r1, g1 in names_t1.items():
-                r_in_t = sat_t.eval_entity(
-                    subst_map(r1, {"x": app(h, Var("x"))}), x_t)
-                pre.append((g1, names_t[r_in_t]))
-        col = {}
-        for row in rows:
-            assign = alpha_of[t][row].row_assignment()
-            beta = {g1: assign[g] for g1, g in pre if g in assign}
-            hits = row_of[t1].get(frozenset(beta.items()), [])
-            if len(hits) != 1:
-                raise MigrationError("edge precomposition did not land on "
-                                     "a unique row")
-            col[row] = hits[0]
-        edge_cols[h] = col
+    def returns(a: FunctionSymbol) -> Term:
+        sat, _, term_of = per[a.dom[0]]
+        return term_of(sat.eval_type(app(a, Var("x")),
+                                     {"x": sat.gen_env["x"]}))
 
-    attr_cols = {}
-    for a in tgt.attributes:
-        d = per[a.dom[0]]
-        col = {}
-        if d["rows"]:
-            sat_t = d["sat"]
-            v0 = sat_t.eval_type(app(a, Var("x")), {"x": sat_t.gen_env["x"]})
-            cell = I.compile(d["term_of"](v0), d["cp"].generators.names())
-            for row, alpha in zip(d["rows"], d["alphas"]):
-                col[row] = cell(dict(alpha.rows + alpha.vals))
-        attr_cols[a] = col
-
-    out = SaturatedInstance(tgt, row_list, edge_cols, attr_cols,
-                            I.typealg, {})
-    out.pi_details = per
+    out, found = tabulate(tgt, I, blocks, keys, returns)
+    out.pi_details = {t: {"rows": rows, "alphas": alphas}
+                      for t, (rows, alphas) in found.items()}
     return out
 
 

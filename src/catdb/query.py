@@ -21,8 +21,7 @@ from .kernel import (
 from .schema import Schema, SchemaPresentation, compile_schema
 from .instance import (
     DomainDependence, InstancePresentation, SaturatedInstance, Transform,
-    check_transform, enumerate_transforms, instances_isomorphic,
-    render_tables, rows_by_assignment, saturate,
+    check_transform, instances_isomorphic, render_tables, saturate, tabulate,
 )
 from .migration import BimodulePresentation, gamma
 from .rewrite import DEFAULT_BUDGET, Budget
@@ -105,19 +104,10 @@ def eval_query(Q: Query, J: SaturatedInstance) -> QueryResult:
         raise DomainDependence(
             f"FOR variables without entity sorts: {', '.join(bad)}")
     R, _ = query_to_bimodule(Q)
-    alphas = enumerate_transforms(frozen_instance(Q), J)
-    rows = [Var(f"{i + 1}") for i in range(len(alphas))]
-    attrs = {a.name: a for a in R.attributes}
-    names = Q.for_ctx.names()
-    returns = [(attrs[n], J.compile(Q.return_morph(n), names))
-               for n, _ in Q.return_ctx.bindings]
-    attr_cols = {a: {} for a in R.attributes}
-    for r, alpha in zip(rows, alphas):
-        assign = alpha.row_assignment()
-        for a, value in returns:
-            attr_cols[a][r] = value(assign)
-    si = SaturatedInstance(R, {STAR: rows}, {}, attr_cols, J.typealg, {})
-    return QueryResult(si)
+    # one block, rows named 1, 2, ...; R has no edges, so no keys
+    out, _ = tabulate(R, J, {STAR: ("", frozen_instance(Q))}, None,
+                      lambda a: Q.return_morph(a.name))
+    return QueryResult(out)
 
 
 # --- uber-queries -------------------------------------------------------
@@ -158,7 +148,8 @@ class UberQuery:
 
 def check_uber_query(N: UberQuery) -> None:
     """Domain independence per block; each keys morphism must be a valid
-    transform between the frozen instances of its blocks."""
+    transform between the frozen instances of its blocks; every result
+    entity needs a block that returns each of its attributes."""
     for e, b in N.blocks:
         bad = [n for n, s in b.for_ctx.bindings if not N.schema.is_entity(s)]
         if bad:
@@ -184,46 +175,20 @@ def check_uber_query(N: UberQuery) -> None:
                 raise InvalidKeys(
                     f"keys morphism for {f.name} violates WHERE equations: "
                     f"{'; '.join(errs)}")
+    for e in N.result_schema.entities:
+        b = N.block_for(e)
+        for a in N.result_schema.attrs_from(e):
+            b.return_for(a)
 
 
 def eval_uber_query(N: UberQuery, J: SaturatedInstance) -> SaturatedInstance:
     check_uber_query(N)
-    R = N.result_schema
-    per = {}
-    for e, b in N.blocks:
-        pres = InstancePresentation(N.schema, b.for_ctx, tuple(b.where_eqs))
-        alphas = enumerate_transforms(pres, J)
-        rows = [Var(f"{e.name.lower()}{i + 1}") for i in range(len(alphas))]
-        per[e] = (b, rows, alphas)
-    row_list = {e: list(per[e][1]) for e in R.entities}
-    edge_cols = {}
-    for f in R.edges:
-        b, rows, alphas = per[f.dom[0]]
-        cb, crows, calphas = per[f.cod]
-        m = b.key_for(f)
-        crow_of = rows_by_assignment(crows, calphas)
-        names = b.for_ctx.names()
-        targets = [(n, J.compile(m(n), names, entity=True))
-                   for n in cb.for_ctx.names()]
-        col = {}
-        for r, alpha in zip(rows, alphas):
-            assign = alpha.row_assignment()
-            target = {n: row(assign) for n, row in targets}
-            hits = crow_of.get(frozenset(target.items()), [])
-            if len(hits) != 1:
-                raise InvalidKeys(
-                    f"keys morphism for {f.name} does not determine a "
-                    f"unique row")
-            col[r] = hits[0]
-        edge_cols[f] = col
-    attr_cols = {}
-    for a in R.attributes:
-        b, rows, alphas = per[a.dom[0]]
-        value = J.compile(b.return_for(a), b.for_ctx.names())
-        attr_cols[a] = {r: value(alpha.row_assignment())
-                        for r, alpha in zip(rows, alphas)}
-    return SaturatedInstance(R, row_list, edge_cols, attr_cols,
-                             J.typealg, {})
+    blocks = {e: (e.name.lower(), InstancePresentation(
+                  N.schema, b.for_ctx, tuple(b.where_eqs)))
+              for e, b in N.blocks}
+    return tabulate(N.result_schema, J, blocks,
+                    lambda f: N.block_for(f.dom[0]).key_for(f).as_dict(),
+                    lambda a: N.block_for(a.dom[0]).return_for(a))[0]
 
 
 # --- the migration cross-check -----------------------------------------

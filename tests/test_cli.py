@@ -264,6 +264,7 @@ mapping Wide : S2 -> T4 { entity A -> B; attribute p -> p; }
 mapping Ren : S5 -> T5 { entity A -> A; edge e -> e2; }
 instance K on S2 { generators a1 a2 : A; equations a1.p = 5, a2.p = 7; }
 instance K5 on S5 { generators a : A; equations a.e = a; }
+instance K0 on S2 { }
 """
 
     @pytest.fixture
@@ -286,6 +287,11 @@ instance K5 on S5 { generators a : A; equations a.e = a; }
         assert (code, out) == (1, "")
         assert err == ("error: attribute cell depends on a value outside "
                        "the image: x.q\n")
+
+    def test_pi_attribute_without_preimage_and_no_rows(self, capsys, path):
+        # q is read only at rows, and there are none
+        code, out, err = self.migrate(capsys, path, "Wide", "pi", "K0")
+        assert (code, out, err) == (0, "B | p | q\n--+---+--\n", "")
 
     def test_delta_missing_entity(self, capsys, path):
         code, out, err = self.migrate(capsys, path, "Iso", "delta")
@@ -418,6 +424,7 @@ class TestGeneratedDeterminism:
         ("migrate", "--mapping", "H", "--mode", "sigma", "--saturate"),
         ("migrate", "--mapping", "G", "--mode", "pi"),
         ("query", "--query", "Q", "--crosscheck"),
+        ("query", "--query", "N"),
     ])
     def test_byte_identical_across_hash_seeds(self, company, extra):
         argv = (extra[0], company, "--instance", "W", *extra[1:])

@@ -15,7 +15,7 @@ from catdb.instance import (
     InstancePresentation, SaturatedInstance, Transform, canonical_presentation,
     check_transform, enumerate_transforms, hom_count, instances_isomorphic,
     observable_decide, render_tables, representable_instance, saturate,
-    tables, tables_json,
+    tables, tables_json, tabulate,
 )
 from catdb.typeside import (
     INT, LE, STR, TRUE, int_term, str_literal, ts_normalize,
@@ -145,6 +145,63 @@ class TestTransforms:
         with pytest.raises(InstanceError):
             enumerate_transforms(other, satJ)
 
+
+
+class TestTabulate:
+    """The one For-Where-Return evaluator: a row per transform, an edge
+    cell by precomposition with the keys, an attribute cell by the return
+    term.  Blocks X (employees named `last`) and Y (departments named
+    `name`) with k : X -> Y keyed by d := e.wrk and u : Y -> Str."""
+
+    @staticmethod
+    def tabulate(ws, last, name, keys, returns):
+        S = ws.schemas["S"]
+        ents, syms = by_name(S.entities), by_name(S.attributes)
+        X, Y = Sort("X"), Sort("Y")
+        R = compile_schema(SchemaPresentation(
+            (X, Y), (FunctionSymbol("k", (X,), Y),),
+            (FunctionSymbol("u", (Y,), STR),)))
+
+        def block(var, entity, attr, value):
+            G = ctx((var, ents[entity]))
+            return InstancePresentation(S, G, () if value is None else (
+                Equation(G, app(syms[attr], Var(var)), str_literal(value),
+                         STR),))
+        blocks = {X: ("x", block("e", "Emp", "last", last)),
+                  Y: ("y", block("d", "Dept", "name", name))}
+        return tabulate(R, saturate(ws.instances["J"]), blocks, keys,
+                        returns)
+
+    def test_keys_and_returns(self, ws):
+        wrk = by_name(ws.schemas["S"].edges)["wrk"]
+        name = by_name(ws.schemas["S"].attributes)["name"]
+        out, found = self.tabulate(
+            ws, "Euclid", None, lambda f: {"d": app(wrk, Var("e"))},
+            lambda a: app(name, Var("d")))
+        (x_rows, _), (y_rows, alphas) = found.values()
+        assert [r.name for r in x_rows] == ["x1"]
+        assert len(y_rows) == len(alphas) == 3
+        k, = out.schema.edges
+        d = dict(alphas[y_rows.index(out.edge_cols[k][x_rows[0]])].rows)["d"]
+        assert render_term(d) == "d2"  # Euclid works in d2
+        assert tables(out)["entities"]["Y"]["rows"] == [
+            ["y1", '"HR"'], ["y2", '"Admin"'], ["y3", '"IT"']]
+
+    def test_keys_that_reach_no_row_name_the_edge(self, ws):
+        # Gauss works in d3, which is not the one Admin row of Y
+        wrk = by_name(ws.schemas["S"].edges)["wrk"]
+        with pytest.raises(InstanceError, match="^the keys of edge k do "
+                           "not determine a unique row$"):
+            self.tabulate(ws, "Gauss", "Admin",
+                          lambda f: {"d": app(wrk, Var("e"))},
+                          lambda a: Var("nowhere"))
+
+    def test_no_call_for_a_block_without_rows(self, ws):
+        def never(_):
+            raise AssertionError("called for a block with no rows")
+        out, found = self.tabulate(ws, "Nobody", "Nowhere", never, never)
+        assert [rows for rows, _ in found.values()] == [[], []]
+        assert out.total_rows() == 0 and list(out.attr_cols.values()) == [{}]
 
 def renamed_generators(ip, prefix="s_"):
     """ip with every generator name prefixed, so none names a row."""

@@ -119,6 +119,22 @@ class TestUberQuery:
         with pytest.raises(InvalidKeys):
             check_uber_query(bad)
 
+    def test_every_result_entity_needs_its_block_and_returns(self, ws, satJ):
+        # refused before evaluation, so also where the block has no rows
+        N = ws.uberqueries["N"]
+        (eA, bA), (eAp, bAp) = N.blocks
+        last = {a.name: a for a in N.schema.attributes}["last"]
+        nobody = Equation(bAp.for_ctx, app(last, Var("e'")),
+                          str_literal("Nobody"), STR)
+        no_return = UberBlock(bAp.for_ctx, bAp.where_eqs + (nobody,),
+                              bAp.keys, ())
+        for blocks, msg in [
+                (((eA, bA), (eAp, no_return)),
+                 "no return assignment for attribute emp_last"),
+                (((eA, bA),), "no block for result entity A'")]:
+            bad = UberQuery(N.schema, N.result_schema, blocks)
+            with pytest.raises(QueryError, match=f"^{msg}$"):
+                eval_uber_query(bad, satJ)
 
 class TestDeterminism:
     def test_same_tables_every_run(self, ws):

@@ -138,6 +138,9 @@ def cmd_homs(ws: Workspace, args) -> int:
 
 
 def cmd_query(ws: Workspace, args) -> int:
+    if args.crosscheck and args.query in ws.uberqueries:
+        raise UsageError(f"--crosscheck needs a query; {args.query} is an "
+                         "uberquery")
     J = saturate(_pick(ws.instances, args.instance, "instance"), args.budget)
     if args.query in ws.uberqueries:
         _emit_instance(eval_uber_query(ws.uberqueries[args.query], J),
@@ -175,7 +178,10 @@ def cmd_migrate(ws: Workspace, args) -> int:
 
 
 def budget(text: str) -> Budget:
-    return Budget(critical_pairs=int(text), rows=int(text))
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return Budget(critical_pairs=n, rows=n)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -347,13 +347,14 @@ def term_vars(t: Term) -> set[str]:
 
 def term_key(t: Term) -> tuple:
     """Deterministic ordering key: height first, then a lexicographic spine."""
-    return (term_height(t), term_size(t), _spine(t))
+    return (term_height(t), term_size(t), spine(t))
 
 
-def _spine(t: Term) -> tuple:
+def spine(t: Term) -> tuple:
+    """Ordering key on the spelling alone: names, variables first."""
     if isinstance(t, Var):
         return (0, t.name)
-    return (1, t.symbol.name) + tuple(_spine(a) for a in t.args)
+    return (1, t.symbol.name) + tuple(spine(a) for a in t.args)
 
 
 def enumerate_terms(sig: AlgSignature, context: Context, sort: Sort,

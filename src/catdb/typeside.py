@@ -21,7 +21,7 @@ from itertools import groupby
 from .kernel import (
     App, Context, FunctionSymbol, Sort, Term, Var, app,
     hash_once, int_literal, is_int_literal, is_str_literal, render_term,
-    str_literal_symbol,
+    spine, str_literal_symbol,
 )
 from .rewrite import EqResult
 
@@ -70,12 +70,6 @@ def int_term(n: int) -> Term:
 # --- canonical values ---------------------------------------------------
 
 
-def _atom_key(t: Term):
-    if isinstance(t, Var):
-        return (0, t.name)
-    return (1, t.symbol.name) + tuple(_atom_key(a) for a in t.args)
-
-
 # shared by every atom-free value, so that caching its atoms allocates nothing
 _NO_ATOMS: frozenset = frozenset()
 
@@ -120,7 +114,7 @@ class IntPoly(CanonicalValue):
     @staticmethod
     def _from_dict(d) -> "IntPoly":
         items = [(m, c) for m, c in d.items() if c != 0]
-        items.sort(key=lambda mc: tuple((_atom_key(a), p) for a, p in mc[0]))
+        items.sort(key=lambda mc: tuple((spine(a), p) for a, p in mc[0]))
         return IntPoly(tuple(items))
 
     def add(self, other: "IntPoly") -> "IntPoly":
@@ -139,7 +133,7 @@ class IntPoly(CanonicalValue):
                 pw: dict[Term, int] = {}
                 for a, p in m1 + m2:
                     pw[a] = pw.get(a, 0) + p
-                m = tuple(sorted(pw.items(), key=lambda ap: _atom_key(ap[0])))
+                m = tuple(sorted(pw.items(), key=lambda ap: spine(ap[0])))
                 d[m] = d.get(m, 0) + c1 * c2
         return IntPoly._from_dict(d)
 
@@ -205,7 +199,7 @@ class StrWord(CanonicalValue):
 
     def key(self):
         return tuple(
-            (0, v) if k == "lit" else (1, _atom_key(v)) for k, v in self.items
+            (0, v) if k == "lit" else (1, spine(v)) for k, v in self.items
         )
 
     def render(self) -> str:
@@ -258,7 +252,7 @@ class BAtom(BoolForm):
 
     def key(self):
         if self.kind == "var":
-            pk = _atom_key(self.payload[0])
+            pk = spine(self.payload[0])
         elif self.kind == "le":
             pk = tuple(p.terms for p in self.payload)
         else:
@@ -387,61 +381,67 @@ class TypeAlgebra:
         self.nulls = nulls
         self.hypotheses = tuple(hypotheses)
         self.inconsistent = False
+        # closed: no value mentions a key, so one `_apply_subst` is exact
         self._subst: dict[Term, CanonicalValue] = {}
+        self._keys_onto: dict[Term, list[Term]] = {}  # value atom -> keys
         self._facts: dict[BoolForm, BoolForm] = {}
         self._rewrites: list[tuple[CanonicalValue, CanonicalValue]] = []
         self._compile()
 
     def _compile(self):
-        if not self.hypotheses:
-            return  # and so ends the recursion through `plain`
-        plain = TypeAlgebra(self.nulls)
-        pending = [(ts_normalize(e.lhs, plain), ts_normalize(e.rhs, plain))
+        pending = [(_canon(e.lhs, self), _canon(e.rhs, self))
                    for e in self.hypotheses]
-        # fixpoint over substitution chains; a pass in which no hypothesis
-        # dropped and no value changed leaves the next pass identical
-        for _ in range(len(pending) + 4):
+        # a pass that settles no hypothesis adds no substitution, so the
+        # next pass would see the same values
+        settled = True
+        while settled:
             rest = []
-            changed = False
-            for l0, r0 in pending:
-                l, r = self._resubst(l0), self._resubst(r0)
+            for l, r in pending:
+                l, r = self._resubst(l), self._resubst(r)
                 if l == r:
                     continue
                 if not l.atoms() and not r.atoms():
                     self.inconsistent = True
-                    continue
-                if not self._try_subst(l, r) and not self._try_subst(r, l):
+                elif not self._try_subst(l, r) and not self._try_subst(r, l):
                     rest.append((l, r))
-                    changed = changed or l is not l0 or r is not r0
-            settled = not changed and len(rest) == len(pending)
+            settled = len(rest) < len(pending)
             pending = rest
-            if not pending or settled:
-                break
+        self._keep_residuals(pending)
+
+    def _keep_residuals(self, pending):
+        """Keep the unsettled pairs as facts and rewrites; a value they give
+        two constants is a contradiction, whatever the pairs' order."""
+        const_of: dict[CanonicalValue, CanonicalValue] = {}
         for l, r in pending:
-            if isinstance(l, BoolForm) and isinstance(r, BConst):
-                self._facts[l] = r
-            elif isinstance(r, BoolForm) and isinstance(l, BConst):
-                self._facts[r] = l
+            big, small = sorted((l, r), key=_value_weight, reverse=True)
+            if isinstance(small, BConst):
+                self._facts[big] = small
             else:
-                big, small = sorted((l, r), key=_value_weight, reverse=True)
                 self._rewrites.append((big, small))
+            if isinstance(big, BAtom) and not big.positive:
+                big, small = big.flip(), _bnot(small)
+            if not small.atoms() and const_of.setdefault(big, small) != small:
+                self.inconsistent = True
 
     def _try_subst(self, side: CanonicalValue, value: CanonicalValue) -> bool:
+        """Map the bare atom `side` to `value`; both mention no key."""
         atom = _bare_atom(side)
-        if atom is None:
-            return False
-        if atom in value.atoms():
+        if atom is None or atom in value.atoms():
             return False
         if _value_weight(value) > _value_weight(side):
             return False
-        self._subst[atom] = value
+        # `value` is a constant or a lighter bare atom, so the keys mapped
+        # to `atom` are all the keys whose value mentions it
+        moved = self._keys_onto.pop(atom, [])
+        moved.append(atom)
+        for key in moved:
+            self._subst[key] = value
+        if value.atoms():
+            self._keys_onto.setdefault(_bare_atom(value), []).extend(moved)
         return True
 
     def _resubst(self, v: CanonicalValue) -> CanonicalValue:
         return _apply_subst(v, self._subst)
-
-    def lookup_atom(self, t: Term) -> CanonicalValue | None:
-        return self._subst.get(t)
 
     def simplify(self, v: CanonicalValue) -> CanonicalValue:
         # no fact key and no rewrite's big side is atom-free
@@ -486,12 +486,11 @@ def _value_weight(v: CanonicalValue):
     compounds; ties by size then rendering."""
     if not v.atoms():
         cls = 0
-    elif _bare_atom(v) is not None:
-        a = _bare_atom(v)
-        cls = 1 if isinstance(a, Var) else 2
     else:
-        cls = 3
-    return (cls, len(repr(v)), repr(v))
+        a = _bare_atom(v)
+        cls = 3 if a is None else 1 if isinstance(a, Var) else 2
+    text = repr(v)
+    return (cls, len(text), text)
 
 
 def _apply_subst(v, subst: dict[Term, CanonicalValue]):
@@ -565,7 +564,7 @@ def ts_normalize(term: Term, alg: TypeAlgebra | None = None) -> CanonicalValue:
 
 def _canon(term: Term, alg: TypeAlgebra) -> CanonicalValue:
     if isinstance(term, Var):
-        got = alg.lookup_atom(term)
+        got = alg._subst.get(term)
         if got is not None:
             return got
         s = alg.nulls.sort_of(term.name) if term.name in alg.nulls else None
@@ -575,7 +574,7 @@ def _canon(term: Term, alg: TypeAlgebra) -> CanonicalValue:
     if is_type_symbol(sym):
         return apply_symbol(sym, [_canon(a, alg) for a in term.args], alg)
     # opaque atom (e.g. an attribute applied to a row constant)
-    got = alg.lookup_atom(term)
+    got = alg._subst.get(term)
     if got is not None:
         return got
     return opaque_atom(term, sym.cod)

@@ -118,3 +118,64 @@ instance K on P {
   equations i3.qty = n * n + 1, i3.tag = "c", c1.cap = n + k;
 }
 """
+
+
+def type_equations_workspace() -> str:
+    """Schema P and instances whose answers once hung on the order of their
+    type equations: a chain of nulls down to a constant, written both ways
+    round; two chains that meet in one class; the same with two constants,
+    which clash; and residual equations (a fact, a fact and its negation, a
+    sum) that give one value two constants."""
+    return """\
+schema P {
+  entities E;
+  attributes v : E -> Int, u : E -> Int;
+}
+
+instance Chain on P {
+  generators e : E;
+  generators n1 n2 n3 : Int;
+  equations e.v = n3, n3 = n2, n2 = n1, n1 = 5;
+}
+
+instance ChainRev on P {
+  generators e : E;
+  generators n1 n2 n3 : Int;
+  equations n1 = 5, n2 = n1, n3 = n2, e.v = n3;
+}
+
+instance Five on P {
+  generators e : E;
+  equations e.v = 5;
+}
+
+instance Meet on P {
+  generators e : E;
+  generators w x y z : Int;
+  equations z = y, y = x, z = w, e.v = x, e.u = w;
+}
+
+instance Clash on P {
+  generators e : E;
+  generators w x y z : Int;
+  equations x = 5, w = 6, z = y, y = x, z = w;
+}
+
+instance Facts on P {
+  generators e : E;
+  generators n : Int;
+  equations (n <= 2) = true, (n <= 2) = false;
+}
+
+instance Negated on P {
+  generators e : E;
+  generators n : Int;
+  equations (n <= 2) = true, not(n <= 2) = true;
+}
+
+instance Sums on P {
+  generators e : E;
+  generators n m : Int;
+  equations n + m = 5, n + m = 6;
+}
+"""

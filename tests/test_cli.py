@@ -10,7 +10,7 @@ import pytest
 
 from catdb.cli import run_cli
 from tests.conftest import FIXTURES
-from tests.genfixtures import company_instance
+from tests.genfixtures import company_instance, type_equations_workspace
 
 GROUP = str(FIXTURES / "group.cdb")
 WORKSPACE = str(FIXTURES / "paper.cdb")
@@ -158,6 +158,12 @@ class TestSaturate:
         assert code == 1
         assert err == "error: instance saturation: rows budget (1) exhausted\n"
 
+    def test_negative_budget_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "saturate", WORKSPACE, "--instance", "J",
+                             "--budget", "-1")
+        assert (code, out) == (2, "")
+        assert "argument --budget: must not be negative: -1" in err
+
 
 class TestHoms:
     def test_frozen_to_employees(self, capsys):
@@ -201,6 +207,12 @@ class TestQuery:
         code, out, _ = run(capsys, "query", WORKSPACE, "--query", "N",
                            "--instance", "J")
         assert code == 0 and '"Euclid"' in out and "A'" in out
+
+    def test_crosscheck_of_an_uber_query_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "query", WORKSPACE, "--query", "N",
+                             "--instance", "J", "--crosscheck")
+        assert (code, out) == (2, "")
+        assert err == "error: --crosscheck needs a query; N is an uberquery\n"
 
 
     @pytest.mark.parametrize("command", ["check", "query"])
@@ -302,6 +314,37 @@ instance K0 on S2 { }
         code, out, err = self.migrate(capsys, path, "Ren", "delta", "K5")
         assert (code, out) == (1, "")
         assert err == "error: delta: the instance has no column for edge e2\n"
+
+
+class TestTypeEquations:
+    """Type equations give the same answer in any order."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("typeeqs") / "typeeqs.cdb"
+        path.write_text(type_equations_workspace(), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("name,row", [("Chain", "e | 5 | e.u"),
+                                          ("ChainRev", "e | 5 | e.u"),
+                                          ("Meet", "e | w | w")])
+    def test_substitution_chains_end_in_one_value(self, capsys, path, name,
+                                                  row):
+        code, out, _ = run(capsys, "saturate", path, "--instance", name)
+        assert code == 0
+        assert out.splitlines()[2] == row
+
+    def test_homs_into_a_chain_see_its_constant(self, capsys, path):
+        code, out, _ = run(capsys, "homs", path, "--from", "Five",
+                           "--to", "Chain")
+        assert (code, out) == (0, "[e := e]\ncount: 1\n")
+
+    @pytest.mark.parametrize("name", ["Clash", "Facts", "Negated", "Sums"])
+    def test_distinct_constants_are_inconsistent(self, capsys, path, name):
+        code, out, err = run(capsys, "saturate", path, "--instance", name)
+        assert (code, out) == (1, "")
+        assert err == ("error: type equations force distinct constants to "
+                       "coincide\n")
 
 
 class TestStringLiterals:

@@ -1,6 +1,7 @@
 """Chase saturation and hom-sets against the staged-closure oracle."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,10 @@ from catdb.query import query_to_bimodule
 from catdb.schema import SchemaError, saturate_entity_category
 from catdb.typeside import TypeAlgebra
 from tests import saturate_oracle as oracle
-from tests.genfixtures import random_instance
+from tests.conftest import FIXTURES
+from tests.genfixtures import (
+    company_instance, random_instance, typeside_instance,
+)
 
 SCHEMAS = ("S", "T", "L", "R", "RS")
 
@@ -121,3 +125,19 @@ def test_hom_sets_build_no_type_algebra(ws, monkeypatch):
         assert saturate_entity_category(s) \
             == oracle.saturate_entity_category(s)
     assert built == []
+
+
+def test_equation_order_does_not_change_the_tables(ws):
+    text = ((FIXTURES / "paper.cdb").read_text(encoding="utf-8") + "\n"
+            + company_instance(random.Random(60)))
+    company = parse_workspace(text, "<company>").instances["W"]
+    K = parse_workspace(typeside_instance(), "<K>").instances["K"]
+    rng = random.Random(2046)
+    fixtures = [ws.instances[n] for n in ("J", "Jbar", "I", "I'")]
+    for ip in fixtures + [K, company]:
+        want = tables_json(saturate(ip))
+        for _ in range(3):
+            eqs = list(ip.equations)
+            rng.shuffle(eqs)
+            assert tables_json(saturate(replace(ip, equations=tuple(eqs)))) \
+                == want

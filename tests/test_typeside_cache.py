@@ -8,6 +8,7 @@ shortcuts against the rebuilding oracle in `tests/typeside_oracle.py`.
 """
 
 from dataclasses import fields
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +175,43 @@ def test_type_algebra_matches_rebuilding_oracle(hyps, probes):
         assert ts_normalize(t, alg) == ts_normalize(t, ref)
         v = ts_normalize(t, PLAIN)
         assert alg.simplify(v) == simplify(ref, v)
+
+
+INT_NULLS = Context(tuple((f"x{i}", INT) for i in range(1, 5)))
+INT_LEAVES = ([Var(n) for n, _ in INT_NULLS.bindings]
+              + [int_term(c) for c in range(4)])
+
+
+def _int_term(draw, depth):
+    if depth == 0 or draw(st.integers(0, 2)) > 0:
+        return draw(st.sampled_from(INT_LEAVES))
+    sym = draw(st.sampled_from((PLUS, TIMES)))
+    return app(sym, _int_term(draw, depth - 1), _int_term(draw, depth - 1))
+
+
+@st.composite
+def int_hypotheses(draw):
+    """2-5 equations between Int nulls, constants, sums and products,
+    many of them between a null and a null or a constant."""
+    return [Equation(INT_NULLS, _int_term(draw, 2), _int_term(draw, 2), INT)
+            for _ in range(draw(st.integers(2, 5)))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(int_hypotheses())
+def test_equation_order_does_not_change_the_algebra(hyps):
+    """Every order of the hypotheses compiles to a closed substitution and
+    the same verdict; a consistent algebra also gives each null the same
+    normal form.  (An inconsistent one makes all values equal, and which
+    of them a null names is arbitrary.)"""
+    answers = set()
+    for order in permutations(hyps):
+        alg = TypeAlgebra(INT_NULLS, order)
+        for v in alg._subst.values():
+            assert alg._subst.keys().isdisjoint(v.atoms())
+        answers.add((alg.inconsistent, None if alg.inconsistent else tuple(
+            ts_normalize(Var(n), alg) for n, _ in INT_NULLS.bindings)))
+    assert len(answers) == 1
 
 
 @pytest.mark.parametrize("argv", [

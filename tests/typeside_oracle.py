@@ -6,8 +6,12 @@ rebuilt through the canonicalising constructors, whether or not any atom
 of it is substituted, and atom-free values run the whole fact and rewrite
 loop.  ``OracleTypeAlgebra`` compiles its hypotheses through them, in a
 fixpoint that runs every one of its passes: it does not stop at a pass
-that changes nothing.  The tests compare ``catdb.typeside`` against these.
-Nothing under ``src/`` imports this.
+that changes nothing.  It inherits ``_try_subst``, which keeps the
+substitution closed, and ``_keep_residuals``, so comparing against it
+cannot show an open substitution or a missed contradiction: the
+permutation property in ``tests/test_typeside_cache.py`` checks those.
+The tests compare ``catdb.typeside`` against these.  Nothing under
+``src/`` imports this.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from catdb.kernel import Term
 from catdb.typeside import (
     BAtom, BConst, BNode, BoolForm, CanonicalValue, IntPoly, StrWord,
     TypeAlgebra, _apply_facts, _bnode, _bnot, _eq_atom, _le_atom,
-    _value_weight, ts_normalize,
+    ts_normalize,
 )
 
 
@@ -44,14 +48,7 @@ class OracleTypeAlgebra(TypeAlgebra):
             pending = rest
             if not pending:
                 break
-        for l, r in pending:
-            if isinstance(l, BoolForm) and isinstance(r, BConst):
-                self._facts[l] = r
-            elif isinstance(r, BoolForm) and isinstance(l, BConst):
-                self._facts[r] = l
-            else:
-                big, small = sorted((l, r), key=_value_weight, reverse=True)
-                self._rewrites.append((big, small))
+        self._keep_residuals(pending)
 
     def _resubst(self, v: CanonicalValue) -> CanonicalValue:
         return apply_subst(v, self._subst)

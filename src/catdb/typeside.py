@@ -406,11 +406,8 @@ class TypeAlgebra:
                     rest.append((l, r))
             settled = len(rest) < len(pending)
             pending = rest
-        self._keep_residuals(pending)
-
-    def _keep_residuals(self, pending):
-        """Keep the unsettled pairs as facts and rewrites; a value they give
-        two constants is a contradiction, whatever the pairs' order."""
+        # keep the unsettled pairs as facts and rewrites; a value they give
+        # two constants is a contradiction, whatever the pairs' order
         const_of: dict[CanonicalValue, CanonicalValue] = {}
         for l, r in pending:
             big, small = sorted((l, r), key=_value_weight, reverse=True)

@@ -214,6 +214,43 @@ def test_equation_order_does_not_change_the_algebra(hyps):
     assert len(answers) == 1
 
 
+X1, X2, X3, X4 = (Var(n) for n, _ in INT_NULLS.bindings)
+RESIDUAL_SIDES = {
+    INT: [app(PLUS, X1, X2), app(TIMES, X1, X2), app(PLUS, X3, int_term(1)),
+          X4],
+    BOOL: [app(LE, X1, int_term(2)), app(NOT, app(LE, X1, int_term(2))),
+           app(LE, X2, X3), app(NOT, app(LE, X2, X3)), app(LE, X4, X1)],
+}
+RESIDUAL_CONSTANTS = {INT: [int_term(c) for c in range(3)],
+                      BOOL: [app(TRUE), app(FALSE)]}
+
+
+@st.composite
+def residual_hypotheses(draw):
+    """2-5 equations, most of them between a sum, a product or a
+    comparison of Int nulls and a constant, so that the unsettled pairs
+    often give one value two constants."""
+    hyps = []
+    for _ in range(draw(st.integers(2, 5))):
+        sort = draw(st.sampled_from((INT, BOOL)))
+        sides = RESIDUAL_SIDES[sort]
+        rhs = sides + 2 * RESIDUAL_CONSTANTS[sort]
+        hyps.append(Equation(INT_NULLS, draw(st.sampled_from(sides)),
+                             draw(st.sampled_from(rhs)), sort))
+    return hyps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(residual_hypotheses())
+def test_residual_contradictions_match_the_oracle(hyps):
+    """The oracle stores the unsettled pairs and finds the values they
+    force apart with its own loop."""
+    alg, ref = TypeAlgebra(INT_NULLS, hyps), OracleTypeAlgebra(INT_NULLS, hyps)
+    assert alg.inconsistent == ref.inconsistent
+    assert list(alg._facts.items()) == list(ref._facts.items())
+    assert alg._rewrites == ref._rewrites
+
+
 @pytest.mark.parametrize("argv", [
     ("saturate", "--instance", "K", "--format", "json"),
     ("homs", "--from", "K", "--to", "K"),

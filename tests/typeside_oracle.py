@@ -6,12 +6,8 @@ rebuilt through the canonicalising constructors, whether or not any atom
 of it is substituted, and atom-free values run the whole fact and rewrite
 loop.  ``OracleTypeAlgebra`` compiles its hypotheses through them, in a
 fixpoint that runs every one of its passes: it does not stop at a pass
-that changes nothing.  It inherits ``_try_subst``, which keeps the
-substitution closed, and ``_keep_residuals``, so comparing against it
-cannot show an open substitution or a missed contradiction: the
-permutation property in ``tests/test_typeside_cache.py`` checks those.
-The tests compare ``catdb.typeside`` against these.  Nothing under
-``src/`` imports this.
+that changes nothing.  The tests compare ``catdb.typeside`` against these.
+Nothing under ``src/`` imports this.
 """
 
 from __future__ import annotations
@@ -20,13 +16,16 @@ from catdb.kernel import Term
 from catdb.typeside import (
     BAtom, BConst, BNode, BoolForm, CanonicalValue, IntPoly, StrWord,
     TypeAlgebra, _apply_facts, _bnode, _bnot, _eq_atom, _le_atom,
-    ts_normalize,
+    _value_weight, ts_normalize,
 )
 
 
 class OracleTypeAlgebra(TypeAlgebra):
     """`TypeAlgebra` with the rebuilding substitution and simplification
-    and the fixpoint without an early exit."""
+    and the fixpoint without an early exit.  It inherits `_try_subst`,
+    which keeps the substitution closed, so comparing against it cannot
+    show an open substitution: the permutation property in
+    ``tests/test_typeside_cache.py`` checks closure."""
 
     def _compile(self):
         if not self.hypotheses:
@@ -48,13 +47,36 @@ class OracleTypeAlgebra(TypeAlgebra):
             pending = rest
             if not pending:
                 break
-        self._keep_residuals(pending)
+        for l, r in pending:
+            if isinstance(l, BoolForm) and isinstance(r, BConst):
+                self._facts[l] = r
+            elif isinstance(r, BoolForm) and isinstance(l, BConst):
+                self._facts[r] = l
+            else:
+                big, small = sorted((l, r), key=_value_weight, reverse=True)
+                self._rewrites.append((big, small))
+        self.inconsistent |= forced_apart(pending)
 
     def _resubst(self, v: CanonicalValue) -> CanonicalValue:
         return apply_subst(v, self._subst)
 
     def simplify(self, v: CanonicalValue) -> CanonicalValue:
         return simplify(self, v)
+
+
+def forced_apart(pairs) -> bool:
+    """Whether the pairs equate one value with two distinct constants; a
+    negated boolean atom counts as its positive atom equated with the
+    negated constant."""
+    constants: dict[CanonicalValue, set] = {}
+    for pair in pairs:
+        for value, other in (pair, pair[::-1]):
+            if not value.atoms() or other.atoms():
+                continue
+            if isinstance(value, BAtom) and not value.positive:
+                value, other = _bnot(value), _bnot(other)
+            constants.setdefault(value, set()).add(other)
+    return any(len(cs) > 1 for cs in constants.values())
 
 
 def simplify(alg: TypeAlgebra, v: CanonicalValue) -> CanonicalValue:

@@ -399,10 +399,7 @@ def canonical_form(si: SaturatedInstance
     for at, v in alg._subst.items():
         eqs_raw.append((atom_term(at), value_to_term(v, atom_term),
                         value_sort(v)))
-    for form, truth in alg._facts.items():
-        eqs_raw.append((value_to_term(form, atom_term),
-                        value_to_term(truth, atom_term), value_sort(form)))
-    for big, small in alg._rewrites:
+    for big, small in alg._residual.items():
         eqs_raw.append((value_to_term(big, atom_term),
                         value_to_term(small, atom_term), value_sort(big)))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from collections import deque
 from itertools import groupby
 
 from .kernel import (
@@ -384,86 +385,130 @@ class TypeAlgebra:
         # closed: no value mentions a key, so one `_apply_subst` is exact
         self._subst: dict[Term, CanonicalValue] = {}
         self._keys_onto: dict[Term, list[Term]] = {}  # value atom -> keys
-        self._facts: dict[BoolForm, BoolForm] = {}
-        self._rewrites: list[tuple[CanonicalValue, CanonicalValue]] = []
+        # reduced: `_lookup` rewrites no value and nothing inside a key
+        self._residual: dict[CanonicalValue, CanonicalValue] = {}
+        self._uses: dict[Term, dict] = {}  # atom -> keys of its entries
         self._compile()
 
     def _compile(self):
-        pending = [(_canon(e.lhs, self), _canon(e.rhs, self))
-                   for e in self.hypotheses]
-        # a pass that settles no hypothesis adds no substitution, so the
-        # next pass would see the same values
-        settled = True
-        while settled:
-            rest = []
-            for l, r in pending:
-                l, r = self._resubst(l), self._resubst(r)
-                if l == r:
-                    continue
-                if not l.atoms() and not r.atoms():
-                    self.inconsistent = True
-                elif not self._try_subst(l, r) and not self._try_subst(r, l):
-                    rest.append((l, r))
-            settled = len(rest) < len(pending)
-            pending = rest
-        # keep the unsettled pairs as facts and rewrites; a value they give
-        # two constants is a contradiction, whatever the pairs' order
-        const_of: dict[CanonicalValue, CanonicalValue] = {}
-        for l, r in pending:
-            big, small = sorted((l, r), key=_value_weight, reverse=True)
-            if isinstance(small, BConst):
-                self._facts[big] = small
-            else:
-                self._rewrites.append((big, small))
-            if isinstance(big, BAtom) and not big.positive:
-                big, small = big.flip(), _bnot(small)
-            if not small.atoms() and const_of.setdefault(big, small) != small:
-                self.inconsistent = True
+        """One worklist settles every hypothesis pair.  Simplified, a pair
+        is dropped if its sides are equal, flagged if they force distinct
+        constants together, made a substitution, or stored as the entry
+        `big -> small`.  A substitution takes back out the entries that
+        mention its atom, and an entry the entries it rewrites, so at the
+        end `_residual` is reduced and depends on the set of pairs only.
 
-    def _try_subst(self, side: CanonicalValue, value: CanonicalValue) -> bool:
-        """Map the bare atom `side` to `value`; both mention no key."""
+        It ends: an atom is substituted at most once, and every entry
+        rewrites its key to a lighter value.  A boolean value weighs as the
+        lighter of it and its complement, so sides of equal weight are
+        equal or complementary (`b = not(b)`) and never make an entry.
+        """
+        work = deque((_canon(e.lhs, self), _canon(e.rhs, self))
+                     for e in self.hypotheses)
+        while work:
+            l, r = work.popleft()
+            l, r = self.simplify(l), self.simplify(r)
+            if l == r:
+                continue
+            if _forced_apart(l, r):
+                self.inconsistent = True
+                continue
+            atom = self._try_subst(l, r) or self._try_subst(r, l)
+            big = small = None
+            if atom is None:
+                big, small = _orient(l, r)
+                self._residual[big] = small
+                for a in big.atoms() | small.atoms():
+                    self._uses.setdefault(a, {})[big] = None
+                # the entries that `big` occurs in mention each of its
+                # atoms, and so do the keys a constant away from it
+                atom = min(big.atoms(),
+                           key=lambda a: (len(self._uses[a]), spine(a)))
+            for key in list(self._uses.get(atom, ())):
+                value = self._residual[key]
+                if value == small and key != big and _forced_apart(key, big):
+                    self.inconsistent = True
+                # taken back out if the new rule rewrites it anywhere
+                if key != big and (
+                        self.simplify(value) != value
+                        or _apply_subst(key, self._subst) != key
+                        or isinstance(key, BNode)
+                        and any(self.simplify(a) != a for a in key.args)):
+                    del self._residual[key]
+                    for a in key.atoms() | value.atoms():
+                        del self._uses[a][key]
+                    work.append((key, value))
+
+    def _try_subst(self, side: CanonicalValue,
+                   value: CanonicalValue) -> Term | None:
+        """Map the atom of `side`, perhaps negated, to `value` or its
+        complement; both mention no key.  Gives back the atom mapped."""
+        if isinstance(side, BAtom) and not side.positive:
+            side, value = side.flip(), _bnot(value)
         atom = _bare_atom(side)
         if atom is None or atom in value.atoms():
-            return False
+            return None
         if _value_weight(value) > _value_weight(side):
-            return False
-        # `value` is a constant or a lighter bare atom, so the keys mapped
-        # to `atom` are all the keys whose value mentions it
+            return None
+        # `value` is a constant or a lighter atom, perhaps negated, so the
+        # keys mapped onto `atom` are all the keys whose value mentions it
         moved = self._keys_onto.pop(atom, [])
-        moved.append(atom)
         for key in moved:
-            self._subst[key] = value
-        if value.atoms():
-            self._keys_onto.setdefault(_bare_atom(value), []).extend(moved)
-        return True
-
-    def _resubst(self, v: CanonicalValue) -> CanonicalValue:
-        return _apply_subst(v, self._subst)
+            self._subst[key] = (value if self._subst[key] == side
+                                else _bnot(value))
+        self._subst[atom] = value
+        moved.append(atom)
+        for onto in value.atoms():
+            self._keys_onto.setdefault(onto, []).extend(moved)
+        return atom
 
     def simplify(self, v: CanonicalValue) -> CanonicalValue:
-        # no fact key and no rewrite's big side is atom-free
+        # no key of `_residual` is atom-free
         if not v.atoms():
             return v
         v = _apply_subst(v, self._subst)
-        for _ in range(len(self._rewrites) + len(self._facts) + 2):
-            before = v
-            v = _apply_facts(v, self._facts)
-            for big, small in self._rewrites:
-                if v == big:
-                    v = small
-            if v == before:
-                return v
-        return v
+        return self._lookup(v) if self._residual else v
+
+    def _lookup(self, v: CanonicalValue) -> CanonicalValue:
+        """`v` rewritten by `_residual` at the top, through its complement
+        or among its boolean arguments, which come back in normal form."""
+        got = self._residual.get(v)
+        if got is None and isinstance(v, (BAtom, BNode)):
+            got = self._residual.get(_bnot(v))
+            if got is not None:
+                return _bnot(got)
+            if isinstance(v, BNode):
+                w = _bnode(v.op, [self._lookup(a) for a in v.args])
+                return v if w == v else self._lookup(w)
+        return v if got is None else got
 
     def residual_constraints(self) -> list[str]:
-        """The compiled non-definitional content: boolean facts and
-        unoriented value identifications, rendered."""
-        out = []
-        for form, truth in self._facts.items():
-            out.append(f"{form.render()} = {truth.render()}")
-        for big, small in self._rewrites:
-            out.append(f"{big.render()} = {small.render()}")
-        return sorted(set(out))
+        """The compiled non-definitional content: each entry of
+        `_residual`, rendered `key = value`."""
+        return sorted({f"{big.render()} = {small.render()}"
+                       for big, small in self._residual.items()})
+
+
+def _forced_apart(l: CanonicalValue, r: CanonicalValue) -> bool:
+    """Whether the distinct values `l` and `r` are constants, Int values a
+    constant apart or complementary Bool values."""
+    if l.atoms() != r.atoms():
+        return False
+    if isinstance(l, IntPoly):
+        return l.add(r.neg()).is_const()  # type: ignore[arg-type]
+    return not l.atoms() or isinstance(l, BoolForm) and l == _bnot(r)
+
+
+def _orient(l: CanonicalValue, r: CanonicalValue):
+    """The entry for `l = r`: the heavier side rewrites to the lighter.  Of
+    a boolean entry and its complement, the one kept has its value, or its
+    key if the value is a constant, in the lighter polarity."""
+    big, small = sorted((l, r), key=_value_weight, reverse=True)
+    probe = big if isinstance(small, BConst) else small
+    if isinstance(probe, (BAtom, BNode)) and \
+            _weight(_bnot(probe)) < _weight(probe):
+        return _bnot(big), _bnot(small)  # type: ignore[arg-type]
+    return big, small
 
 
 def _bare_atom(v: CanonicalValue) -> Term | None:
@@ -480,7 +525,14 @@ def _bare_atom(v: CanonicalValue) -> Term | None:
 
 def _value_weight(v: CanonicalValue):
     """Preference order for representatives: constants, then nulls, then
-    compounds; ties by size then rendering."""
+    compounds; ties by size then rendering.  A boolean value weighs as the
+    lighter of it and its complement."""
+    if isinstance(v, (BAtom, BNode)):
+        return min(_weight(v), _weight(_bnot(v)))
+    return _weight(v)
+
+
+def _weight(v: CanonicalValue):
     if not v.atoms():
         cls = 0
     else:
@@ -531,22 +583,6 @@ def _apply_subst(v, subst: dict[Term, CanonicalValue]):
         return out if v.positive else _bnot(out)
     if isinstance(v, BNode):
         return _bnode(v.op, [_apply_subst(a, subst) for a in v.args])
-    return v
-
-
-def _apply_facts(v, facts: dict[BoolForm, BoolForm]):
-    if not isinstance(v, BoolForm) or not facts:
-        return v
-    got = facts.get(v)
-    if got is not None:
-        return got
-    if isinstance(v, BAtom):
-        flipped = facts.get(v.flip())
-        if flipped is not None:
-            return _bnot(flipped)
-        return v
-    if isinstance(v, BNode):
-        return _bnode(v.op, [_apply_facts(a, facts) for a in v.args])
     return v
 
 

@@ -124,8 +124,11 @@ def type_equations_workspace() -> str:
     """Schema P and instances whose answers once hung on the order of their
     type equations: a chain of nulls down to a constant, written both ways
     round; two chains that meet in one class; the same with two constants,
-    which clash; and residual equations (a fact, a fact and its negation, a
-    sum) that give one value two constants."""
+    which clash; residual equations (a fact, a fact and its negation, a
+    sum) that give one value two constants; residual equations that settle
+    a null only together (Product) or clash only together (Chained); an
+    atom equated with its own negation or successor; and two residual
+    equations with one side in common, written both ways round."""
     return """\
 schema P {
   entities E;
@@ -177,5 +180,41 @@ instance Sums on P {
   generators e : E;
   generators n m : Int;
   equations n + m = 5, n + m = 6;
+}
+
+instance Product on P {
+  generators e : E;
+  generators a b c : Int;
+  equations e.v = a, b * c = a, b * c = 5;
+}
+
+instance Chained on P {
+  generators e : E;
+  generators a b c : Int;
+  equations a + c = 6, a * b = 5, a + c = a * b;
+}
+
+instance SelfNot on P {
+  generators e : E;
+  generators b : Bool;
+  equations b = not(b);
+}
+
+instance Successor on P {
+  generators e : E;
+  generators x : Int;
+  equations x = x + 1;
+}
+
+instance Overlap on P {
+  generators e : E;
+  generators a b c d : Int;
+  equations c * d + 1 = a * b, c * d + 1 = a + b, e.v = a * b, e.u = a + b;
+}
+
+instance OverlapRev on P {
+  generators e : E;
+  generators a b c d : Int;
+  equations c * d + 1 = a + b, c * d + 1 = a * b, e.v = a * b, e.u = a + b;
 }
 """

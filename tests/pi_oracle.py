@@ -76,7 +76,7 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
             # or relate it to an expressible value in an unoriented way
             seen = _seen or frozenset()
             if atom not in seen:
-                for big, small in alg._rewrites:
+                for big, small in alg._residual.items():
                     for this, other in ((big, small), (small, big)):
                         if _bare_atom(this) == atom:
                             try:

@@ -327,7 +327,10 @@ class TestTypeEquations:
 
     @pytest.mark.parametrize("name,row", [("Chain", "e | 5 | e.u"),
                                           ("ChainRev", "e | 5 | e.u"),
-                                          ("Meet", "e | w | w")])
+                                          ("Meet", "e | w | w"),
+                                          ("Product", "e | 5 | e.u"),
+                                          ("Overlap", "e | e.u | e.u"),
+                                          ("OverlapRev", "e | e.u | e.u")])
     def test_substitution_chains_end_in_one_value(self, capsys, path, name,
                                                   row):
         code, out, _ = run(capsys, "saturate", path, "--instance", name)
@@ -339,7 +342,8 @@ class TestTypeEquations:
                            "--to", "Chain")
         assert (code, out) == (0, "[e := e]\ncount: 1\n")
 
-    @pytest.mark.parametrize("name", ["Clash", "Facts", "Negated", "Sums"])
+    @pytest.mark.parametrize("name", ["Clash", "Facts", "Negated", "Sums",
+                                      "Chained", "SelfNot", "Successor"])
     def test_distinct_constants_are_inconsistent(self, capsys, path, name):
         code, out, err = run(capsys, "saturate", path, "--instance", name)
         assert (code, out) == (1, "")

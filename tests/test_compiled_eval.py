@@ -278,19 +278,18 @@ def test_engine_ops_leave_no_cyclic_garbage(ws, satJ, op):
 def test_early_exit_compiles_what_the_full_fixpoint_does(seed, n_emp):
     _, si = company(seed, n_emp, n_emp // 5, **NULLS)
     alg = si.typealg
-    assert alg.nulls.bindings and alg._facts
+    assert alg.nulls.bindings and alg._residual
     full = OracleTypeAlgebra(alg.nulls, alg.hypotheses)
-    assert list(alg._subst.items()) == list(full._subst.items())
-    assert list(alg._facts.items()) == list(full._facts.items())
-    assert alg._rewrites == full._rewrites
+    assert alg._subst == full._subst
+    assert alg._residual == full._residual
     assert alg.inconsistent == full.inconsistent
 
 
 def test_early_exit_waits_for_substitution_chains():
-    # e.sal = n and n = 5 become substitutions in the first pass, after the
-    # <= hypothesis was passed over; the second pass only rewrites e.sal to
-    # n, dropping nothing, and the third decides 5 <= 3.  A fixpoint that
-    # stopped after a pass that dropped nothing would keep (n <= 3) = false.
+    # the <= hypothesis comes first and is stored as (e.sal <= 3) = false;
+    # e.sal = n and n = 5 then become substitutions, and only taking the
+    # stored entry back out decides 5 <= 3.  A compile that kept its early
+    # entries would keep (n <= 3) = false.
     cell = App(FunctionSymbol("sal", (Sort("Emp"),), INT), (Var("e"),))
     nulls = Context((("n", INT),))
     hyps = [Equation(nulls, App(LE, (cell, App(int_literal(3)))),
@@ -298,9 +297,8 @@ def test_early_exit_waits_for_substitution_chains():
             Equation(nulls, cell, Var("n"), INT),
             Equation(nulls, Var("n"), App(int_literal(5)), INT)]
     alg, full = TypeAlgebra(nulls, hyps), OracleTypeAlgebra(nulls, hyps)
-    assert not alg._facts and not alg._rewrites
-    assert list(alg._subst.items()) == list(full._subst.items())
-    assert alg._facts == full._facts and not full._rewrites
+    assert not alg._residual and not full._residual
+    assert alg._subst == full._subst
 
 
 # --- the CLI -----------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Test oracle: substitution and simplification that rebuild every value.
+"""Test oracle: substitution, simplification and completion done naively.
 
 ``apply_subst`` and ``simplify`` are catdb's type-algebra substitution and
 simplification before values cached their atom sets: every value is
 rebuilt through the canonicalising constructors, whether or not any atom
-of it is substituted, and atom-free values run the whole fact and rewrite
-loop.  ``OracleTypeAlgebra`` compiles its hypotheses through them, in a
-fixpoint that runs every one of its passes: it does not stop at a pass
-that changes nothing.  The tests compare ``catdb.typeside`` against these.
+of it is substituted, and the residual entries are applied until a value
+stops changing.  ``OracleTypeAlgebra`` compiles its hypotheses without a
+worklist: each round rebuilds the substitution and the classes of equal
+values from all the pairs, then simplifies every pair again, until a round
+changes nothing.  The tests compare ``catdb.typeside`` against these.
 Nothing under ``src/`` imports this.
 """
 
@@ -15,47 +16,88 @@ from __future__ import annotations
 from catdb.kernel import Term
 from catdb.typeside import (
     BAtom, BConst, BNode, BoolForm, CanonicalValue, IntPoly, StrWord,
-    TypeAlgebra, _apply_facts, _bnode, _bnot, _eq_atom, _le_atom,
-    _value_weight, ts_normalize,
+    TypeAlgebra, _bnode, _bnot, _eq_atom, _le_atom, _orient, _value_weight,
+    opaque_atom, ts_normalize, value_sort,
 )
 
 
 class OracleTypeAlgebra(TypeAlgebra):
     """`TypeAlgebra` with the rebuilding substitution and simplification
-    and the fixpoint without an early exit.  It inherits `_try_subst`,
-    which keeps the substitution closed, so comparing against it cannot
-    show an open substitution: the permutation property in
+    and a completion in rounds.  It inherits `_try_subst`, which keeps the
+    substitution closed, so comparing against it cannot show an open
+    substitution: the permutation property in
     ``tests/test_typeside_cache.py`` checks closure."""
 
     def _compile(self):
         if not self.hypotheses:
             return
         plain = TypeAlgebra(self.nulls)
-        pending = [(ts_normalize(e.lhs, plain), ts_normalize(e.rhs, plain))
-                   for e in self.hypotheses]
-        for _ in range(len(pending) + 4):
-            rest = []
-            for l, r in pending:
+        pairs = [(ts_normalize(e.lhs, plain), ts_normalize(e.rhs, plain))
+                 for e in self.hypotheses]
+        before = None
+        while before != (self._subst, self._residual):
+            before = (self._subst, self._residual)
+            self._subst, self._keys_onto = {}, {}
+            self._residual = self._classes(self._substitute(pairs))
+            pairs = [(opaque_atom(atom, value_sort(v)), v)
+                     for atom, v in self._subst.items()]
+            pairs += [(self._simplify_args(k), self.simplify(v))
+                      for k, v in self._residual.items()]
+
+    def _substitute(self, pairs) -> list:
+        """Substitute until a pass over the pairs adds no substitution; the
+        pairs left unsettled, in terms of the substitution."""
+        settled = True
+        while settled:
+            rest, settled = [], False
+            for l, r in pairs:
                 l, r = self._resubst(l), self._resubst(r)
                 if l == r:
                     continue
-                if not l.atoms() and not r.atoms():
+                if forced_apart(l, r):
                     self.inconsistent = True
-                    continue
-                if not self._try_subst(l, r) and not self._try_subst(r, l):
+                elif (self._try_subst(l, r) is None
+                      and self._try_subst(r, l) is None):
                     rest.append((l, r))
-            pending = rest
-            if not pending:
-                break
-        for l, r in pending:
-            if isinstance(l, BoolForm) and isinstance(r, BConst):
-                self._facts[l] = r
-            elif isinstance(r, BoolForm) and isinstance(l, BConst):
-                self._facts[r] = l
-            else:
-                big, small = sorted((l, r), key=_value_weight, reverse=True)
-                self._rewrites.append((big, small))
-        self.inconsistent |= forced_apart(pending)
+                else:
+                    settled = True
+            pairs = rest
+        return pairs
+
+    def _classes(self, pairs) -> dict:
+        """Every member of each class of values that the pairs and their
+        complements join, mapped to the class's lightest member."""
+        parent: dict = {}
+
+        def find(v):
+            while parent.setdefault(v, v) != v:
+                v = parent[v]
+            return v
+
+        for l, r in pairs:
+            both = [(l, r)]
+            if isinstance(l, BoolForm):
+                both.append((_bnot(l), _bnot(r)))
+            for x, y in both:
+                parent[find(x)] = find(y)
+        members: dict = {}
+        for v in list(parent):
+            members.setdefault(find(v), []).append(v)
+        out = {}
+        for cls in members.values():
+            rep = min(cls, key=_value_weight)
+            for i, v in enumerate(cls):
+                if any(forced_apart(v, w) for w in cls[i + 1:]):
+                    self.inconsistent = True
+                if v != rep:
+                    big, small = _orient(v, rep)
+                    out[big] = small
+        return out
+
+    def _simplify_args(self, key: CanonicalValue) -> CanonicalValue:
+        if isinstance(key, BNode):
+            return _bnode(key.op, [self.simplify(a) for a in key.args])
+        return key
 
     def _resubst(self, v: CanonicalValue) -> CanonicalValue:
         return apply_subst(v, self._subst)
@@ -64,31 +106,36 @@ class OracleTypeAlgebra(TypeAlgebra):
         return simplify(self, v)
 
 
-def forced_apart(pairs) -> bool:
-    """Whether the pairs equate one value with two distinct constants; a
-    negated boolean atom counts as its positive atom equated with the
-    negated constant."""
-    constants: dict[CanonicalValue, set] = {}
-    for pair in pairs:
-        for value, other in (pair, pair[::-1]):
-            if not value.atoms() or other.atoms():
-                continue
-            if isinstance(value, BAtom) and not value.positive:
-                value, other = _bnot(value), _bnot(other)
-            constants.setdefault(value, set()).add(other)
-    return any(len(cs) > 1 for cs in constants.values())
+def forced_apart(l: CanonicalValue, r: CanonicalValue) -> bool:
+    """Whether the distinct values `l` and `r` cannot be equal: two
+    constants, Int values a constant apart, or complementary booleans."""
+    if not l.atoms() and not r.atoms():
+        return True
+    if isinstance(l, IntPoly) and isinstance(r, IntPoly):
+        return all(m == () for m, _ in l.add(r.neg()).terms)
+    return isinstance(l, BoolForm) and l == _bnot(r)
 
 
 def simplify(alg: TypeAlgebra, v: CanonicalValue) -> CanonicalValue:
     v = apply_subst(v, alg._subst)
-    for _ in range(len(alg._rewrites) + len(alg._facts) + 2):
+    for _ in range(len(alg._residual) + 2):
         before = v
-        v = _apply_facts(v, alg._facts)
-        for big, small in alg._rewrites:
-            if v == big:
-                v = small
+        v = apply_residual(v, alg._residual)
         if v == before:
             return v
+    return v
+
+
+def apply_residual(v, residual: dict[CanonicalValue, CanonicalValue]):
+    got = residual.get(v)
+    if got is not None:
+        return got
+    if isinstance(v, (BAtom, BNode)):
+        got = residual.get(_bnot(v))
+        if got is not None:
+            return _bnot(got)
+    if isinstance(v, BNode):
+        return _bnode(v.op, [apply_residual(a, residual) for a in v.args])
     return v
 
 

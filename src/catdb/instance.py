@@ -5,9 +5,10 @@ collage signature (entity-sorted generators are rows-to-be, type-sorted
 generators are labelled nulls) together with equations.  Saturation
 materializes the entity side: rows are congruence classes of entity
 terms, closed under edge application; attribute cells are canonical type
-values over the instance's type algebra, whose hypotheses are the
-type-sorted instance equations plus every observable equation
-instantiated at every row.
+values over the instance's type algebra.  Its hypotheses are pairs of
+values: the two sides of each type-sorted instance equation, and of each
+observable equation at each row, read with every attribute cell as an
+opaque atom by sides compiled once (`typeside.type_plan`).
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from .rewrite import (
 )
 from .schema import PossiblyInfinite, Schema
 from .typeside import (
-    CanonicalValue, TypeAlgebra, decide_values, is_type_symbol,
-    map_value_atoms, opaque_atom, render_value, symbol_operation,
-    ts_normalize, value_sort, value_to_term,
+    CanonicalValue, TypeAlgebra, _constant, decide_values, map_value_atoms,
+    opaque_atom, render_value, type_plan, value_sort, value_to_term,
 )
 
 class InstanceError(Exception):
@@ -117,7 +117,8 @@ class SaturatedInstance:
         row of an entity term, the simplified value of a type term.
 
         A path is a tuple of columns applied in a loop, and an attribute
-        read is one more column.  A type symbol is resolved to its
+        read is one more column.  A type term is planned by
+        `typeside.type_plan`, which resolves each type symbol to its
         operation once.  A variable outside names is a generator of this
         instance, a row or a null, and like a literal it is a constant, as
         is every subterm over constants.  With no names, a subterm that
@@ -127,7 +128,7 @@ class SaturatedInstance:
         if entity:
             name, cols, row = self._path(t, names)
             return _constant(row) if name is None else _follow(name, cols)
-        fn, v = self._type_plan(t, names)
+        fn, v = type_plan(t, names, self.typealg, self._read)
         simplify = self.typealg.simplify
         if fn is None:
             return _constant(simplify(v))
@@ -155,35 +156,14 @@ class SaturatedInstance:
             return None, (), row
         return name, tuple(cols), None
 
-    def _type_plan(self, t: Term, names):
-        """(function of the bindings, None), or (None, constant value)
-        when t has no name in names; values before the final simplify."""
-        if isinstance(t, Var):
-            if t.name in names:
-                return itemgetter(t.name), None
-            return None, ts_normalize(t, self.typealg)
-        sym = t.symbol
-        col = self.attr_cols.get(sym)
-        if col is not None:
-            name, cols, v = self._path(t.args[0], names, col)
-            return (None, v) if name is None else (_follow(name, cols), None)
-        if not is_type_symbol(sym):
+    def _read(self, t: App, names):
+        """The plan of an attribute read, for `type_plan`."""
+        col = self.attr_cols.get(t.symbol)
+        if col is None:
             raise InstanceError(
-                f"cannot evaluate symbol {sym} in this instance")
-        op, alg = symbol_operation(sym), self.typealg
-        plans = [self._type_plan(a, names) for a in t.args]
-        if all(fn is None for fn, _ in plans):
-            return None, op(alg, *(v for _, v in plans))
-        fns = [_constant(v) if fn is None else fn for fn, v in plans]
-        if len(fns) == 1:
-            f = fns[0]
-            return (lambda env: op(alg, f(env))), None
-        f, g = fns
-        return (lambda env: op(alg, f(env), g(env))), None
-
-
-def _constant(v):
-    return lambda env: v
+                f"cannot evaluate symbol {t.symbol} in this instance")
+        name, cols, v = self._path(t.args[0], names, col)
+        return (None, v) if name is None else (_follow(name, cols), None)
 
 
 def _follow(name: str, cols: tuple):
@@ -204,12 +184,6 @@ def _follow(name: str, cols: tuple):
             row = col[row]
         return row
     return follow
-
-
-def _term_sort(t: Term, gens: Context) -> Sort:
-    if isinstance(t, Var):
-        return gens.sort_of(t.name)
-    return t.symbol.cod
 
 
 def chase(ip: InstancePresentation, budget: Budget = DEFAULT_BUDGET
@@ -269,48 +243,42 @@ def chase(ip: InstancePresentation, budget: Budget = DEFAULT_BUDGET
     return cl, row_list
 
 
-def _rows_in(t: Term, cl: GroundClosure, gens: Context, is_ent) -> Term:
-    """t with each entity-sorted subterm replaced by its row."""
-    if is_ent(_term_sort(t, gens)):
-        return cl.representative(t)
-    if isinstance(t, Var):
-        return t
-    return App(t.symbol, tuple(_rows_in(a, cl, gens, is_ent) for a in t.args))
-
-
 def saturate(ip: InstancePresentation,
              budget: Budget = DEFAULT_BUDGET) -> SaturatedInstance:
+    """The tables of ip: the chase finds the rows and edge columns, then the
+    type algebra settles the attribute cells.  Its hypotheses are pairs of
+    values, read off an instance whose every attribute cell is its own
+    opaque atom: each type-sorted equation of ip, and each side of each
+    observable equation, compiled once over its variable and applied at
+    every row of its entity."""
     sch = ip.schema
-    gens = ip.generators
     nulls = Context(tuple(ip.type_generators()))
-    is_ent = sch.is_entity
     cl, row_list = chase(ip, budget)
 
     edge_cols = {
         f: {r: cl.representative(app(f, r)) for r in row_list[f.dom[0]]}
         for f in sch.edges}
+    gen_env = {n: cl.representative(Var(n)) for n, _ in ip.entity_generators()}
+    cells = SaturatedInstance(
+        sch, row_list, edge_cols,
+        {a: {r: opaque_atom(app(a, r), a.cod) for r in row_list[a.dom[0]]}
+         for a in sch.attributes},
+        TypeAlgebra(nulls), gen_env)
 
-    resolve = partial(_rows_in, cl=cl, gens=gens, is_ent=is_ent)
-
-    hypotheses = [Equation(nulls, resolve(eq.lhs), resolve(eq.rhs), eq.sort)
-                  for eq in ip.equations if not is_ent(eq.sort)]
+    hypotheses = [(cells.compile(eq.lhs)({}), cells.compile(eq.rhs)({}))
+                  for eq in ip.equations if not sch.is_entity(eq.sort)]
     for eq in sch.obs_eqs:
         zname, zsort = eq.context.bindings[0]
-        for r in row_list.get(zsort, ()):
-            hypotheses.append(Equation(
-                nulls,
-                resolve(subst_map(eq.lhs, {zname: r})),
-                resolve(subst_map(eq.rhs, {zname: r})),
-                eq.sort))
+        lhs, rhs = (cells.compile(t, (zname,)) for t in (eq.lhs, eq.rhs))
+        hypotheses += [(lhs({zname: r}), rhs({zname: r}))
+                       for r in row_list.get(zsort, ())]
     alg = TypeAlgebra(nulls, hypotheses)
     if alg.inconsistent:
         raise InconsistentInstance(
             "type equations force distinct constants to coincide")
 
-    attr_cols = {
-        a: {r: ts_normalize(app(a, r), alg) for r in row_list[a.dom[0]]}
-        for a in sch.attributes}
-    gen_env = {n: cl.representative(Var(n)) for n, _ in ip.entity_generators()}
+    attr_cols = {a: {r: alg.simplify(v) for r, v in col.items()}
+                 for a, col in cells.attr_cols.items()}
     return SaturatedInstance(sch, row_list, edge_cols, attr_cols, alg,
                              gen_env, presentation=ip)
 
@@ -391,8 +359,7 @@ def canonical_form(si: SaturatedInstance
     for a in si.schema.attributes:
         for r in si.rows(a.dom[0]):
             v = si.attr_cols[a][r]
-            free = ts_normalize(app(a, r))  # the cell's own opaque atom
-            if v == free:
+            if v == opaque_atom(app(a, r), a.cod):
                 continue
             eqs_raw.append((app(a, row_var(r)),
                             value_to_term(v, atom_term), a.cod))

@@ -18,6 +18,7 @@ import string
 from dataclasses import dataclass
 from collections import deque
 from itertools import groupby
+from operator import itemgetter
 
 from .kernel import (
     App, Context, FunctionSymbol, Sort, Term, Var, app,
@@ -375,8 +376,9 @@ def _eq_atom(l: StrWord, r: StrWord) -> BoolForm:
 
 
 class TypeAlgebra:
-    """A presented algebra over the built-in theory: labelled-null context
-    plus ground-with-nulls hypothesis equations."""
+    """A presented algebra over the built-in theory: a labelled-null
+    context plus hypotheses, each a pair of canonical values taken as
+    equal, in order."""
 
     def __init__(self, nulls: Context = Context(), hypotheses=()):
         self.nulls = nulls
@@ -403,8 +405,7 @@ class TypeAlgebra:
         lighter of it and its complement, so sides of equal weight are
         equal or complementary (`b = not(b)`) and never make an entry.
         """
-        work = deque((_canon(e.lhs, self), _canon(e.rhs, self))
-                     for e in self.hypotheses)
+        work = deque(self.hypotheses)
         while work:
             l, r = work.popleft()
             l, r = self.simplify(l), self.simplify(r)
@@ -588,36 +589,48 @@ def _apply_subst(v, subst: dict[Term, CanonicalValue]):
 
 def ts_normalize(term: Term, alg: TypeAlgebra | None = None) -> CanonicalValue:
     """Canonical form of a type-sorted term whose entity parts are already
-    resolved (remaining non-type applications act as opaque atoms)."""
+    resolved, read by `type_plan`, the one interpreter of type terms: an
+    application of a non-type symbol (an attribute of a row) is an opaque
+    atom."""
     if alg is None:
         alg = _EMPTY_ALGEBRA
-    v = _canon(term, alg)
+    _, v = type_plan(term, (), alg, _opaque_read)
     return alg.simplify(v)
 
 
-def _canon(term: Term, alg: TypeAlgebra) -> CanonicalValue:
-    if isinstance(term, Var):
-        got = alg._subst.get(term)
-        if got is not None:
-            return got
-        s = alg.nulls.sort_of(term.name) if term.name in alg.nulls else None
-        return opaque_atom(term, s)
-    assert isinstance(term, App)
-    sym = term.symbol
-    if is_type_symbol(sym):
-        return apply_symbol(sym, [_canon(a, alg) for a in term.args], alg)
-    # opaque atom (e.g. an attribute applied to a row constant)
-    got = alg._subst.get(term)
-    if got is not None:
-        return got
-    return opaque_atom(term, sym.cod)
+def _opaque_read(t: App, names):
+    return None, opaque_atom(t, t.symbol.cod)
 
 
-def is_type_symbol(sym: FunctionSymbol) -> bool:
-    return sym in _TYPE_SYMBOL_SET or is_int_literal(sym) or is_str_literal(sym)
+def type_plan(t: Term, names, alg: TypeAlgebra, read):
+    """t as (function of the bindings, None), or as (None, constant value)
+    when no name in names occurs in it; values before the final simplify.
+
+    A type symbol is resolved to its operation once, and a subterm over
+    constants is computed once.  A variable outside names is a null.  An
+    application of any other symbol is handed to read(t, names), which
+    gives back a plan of the same form."""
+    if isinstance(t, Var):
+        if t.name in names:
+            return itemgetter(t.name), None
+        s = alg.nulls.sort_of(t.name) if t.name in alg.nulls else None
+        return None, opaque_atom(t, s)
+    op = symbol_operation(t.symbol)
+    if op is None:
+        return read(t, names)
+    plans = [type_plan(a, names, alg, read) for a in t.args]
+    if all(fn is None for fn, _ in plans):
+        return None, op(alg, *(v for _, v in plans))
+    fns = [_constant(v) if fn is None else fn for fn, v in plans]
+    if len(fns) == 1:
+        f = fns[0]
+        return (lambda env: op(alg, f(env))), None
+    f, g = fns
+    return (lambda env: op(alg, f(env), g(env))), None
 
 
-_TYPE_SYMBOL_SET = frozenset(TYPE_SYMBOLS)
+def _constant(v):
+    return lambda env: v
 
 
 def opaque_atom(term: Term, sort: Sort) -> CanonicalValue:
@@ -628,36 +641,23 @@ def opaque_atom(term: Term, sort: Sort) -> CanonicalValue:
     return IntPoly.atom(term)
 
 
-def apply_symbol(sym: FunctionSymbol, args: list,
-                 alg: "TypeAlgebra | None" = None) -> CanonicalValue:
-    """Apply a built-in type symbol to canonical values."""
-    op = _OPERATIONS.get(sym)
-    if op is None:
-        return _literal_value(sym)
-    return op(_EMPTY_ALGEBRA if alg is None else alg, *args)
-
-
 def symbol_operation(sym: FunctionSymbol):
-    """The operation of a built-in type symbol: a function of the type
-    algebra (in which `<=` and `eq` simplify) and the argument values."""
-    op = _OPERATIONS.get(sym)
-    if op is None:
-        value = _literal_value(sym)
-        return lambda alg: value
-    return op
-
-
-def _literal_value(sym: FunctionSymbol) -> CanonicalValue:
+    """The operation of a built-in type symbol, a function of the type
+    algebra (in which `<=` and `eq` simplify) and the argument values;
+    None for any other symbol."""
+    if sym in _OPERATIONS:
+        return _OPERATIONS[sym]
     if is_int_literal(sym):
-        return IntPoly.const(int(sym.name))
-    if is_str_literal(sym):
-        return StrWord.lit(sym.name[1:-1])
-    raise ValueError(f"not a type symbol: {sym}")
+        value = IntPoly.const(int(sym.name))
+    elif is_str_literal(sym):
+        value = StrWord.lit(sym.name[1:-1])
+    else:
+        return None
+    return lambda alg: value
 
 
+# `0` and `1` (ZERO, ONE) are integer literals
 _OPERATIONS = {
-    ZERO: lambda alg: IntPoly.const(0),
-    ONE: lambda alg: IntPoly.const(1),
     NEG: lambda alg, a: _as_poly(a).neg(),
     PLUS: lambda alg, a, b: _as_poly(a).add(_as_poly(b)),
     TIMES: lambda alg, a, b: _as_poly(a).mul(_as_poly(b)),

@@ -17,8 +17,9 @@ from catdb.typeside import (
     AND, BFALSE, BTRUE, CONCAT, EPS, EQS, FALSE, LE, NEG, NOT, ONE, OR, PLUS,
     TIMES, TRUE, ZERO, CanonicalValue, IntPoly, StrWord, TypeAlgebra,
     _EMPTY_ALGEBRA, _as_bool, _as_poly, _as_word, _bnode, _bnot, _eq_atom,
-    _le_atom, is_type_symbol, ts_normalize,
+    _le_atom,
 )
+from tests.typeside_oracle import canon, is_type_symbol
 
 
 def eval_entity(si: SaturatedInstance, t: Term,
@@ -49,7 +50,7 @@ def _eval_type(si: SaturatedInstance, t: Term, env, vals) -> CanonicalValue:
     if isinstance(t, Var):
         if t.name in vals:
             return vals[t.name]
-        return ts_normalize(t, si.typealg)
+        return si.typealg.simplify(canon(t, si.typealg))
     assert isinstance(t, App)
     sym = t.symbol
     if sym in si.attr_cols:

@@ -6,21 +6,30 @@ semi-naive chase and hom-sets were read off the saturated representables:
 stops when a pass changes neither the rows nor the closure, and
 ``saturate_entity_category`` is a breadth-first search over normal-form
 paths with its own morphism count.  They are slow but simple, so the tests
-compare the chase against them.  Nothing under ``src/`` imports this.
+compare the chase against them.  ``saturate`` also reads its type
+equations its own way: it rewrites each observable equation at each row
+into a term, resolves its entity subterms to rows, and reads the sides
+with ``typeside_oracle.canon``.  Nothing under ``src/`` imports this.
 """
 
 from __future__ import annotations
 
 from catdb.instance import (
-    InconsistentInstance, InstancePresentation,
-    SaturatedInstance, _term_sort,
+    InconsistentInstance, InstancePresentation, SaturatedInstance,
 )
 from catdb.kernel import (
     App, Context, Equation, Sort, Term, Var, app, subst_map, term_key,
 )
 from catdb.rewrite import DEFAULT_BUDGET, GroundClosure
 from catdb.schema import PossiblyInfinite, Schema
-from catdb.typeside import TypeAlgebra, ts_normalize
+from catdb.typeside import TypeAlgebra
+from tests.typeside_oracle import canon, value_pairs
+
+
+def _term_sort(t: Term, gens: Context) -> Sort:
+    if isinstance(t, Var):
+        return gens.sort_of(t.name)
+    return t.symbol.cod
 
 
 def saturate(ip: InstancePresentation,
@@ -89,13 +98,13 @@ def saturate(ip: InstancePresentation,
                 resolve(subst_map(eq.lhs, {zname: r})),
                 resolve(subst_map(eq.rhs, {zname: r})),
                 eq.sort))
-    alg = TypeAlgebra(nulls, hypotheses)
+    alg = TypeAlgebra(nulls, value_pairs(nulls, hypotheses))
     if alg.inconsistent:
         raise InconsistentInstance(
             "type equations force distinct constants to coincide")
 
     attr_cols = {
-        a: {r: ts_normalize(app(a, r), alg) for r in row_list[a.dom[0]]}
+        a: {r: alg.simplify(canon(app(a, r), alg)) for r in row_list[a.dom[0]]}
         for a in sch.attributes}
     gen_env = {n: cl.representative(Var(n)) for n, _ in ip.entity_generators()}
     return SaturatedInstance(sch, row_list, edge_cols, attr_cols, alg,

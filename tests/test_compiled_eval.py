@@ -30,15 +30,16 @@ from catdb.migration import (
 from catdb.query import crosscheck_migration, eval_query, eval_uber_query
 from catdb.typeside import (
     AND, BOOL, CONCAT, EPS, EQS, FALSE, INT, LE, NEG, NOT, OR, PLUS, STR,
-    TIMES, TRUE, IntPoly, StrWord, TypeAlgebra, apply_symbol, opaque_atom,
-    str_literal,
+    TIMES, TRUE, IntPoly, StrWord, TypeAlgebra, opaque_atom, str_literal,
+    symbol_operation,
 )
 from tests import eval_oracle
 from tests.conftest import FIXTURES
 from tests.genfixtures import bench_company
-from tests.typeside_oracle import OracleTypeAlgebra
+from tests.typeside_oracle import OracleTypeAlgebra, value_pairs
 
 NULLS = dict(null_share=0.25, salaries=(300, 600))
+ALG = TypeAlgebra()  # no hypotheses: `<=` and `eq` leave values as they are
 
 
 def company(seed, n_emp, n_dept, **kw):
@@ -174,19 +175,20 @@ class TestAgainstInterpreter:
     def test_symbol_table_is_the_comparison_chain(self):
         values = {INT: [IntPoly.const(2), opaque_atom(Var("k"), INT)],
                   STR: [StrWord.lit("ab"), opaque_atom(Var("s"), STR)],
-                  BOOL: [apply_symbol(TRUE, []), opaque_atom(Var("b"), BOOL)]}
+                  BOOL: [symbol_operation(TRUE)(ALG),
+                         opaque_atom(Var("b"), BOOL)]}
         syms = [NEG, PLUS, TIMES, LE, NOT, AND, OR, CONCAT, EQS, EPS, TRUE,
                 FALSE, int_literal(7), int_literal(-4), int_literal(0),
                 str_literal("xy").symbol]
         for sym in syms:
             pools = [values[s] for s in sym.dom]
             for args in _product(pools):
-                assert (apply_symbol(sym, list(args))
+                assert (symbol_operation(sym)(ALG, *args)
                         == eval_oracle.apply_symbol(sym, list(args)))
         not_type = FunctionSymbol("sal", (INT,), INT)
-        for fn in (apply_symbol, eval_oracle.apply_symbol):
-            with pytest.raises(ValueError):
-                fn(not_type, [IntPoly.const(1)])
+        assert symbol_operation(not_type) is None
+        with pytest.raises(ValueError):
+            eval_oracle.apply_symbol(not_type, [IntPoly.const(1)])
 
 
 def _outcome(fn):
@@ -296,7 +298,8 @@ def test_early_exit_waits_for_substitution_chains():
                      App(FALSE), BOOL),
             Equation(nulls, cell, Var("n"), INT),
             Equation(nulls, Var("n"), App(int_literal(5)), INT)]
-    alg, full = TypeAlgebra(nulls, hyps), OracleTypeAlgebra(nulls, hyps)
+    pairs = value_pairs(nulls, hyps)
+    alg, full = TypeAlgebra(nulls, pairs), OracleTypeAlgebra(nulls, pairs)
     assert not alg._residual and not full._residual
     assert alg._subst == full._subst
 

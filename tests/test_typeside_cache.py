@@ -19,11 +19,13 @@ from catdb.kernel import Context, Equation, FunctionSymbol, Sort, Var, app
 from catdb.typeside import (
     AND, BOOL, CONCAT, EPS, EQS, FALSE, INT, LE, NEG, NOT, OR, PLUS, STR,
     TIMES, TRUE, BAtom, BNode, IntPoly, StrWord, TypeAlgebra, _apply_subst,
-    _bnot, apply_symbol, int_term, str_literal, ts_normalize,
+    _bnot, int_term, str_literal, symbol_operation, ts_normalize,
 )
 from tests.genfixtures import type_equations_workspace, typeside_instance
 from tests.test_cli import run_module
-from tests.typeside_oracle import OracleTypeAlgebra, apply_subst, simplify
+from tests.typeside_oracle import (
+    OracleTypeAlgebra, apply_subst, canon, simplify, value_pairs,
+)
 
 ITEM = Sort("Item")
 NULLS = Context((("n1", INT), ("n2", INT), ("s1", STR), ("b1", BOOL)))
@@ -35,12 +37,13 @@ ROWS = (Var("r1"), Var("r2"))
 
 
 def _poly():
-    return apply_symbol(PLUS, [IntPoly.atom(Var("n")), IntPoly.const(2)])
+    return symbol_operation(PLUS)(PLAIN, IntPoly.atom(Var("n")),
+                                  IntPoly.const(2))
 
 
 def _node():
-    le = apply_symbol(LE, [_poly(), IntPoly.const(7)])
-    return apply_symbol(AND, [BAtom(True, "var", (Var("b"),)), le])
+    le = symbol_operation(LE)(PLAIN, _poly(), IntPoly.const(7))
+    return symbol_operation(AND)(PLAIN, BAtom(True, "var", (Var("b"),)), le)
 
 
 # a fresh, not yet hashed instance of each class with a cached hash
@@ -164,7 +167,8 @@ def test_apply_subst_matches_rebuilding_oracle(v, data):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(algebras(), st.lists(terms(), max_size=4))
 def test_type_algebra_matches_rebuilding_oracle(hyps, probes):
-    alg, ref = TypeAlgebra(NULLS, hyps), OracleTypeAlgebra(NULLS, hyps)
+    pairs = value_pairs(NULLS, hyps)
+    alg, ref = TypeAlgebra(NULLS, pairs), OracleTypeAlgebra(NULLS, pairs)
     assert alg.inconsistent == ref.inconsistent
     if alg.inconsistent:
         return
@@ -174,6 +178,7 @@ def test_type_algebra_matches_rebuilding_oracle(hyps, probes):
     sides = [t for e in hyps for t in (e.lhs, e.rhs)]
     for t in probes + sides:
         assert ts_normalize(t, alg) == ts_normalize(t, ref)
+        assert ts_normalize(t, alg) == alg.simplify(canon(t, alg))
         v = ts_normalize(t, PLAIN)
         assert alg.simplify(v) == simplify(ref, v)
 
@@ -207,7 +212,7 @@ def test_equation_order_does_not_change_the_algebra(hyps):
     of them a null names is arbitrary.)"""
     answers = set()
     for order in permutations(hyps):
-        alg = TypeAlgebra(INT_NULLS, order)
+        alg = TypeAlgebra(INT_NULLS, value_pairs(INT_NULLS, order))
         for v in alg._subst.values():
             assert alg._subst.keys().isdisjoint(v.atoms())
         answers.add((alg.inconsistent, None if alg.inconsistent else tuple(
@@ -247,7 +252,9 @@ def test_residual_contradictions_match_the_oracle(hyps):
     """The oracle joins the unsettled pairs into classes and finds the
     values they force apart with its own loop.  (What an inconsistent
     algebra stores is arbitrary, as in the permutation property.)"""
-    alg, ref = TypeAlgebra(INT_NULLS, hyps), OracleTypeAlgebra(INT_NULLS, hyps)
+    pairs = value_pairs(INT_NULLS, hyps)
+    alg, ref = (TypeAlgebra(INT_NULLS, pairs),
+                OracleTypeAlgebra(INT_NULLS, pairs))
     assert alg.inconsistent == ref.inconsistent
     if not alg.inconsistent:
         assert alg._residual == ref._residual
@@ -307,7 +314,7 @@ def test_every_order_completes_to_one_reduced_system(hyps):
     probes += [Var(n) for n, _ in MIXED_NULLS.bindings]
     answers = set()
     for order in permutations(hyps):
-        alg = TypeAlgebra(MIXED_NULLS, order)
+        alg = TypeAlgebra(MIXED_NULLS, value_pairs(MIXED_NULLS, order))
         assert _reduced(alg)
         answers.add((alg.inconsistent, None if alg.inconsistent else (
             frozenset(alg._residual.items()),

@@ -1,4 +1,9 @@
-"""Test oracle: substitution, simplification and completion done naively.
+"""Test oracle: term reading, substitution, simplification and completion
+done naively.
+
+``canon`` is the recursive reading of a type term that catdb used before
+every type term went through one compiled plan (`typeside.type_plan`), and
+``value_pairs`` reads hypothesis equations with it.
 
 ``apply_subst`` and ``simplify`` are catdb's type-algebra substitution and
 simplification before values cached their atom sets: every value is
@@ -13,12 +18,45 @@ Nothing under ``src/`` imports this.
 
 from __future__ import annotations
 
-from catdb.kernel import Term
-from catdb.typeside import (
-    BAtom, BConst, BNode, BoolForm, CanonicalValue, IntPoly, StrWord,
-    TypeAlgebra, _bnode, _bnot, _eq_atom, _le_atom, _orient, _value_weight,
-    opaque_atom, ts_normalize, value_sort,
+from catdb.kernel import (
+    App, Context, FunctionSymbol, Term, Var, is_int_literal, is_str_literal,
 )
+from catdb.typeside import (
+    TYPE_SYMBOLS, BAtom, BConst, BNode, BoolForm, CanonicalValue, IntPoly,
+    StrWord, TypeAlgebra, _bnode, _bnot, _eq_atom, _le_atom, _orient,
+    _value_weight, opaque_atom, symbol_operation, value_sort,
+)
+
+
+def is_type_symbol(sym: FunctionSymbol) -> bool:
+    return sym in TYPE_SYMBOLS or is_int_literal(sym) or is_str_literal(sym)
+
+
+def canon(term: Term, alg: TypeAlgebra) -> CanonicalValue:
+    """The value of a type-sorted term, its leaves read through the
+    substitution of alg and every non-type application an opaque atom;
+    not simplified at the top."""
+    if isinstance(term, Var):
+        got = alg._subst.get(term)
+        if got is not None:
+            return got
+        s = alg.nulls.sort_of(term.name) if term.name in alg.nulls else None
+        return opaque_atom(term, s)
+    assert isinstance(term, App)
+    sym = term.symbol
+    if is_type_symbol(sym):
+        return symbol_operation(sym)(alg, *(canon(a, alg) for a in term.args))
+    got = alg._subst.get(term)
+    if got is not None:
+        return got
+    return opaque_atom(term, sym.cod)
+
+
+def value_pairs(nulls: Context, equations) -> list:
+    """The hypotheses of `TypeAlgebra(nulls, ...)` for the equations: both
+    sides of each read by ``canon`` in an algebra with no hypotheses."""
+    plain = TypeAlgebra(nulls)
+    return [(canon(e.lhs, plain), canon(e.rhs, plain)) for e in equations]
 
 
 class OracleTypeAlgebra(TypeAlgebra):
@@ -31,9 +69,7 @@ class OracleTypeAlgebra(TypeAlgebra):
     def _compile(self):
         if not self.hypotheses:
             return
-        plain = TypeAlgebra(self.nulls)
-        pairs = [(ts_normalize(e.lhs, plain), ts_normalize(e.rhs, plain))
-                 for e in self.hypotheses]
+        pairs = list(self.hypotheses)
         before = None
         while before != (self._subst, self._residual):
             before = (self._subst, self._residual)

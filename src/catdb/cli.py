@@ -191,32 +191,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "presented by generators and equations.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, help, budgeted=True, formatted=False):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("file", help="workspace file (.cdb)")
-        sp.add_argument("--budget", type=budget, default=DEFAULT_BUDGET,
-                        metavar="N",
-                        help="limit on critical pairs in completion and on "
-                             "rows per entity in saturation")
-        sp.add_argument("--format", choices=("ascii", "json"),
-                        default="ascii")
+        if budgeted:
+            sp.add_argument("--budget", type=budget, default=DEFAULT_BUDGET,
+                            metavar="N",
+                            help="limit on critical pairs in completion and "
+                                 "on rows per entity in saturation")
+        if formatted:
+            sp.add_argument("--format", choices=("ascii", "json"),
+                            default="ascii")
         return sp
 
-    common(sub.add_parser("check", help="parse and check a workspace"))
-    sp = common(sub.add_parser("complete", help="complete a theory"))
+    command("check", "parse and check a workspace", budgeted=False)
+    sp = command("complete", "complete a theory")
     sp.add_argument("--theory", required=True)
-    sp = common(sub.add_parser("eq", help="decide a word problem"))
+    sp = command("eq", "decide a word problem")
     sp.add_argument("--theory", required=True)
     sp.add_argument("terms", nargs=2, metavar="TERM")
-    sp = common(sub.add_parser("saturate", help="saturate an instance"))
+    sp = command("saturate", "saturate an instance", formatted=True)
     sp.add_argument("--instance", required=True)
-    sp = common(sub.add_parser("homs", help="enumerate transforms"))
+    sp = command("homs", "enumerate transforms")
     sp.add_argument("--from", required=True, dest="from")
     sp.add_argument("--to", required=True)
-    sp = common(sub.add_parser("query", help="evaluate a query"))
+    sp = command("query", "evaluate a query", formatted=True)
     sp.add_argument("--query", required=True)
     sp.add_argument("--instance", required=True)
     sp.add_argument("--crosscheck", action="store_true")
-    sp = common(sub.add_parser("migrate", help="migrate an instance"))
+    sp = command("migrate", "migrate an instance", formatted=True)
     sp.add_argument("--mapping", required=True)
     sp.add_argument("--instance", required=True)
     sp.add_argument("--mode", choices=("sigma", "delta", "pi"),

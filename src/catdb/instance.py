@@ -80,14 +80,13 @@ class SaturatedInstance:
     columns, attribute columns valued in the type algebra."""
 
     def __init__(self, schema: Schema, row_list, edge_cols, attr_cols,
-                 typealg: TypeAlgebra, gen_env, presentation=None):
+                 typealg: TypeAlgebra, gen_env):
         self.schema = schema
         self.row_list: dict[Sort, list[Term]] = row_list
         self.edge_cols: dict[FunctionSymbol, dict[Term, Term]] = edge_cols
         self.attr_cols: dict[FunctionSymbol, dict[Term, CanonicalValue]] = attr_cols
         self.typealg = typealg
         self.gen_env: dict[str, Term] = gen_env
-        self.presentation = presentation
         self.row_sort: dict[Term, Sort] = {
             r: e for e, rs_ in row_list.items() for r in rs_}
 
@@ -280,7 +279,7 @@ def saturate(ip: InstancePresentation,
     attr_cols = {a: {r: alg.simplify(v) for r, v in col.items()}
                  for a, col in cells.attr_cols.items()}
     return SaturatedInstance(sch, row_list, edge_cols, attr_cols, alg,
-                             gen_env, presentation=ip)
+                             gen_env)
 
 
 # --- canonical presentations -------------------------------------------
@@ -396,9 +395,6 @@ class Transform:
     def row_assignment(self) -> dict[str, Term]:
         return dict(self.rows)
 
-    def val_assignment(self) -> dict:
-        return dict(self.vals)
-
     def render(self) -> str:
         parts = [f"{n} := {render_term(t)}" for n, t in self.rows]
         parts += [f"{n} := {render_value(v)}" for n, v in self.vals]
@@ -415,15 +411,16 @@ def rows_by_assignment(rows, transforms) -> dict[frozenset, list[Term]]:
     return out
 
 
-def _check_equations(src: InstancePresentation, dst: SaturatedInstance,
-                     env: dict[str, Term], vals: dict) -> list[str]:
+def check_transform(t: Transform) -> list[str]:
+    """The equations of t's source that fail under t's assignment, one
+    message each: an entity equation whose sides are different rows of the
+    target, or a type equation whose sides are not provably equal values."""
     out = []
-    is_ent = src.schema.is_entity
-    bindings = {**env, **vals}
-    for eq in src.equations:
-        ent = is_ent(eq.sort)
-        l, r = (dst.compile(t, bindings.keys(), ent)(bindings)
-                for t in (eq.lhs, eq.rhs))
+    bindings = dict(t.rows + t.vals)
+    for eq in t.source.equations:
+        ent = t.source.schema.is_entity(eq.sort)
+        l, r = (t.target.compile(side, bindings.keys(), ent)(bindings)
+                for side in (eq.lhs, eq.rhs))
         if ent:
             if l != r:
                 out.append(f"entity equation fails: {eq}")
@@ -432,11 +429,6 @@ def _check_equations(src: InstancePresentation, dst: SaturatedInstance,
             if got != EqResult.Equal:
                 out.append(f"type equation not provable ({got.name}): {eq}")
     return out
-
-
-def check_transform(t: Transform) -> list[str]:
-    return _check_equations(t.source, t.target,
-                            t.row_assignment(), t.val_assignment())
 
 
 def enumerate_transforms(src: InstancePresentation,
@@ -513,14 +505,14 @@ def enumerate_transforms(src: InstancePresentation,
                                         shape)
         return got
 
-    # per equation: (entity-sorted, lhs, rhs)
-    eq_info: list[tuple[bool, _Side, _Side]] = []
+    # per equation: (lhs, rhs)
+    eq_info: list[tuple[_Side, _Side]] = []
     for i, eq in enumerate(src.equations):
         ent = is_ent(eq.sort)
         lhs, rhs = plan(eq.lhs, ent), plan(eq.rhs, ent)
         for v in lhs.names | rhs.names:
             watch[v].append(i)
-        eq_info.append((ent, lhs, rhs))
+        eq_info.append((lhs, rhs))
 
     indexes: dict[tuple[tuple, str], tuple] = {}  # by (shape, sort name)
     results: list[Transform] = []
@@ -540,14 +532,12 @@ def enumerate_transforms(src: InstancePresentation,
         for i in queue:
             if i in checked:
                 continue
-            ent, (lhs_vars, lhs_value, lhs_bare, *_), \
+            (lhs_vars, lhs_value, lhs_bare, *_), \
                 (rhs_vars, rhs_value, rhs_bare, *_) = eq_info[i]
             lhs_bound, rhs_bound = is_bound(lhs_vars), is_bound(rhs_vars)
             if lhs_bound and rhs_bound:
                 checked.add(i)
-                l, r = lhs_value(bound), rhs_value(bound)
-                holds = l == r if ent else decide_values(l, r) == EqResult.Equal
-                if not holds:
+                if lhs_value(bound) != rhs_value(bound):
                     return False
                 continue
             for bare, other_value, other_bound in (
@@ -579,7 +569,7 @@ def enumerate_transforms(src: InstancePresentation,
         other side's value, or None when there is no such equation."""
         hits = []  # (bucket size, equation, bucket, side value by row, key)
         for i in watch[name]:
-            _, lhs, rhs = eq_info[i]
+            lhs, rhs = eq_info[i]
             for side, other in ((lhs, rhs), (rhs, lhs)):
                 if side.shape and name in side.names \
                         and is_bound(other.names):

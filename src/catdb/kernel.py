@@ -293,15 +293,10 @@ class ContextMorphism:
 
 def substitute(term: Term, m: ContextMorphism) -> Term:
     """Simultaneous substitution t[x_i := m(x_i)]."""
-    d = m.as_dict()
-    return _subst(term, d)
+    return subst_map(term, m.as_dict())
 
 
-def subst_map(term: Term, mapping: dict[str, Term]) -> Term:
-    return _subst(term, mapping)
-
-
-def _subst(term: Term, d: dict[str, Term]) -> Term:
+def subst_map(term: Term, d: dict[str, Term]) -> Term:
     if isinstance(term, Var):
         if term.name not in d:
             raise UnknownVariable(term.name)
@@ -309,7 +304,7 @@ def _subst(term: Term, d: dict[str, Term]) -> Term:
     assert isinstance(term, App)
     if not term.args:
         return term
-    return App(term.symbol, tuple(_subst(a, d) for a in term.args))
+    return App(term.symbol, tuple(subst_map(a, d) for a in term.args))
 
 
 def compose_ctx_morphisms(f: ContextMorphism, g: ContextMorphism) -> ContextMorphism:

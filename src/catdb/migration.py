@@ -19,8 +19,7 @@ from .kernel import (
 )
 from .schema import (
     Schema, SchemaError, SchemaMapping, SchemaMismatch, SchemaPresentation,
-    _norm_obs, compile_schema, discrete_opfibration_lifts,
-    saturate_entity_category,
+    compile_schema, discrete_opfibration_lifts, saturate_entity_category,
 )
 from .instance import (
     InstancePresentation, SaturatedInstance, canonical_form,
@@ -66,9 +65,16 @@ def delta(F: SchemaMapping, K: SaturatedInstance) -> SaturatedInstance:
                              K.typealg, dict(K.gen_env))
 
 
+def _on_source(F: SchemaMapping, I, what: str) -> None:
+    if I.schema.presentation != F.source.presentation:
+        raise MigrationError(
+            f"{what}: the instance is not on the mapping's source schema")
+
+
 def sigma(F: SchemaMapping, I: InstancePresentation) -> InstancePresentation:
     """Left pushforward, as a presentation: re-sort the generators through
     the entity map and translate every equation symbol-wise."""
+    _on_source(F, I, "sigma")
     new_ctx = F.translate_context(I.generators)
     eqs = []
     for eq in I.equations:
@@ -81,6 +87,7 @@ def sigma(F: SchemaMapping, I: InstancePresentation) -> InstancePresentation:
 def sigma_pointwise(F: SchemaMapping, I: SaturatedInstance) -> SaturatedInstance:
     """Coproduct-over-preimages formula, valid when F induces a discrete
     opfibration on collages."""
+    _on_source(F, I, "sigma")
     verdict, lifts = discrete_opfibration_lifts(F)
     if verdict != "yes":
         raise NotOpfibration("mapping is not a discrete opfibration")
@@ -264,12 +271,11 @@ def conjoint_presentation(F: SchemaMapping,
                                 (), tuple(eqs))
 
 
-def unit_bimodule(s: Schema, renamer=None) -> BimodulePresentation:
-    """Identity bimodule s -|-> s', where s' is a disjoint renamed copy of s
-    (collages need disjoint sides).  renamer maps names; default appends
-    an apostrophe-free suffix '_c'."""
-    ren = renamer or (lambda n: n + "_c")
-    copy, to_copy = rename_schema(s, ren)
+def unit_bimodule(s: Schema) -> BimodulePresentation:
+    """Identity bimodule s -|-> s', where s' is a disjoint copy of s
+    (collages need disjoint sides) whose every entity, edge and attribute
+    name carries the fixed suffix '_c'."""
+    copy, to_copy = rename_schema(s, lambda n: n + "_c")
     return companion_presentation(to_copy, prefix="u")
 
 
@@ -366,7 +372,7 @@ def compose_bimodules(M: BimodulePresentation, N: BimodulePresentation,
                 for att in mid_attrs:
                     if att.dom[0] != s:
                         continue
-                    key = _norm_obs(double, app(att, p))
+                    key = double.entity_rs.normalize(app(att, p))
                     if key not in gen_attrs:
                         gen_attrs[key] = FunctionSymbol(
                             f"o_{pname(key)}", (r,), att.cod)
@@ -379,7 +385,7 @@ def compose_bimodules(M: BimodulePresentation, N: BimodulePresentation,
     def observable(t: Term) -> Term:
         """A double-collage observable over x:r, headed by an edge or an
         attribute, in the composite bimodule's language."""
-        nt = _norm_obs(double, t)
+        nt = double.entity_rs.normalize(t)
         asym = nt.symbol
         if asym in double.attributes:
             dom = asym.dom[0]
@@ -410,7 +416,7 @@ def compose_bimodules(M: BimodulePresentation, N: BimodulePresentation,
         for f in R.edges:
             if f.cod != r:
                 continue
-            q2 = _norm_obs(double, subst_map(q, {"x": app(f, x)}))
+            q2 = double.entity_rs.normalize(subst_map(q, {"x": app(f, x)}))
             eqs.append(Equation(ctx(("x", f.dom[0])),
                                app(A, app(f, x)), app(gen_attrs[q2], x),
                                A.cod))

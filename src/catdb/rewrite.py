@@ -47,12 +47,11 @@ class EqResult(Enum):
 
 
 class TermOrder:
-    """Lexicographic path order over a total symbol precedence."""
+    """Lexicographic path order over a total symbol precedence: a symbol's
+    rank is its declaration index, so the last declared is the greatest."""
 
-    def __init__(self, sig: AlgSignature, precedence: list[str] | None = None):
-        if precedence is None:
-            precedence = list(reversed(list(sig.symbols)))
-        self._rank = {name: i for i, name in enumerate(reversed(precedence))}
+    def __init__(self, sig: AlgSignature):
+        self._rank = {name: i for i, name in enumerate(sig.symbols)}
 
     def _prec(self, name: str) -> int:
         # Undeclared symbols (integer literals) rank below everything,
@@ -274,11 +273,10 @@ def _critical_pairs(r1: RewriteRule, r2: RewriteRule):
             yield peak, left, right
 
 
-def complete(pres: Presentation, order: TermOrder | None = None,
+def complete(pres: Presentation,
              budget: Budget = DEFAULT_BUDGET) -> RewriteSystem:
     """Unfailing Knuth-Bendix completion of a presentation."""
-    if order is None:
-        order = TermOrder(pres.signature)
+    order = TermOrder(pres.signature)
     rs = RewriteSystem([], order, "confluent", [], budget)
     limit = budget.critical_pairs
     pending: list[Equation] = list(pres.equations)
@@ -293,8 +291,7 @@ def complete(pres: Presentation, order: TermOrder | None = None,
             if normalize(old.lhs, probe) != old.lhs:
                 reopened.append(Equation(old.context, old.lhs, old.rhs, _sort_of(old.lhs)))
             else:
-                new_rhs = old.rhs
-                kept.append(RewriteRule(old.context, old.lhs, new_rhs))
+                kept.append(old)
         rs.rules = kept + [rule]
         rs._nf_cache = {}
         pending.extend(reopened)

@@ -265,10 +265,11 @@ def edge_lifts(F: SchemaMapping, homs, s: Sort, g: FunctionSymbol):
 
 def attr_lifts(F: SchemaMapping, homs, s: Sort, a: FunctionSymbol):
     """Observations b(p) out of s in homs that F maps to the attribute a."""
-    want = _norm_obs(F.target, app(a, Var("x")))
+    tgt_rs = F.target.entity_rs
+    want = tgt_rs.normalize(app(a, Var("x")))
     return [app(b, p) for s2 in F.source.entities for p in homs[(s, s2)]
             for b in F.source.attrs_from(s2)
-            if _norm_obs(F.target, F.translate(app(b, p))) == want]
+            if tgt_rs.normalize(F.translate(app(b, p))) == want]
 
 
 def discrete_opfibration_lifts(F: SchemaMapping,
@@ -321,15 +322,3 @@ def is_discrete_opfibration(F: SchemaMapping,
                             budget: Budget = DEFAULT_BUDGET) -> str:
     """'yes' | 'no' | 'unknown', as in discrete_opfibration_lifts."""
     return discrete_opfibration_lifts(F, budget)[0]
-
-
-def _norm_obs(schema: Schema, t: Term) -> Term:
-    """Normal form of an observable term: entity paths reduced by the
-    schema's path rewriting, other symbol applications kept."""
-    if isinstance(t, Var):
-        return t
-    assert isinstance(t, App)
-    if t.symbol in schema.edges:
-        return schema.entity_rs.normalize(
-            App(t.symbol, tuple(_norm_obs(schema, a) for a in t.args)))
-    return App(t.symbol, tuple(_norm_obs(schema, a) for a in t.args))

@@ -54,10 +54,6 @@ TYPE_SYMBOLS = (
 )
 
 
-class NonGround(Exception):
-    pass
-
-
 def str_literal(s: str) -> Term:
     """The constant term denoting a string of letters."""
     if not LETTERS.issuperset(s):
@@ -689,18 +685,6 @@ def _as_bool(v) -> BoolForm:
 
 
 _EMPTY_ALGEBRA = TypeAlgebra()
-
-
-def eval_ground(term: Term) -> CanonicalValue:
-    v = ts_normalize(term)
-    if v.atoms():
-        raise NonGround(render_term(term))
-    return v
-
-
-def ts_decide(t1: Term, t2: Term, alg: TypeAlgebra | None = None) -> EqResult:
-    v1, v2 = ts_normalize(t1, alg), ts_normalize(t2, alg)
-    return decide_values(v1, v2)
 
 
 def decide_values(v1: CanonicalValue, v2: CanonicalValue) -> EqResult:

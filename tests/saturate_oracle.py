@@ -108,7 +108,7 @@ def saturate(ip: InstancePresentation,
         for a in sch.attributes}
     gen_env = {n: cl.representative(Var(n)) for n, _ in ip.entity_generators()}
     return SaturatedInstance(sch, row_list, edge_cols, attr_cols, alg,
-                             gen_env, presentation=ip)
+                             gen_env)
 
 
 def saturate_entity_category(s: Schema, budget: int = 10_000

@@ -259,6 +259,15 @@ class TestMigrate:
         assert 'e1.last = "Gauss"' in out.splitlines()
         assert 'd2.name = "Admin"' in out.splitlines()
 
+    @pytest.mark.parametrize("extra", [(), ("--saturate",)])
+    def test_sigma_refuses_an_instance_on_another_schema(self, capsys, extra):
+        # F maps R to T, but J lives on S
+        code, out, err = run(capsys, "migrate", WORKSPACE, "--mapping", "F",
+                             "--instance", "J", "--mode", "sigma", *extra)
+        assert (code, out) == (1, "")
+        assert err == ("error: sigma: the instance is not on the mapping's "
+                       "source schema\n")
+
 
 class TestMigrateAcrossSchemas:
     """Mappings between schemas that share no function symbol: an
@@ -398,6 +407,16 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("check", WORKSPACE, "--budget", "5"),
+        ("homs", WORKSPACE, "--from", "I", "--to", "J", "--format", "json"),
+        ("complete", GROUP, "--theory", "Grp", "--format", "json"),
+    ])
+    def test_option_the_command_does_not_read(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 class TestDeterminism:

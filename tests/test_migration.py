@@ -189,6 +189,15 @@ class TestSigmaPointwise:
         with pytest.raises(MigrationError):
             sigma_pointwise(ws.mappings["H"], satJ)
 
+    def test_refuses_an_instance_on_another_schema(self, ws, satJ):
+        # the identity on T is an opfibration, but J lives on S
+        ident = identity_mapping(ws.schemas["T"])
+        assert is_discrete_opfibration(ident) == "yes"
+        with pytest.raises(MigrationError, match="not on the mapping's source"):
+            sigma_pointwise(ident, satJ)
+        with pytest.raises(MigrationError, match="not on the mapping's source"):
+            sigma(ident, ws.instances["J"])
+
     def test_saturates_each_representable_once(self, ws, satJ, monkeypatch):
         import catdb.instance
         calls = []

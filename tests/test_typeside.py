@@ -9,10 +9,21 @@ from catdb.kernel import AlgSignature, Context, Sort, Term, Var, app
 from catdb.rewrite import EqResult
 from catdb.typeside import (
     AND, BOOL, CONCAT, EPS, FALSE, INT, LE, NEG, NOT, OR, PLUS, STR,
-    TIMES, TRUE, EQS, TypeAlgebra, decide_values, eval_ground, int_term,
+    TIMES, TRUE, EQS, TypeAlgebra, decide_values, int_term,
     TYPE_SORTS, TYPE_SYMBOLS, map_value_atoms, opaque_atom, str_literal,
-    ts_decide, ts_normalize, value_sort, value_to_term,
+    ts_normalize, value_sort, value_to_term,
 )
+
+
+def eval_ground(t: Term):
+    """The canonical value of a closed type term, which has no atoms."""
+    v = ts_normalize(t)
+    assert not v.atoms(), t
+    return v
+
+
+def ts_decide(a: Term, b: Term) -> EqResult:
+    return decide_values(ts_normalize(a), ts_normalize(b))
 
 
 def int_expr(rng: random.Random, depth: int):

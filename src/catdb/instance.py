@@ -303,7 +303,8 @@ def row_generator_names(si: SaturatedInstance) -> dict[Term, str]:
 
 def canonical_presentation(si: SaturatedInstance) -> InstancePresentation:
     """One generator per row and per null; one equation per edge cell, per
-    constrained attribute cell, and per residual type-algebra constraint."""
+    constrained attribute cell, and per type-algebra constraint, each
+    written once."""
     return canonical_form(si)[0]
 
 
@@ -372,7 +373,8 @@ def canonical_form(si: SaturatedInstance
     bindings = [(names[r], e) for e in si.schema.entities for r in si.rows(e)]
     bindings += list(alg.nulls.bindings) + extra_nulls
     context = Context(tuple(bindings))
-    eqs = [Equation(context, l, r, s) for l, r, s in eqs_raw]
+    # a cell whose atom the algebra substitutes is also a _subst equation
+    eqs = [Equation(context, l, r, s) for l, r, s in dict.fromkeys(eqs_raw)]
     building = False
     return (InstancePresentation(si.schema, context, tuple(eqs)),
             partial(value_to_term, atom_fn=atom_term))

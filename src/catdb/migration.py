@@ -4,8 +4,9 @@ Delta pulls saturated tables back along a mapping; sigma pushes an
 instance presentation forward syntactically; pi computes the right
 adjoint row-by-row as transforms out of pulled-back representables.
 Bimodules are presented by generating edges/attributes plus equations;
-their collage is an ordinary schema with two inclusion mappings, through
-which lambda and gamma are defined as composites of sigma/delta/pi.
+their collage is an ordinary schema with two inclusion mappings.  lambda
+is delta after sigma along them; gamma is pi along the target inclusion,
+built only on the source entities, which is delta after pi.
 """
 
 from __future__ import annotations
@@ -127,10 +128,19 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
     that attribute written over the presentation's generators and
     evaluated in I at alpha; a value that the generators cannot write
     depends on data outside the image of F, a domain error."""
-    tgt = F.target
+    out, found = _pushforward(F, I, F.target, budget)
+    out.pi_details = {t: {"rows": rows, "alphas": alphas}
+                      for t, (rows, alphas) in found.items()}
+    return out
+
+
+def _pushforward(F: SchemaMapping, I: SaturatedInstance, part: Schema,
+                 budget: Budget = DEFAULT_BUDGET):
+    """tabulate's pair for pi(F, I) on part, whose entities, edges and
+    attributes are some of F.target's; only part's are computed."""
     per, blocks = {}, {}
-    for t in tgt.entities:
-        sat = saturate(representable_instance(tgt, t), budget)
+    for t in part.entities:
+        sat = saturate(representable_instance(F.target, t), budget)
         dI = delta(F, sat)
         cp, term_of = canonical_form(dI)
         per[t] = (sat, row_generator_names(dI), term_of)
@@ -150,10 +160,7 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
         return term_of(sat.eval_type(app(a, Var("x")),
                                      {"x": sat.gen_env["x"]}))
 
-    out, found = tabulate(tgt, I, blocks, keys, returns)
-    out.pi_details = {t: {"rows": rows, "alphas": alphas}
-                      for t, (rows, alphas) in found.items()}
-    return out
+    return tabulate(part, I, blocks, keys, returns)
 
 
 # --- bimodules ----------------------------------------------------------
@@ -453,5 +460,8 @@ def lambda_(M: BimodulePresentation, I: InstancePresentation,
 
 def gamma(M: BimodulePresentation, J: SaturatedInstance,
           budget: Budget = DEFAULT_BUDGET) -> SaturatedInstance:
+    """delta(incl_src, pi(incl_dst, J)) along M's collage, which keeps
+    M.src's entities, edges and attributes under their names: pi's tables
+    on M.src, the only ones built."""
     col = collage_of_bimodule(M, budget)
-    return delta(col.incl_src, pi(col.incl_dst, J, budget))
+    return _pushforward(col.incl_dst, J, M.src, budget)[0]

@@ -198,8 +198,9 @@ def crosscheck_migration(Q: Query, J: SaturatedInstance,
                          budget: Budget = DEFAULT_BUDGET,
                          direct: SaturatedInstance | None = None) -> str:
     """Evaluate Q directly and through the bimodule collage (restriction
-    after right extension); 'ok' if the two tables are isomorphic.  direct
-    is Q's result on J when the caller has it already."""
+    after right extension, with the right extension built on the result
+    entity only); 'ok' if the two tables are isomorphic.  direct is Q's
+    result on J when the caller has it already."""
     if direct is None:
         direct = eval_query(Q, J).instance
     R, M = query_to_bimodule(Q)

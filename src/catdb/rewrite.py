@@ -286,8 +286,8 @@ def complete(pres: Presentation,
     def push_rule(rule: RewriteRule):
         # interreduce: drop/revise existing rules the new rule touches
         kept, reopened = [], []
+        probe = RewriteSystem([rule], order, "budget-exhausted", [], budget)
         for old in rs.rules:
-            probe = RewriteSystem([rule], order, "budget-exhausted", [], budget)
             if normalize(old.lhs, probe) != old.lhs:
                 reopened.append(Equation(old.context, old.lhs, old.rhs, _sort_of(old.lhs)))
             else:

@@ -218,3 +218,27 @@ instance OverlapRev on P {
   equations c * d + 1 = a + b, c * d + 1 = a * b, e.v = a * b, e.u = a + b;
 }
 """
+
+
+def infinite_side_workspace() -> str:
+    """Schema P, whose entity B has an infinite representable (edge nxt
+    is free), instance K on it, and query Q, which reads only A: Q's
+    migration route never needs a table for B."""
+    return """\
+schema P {
+  entities A B;
+  edges nxt : B -> B;
+  attributes v : A -> Int;
+}
+
+instance K on P {
+  generators a1 : A, a2 : A, b : B;
+  equations a1.v = 1, a2.v = 2, b.nxt = b;
+}
+
+query Q on P {
+  for a:A;
+  where (a.v <= 1) = true;
+  return w := a.v;
+}
+"""

@@ -3,7 +3,9 @@ cells are rebuilt by resolving every atom of the representable's value
 through a hand-written resolver (an attribute of a retained row, an atom
 the type algebra defines as one, or one side of an unoriented rewrite),
 then `map_value_atoms`.  Kept as the reference that `catdb.migration.pi`
-is compared with."""
+is compared with.  `gamma_oracle` is `catdb.migration.gamma` as first
+written: the whole pushforward along the collage's target inclusion,
+then the pullback along its source inclusion."""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from catdb.instance import (
     rows_by_assignment, saturate,
 )
 from catdb.kernel import App, Sort, Term, Var, app, render_term, subst_map
+from catdb import migration
 from catdb.migration import MigrationError, delta
 from catdb.rewrite import DEFAULT_BUDGET, Budget
 from catdb.schema import SchemaMapping
@@ -136,3 +139,11 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
                             I.typealg, {})
     out.pi_details = per
     return out
+
+
+def gamma_oracle(M: migration.BimodulePresentation, J: SaturatedInstance,
+                 budget: Budget = DEFAULT_BUDGET) -> SaturatedInstance:
+    """delta(incl_src, pi(incl_dst, J)) with the library's pi: the tables
+    of every collage entity are built, and all but the source's dropped."""
+    col = migration.collage_of_bimodule(M, budget)
+    return delta(col.incl_src, migration.pi(col.incl_dst, J, budget))

@@ -38,8 +38,8 @@ def test_every_budget_parameter_defaults_to_the_default_budget():
         "complete", "RewriteSystem", "GroundClosure", "compile_schema",
         "chase", "saturate", "saturate_entity_category",
         "discrete_opfibration_lifts", "is_discrete_opfibration", "pi",
-        "collage_of_bimodule", "compose_bimodules", "lambda_", "gamma",
-        "crosscheck_migration"}
+        "_pushforward", "collage_of_bimodule", "compose_bimodules",
+        "lambda_", "gamma", "crosscheck_migration"}
     for name, param in params.items():
         assert param.default is DEFAULT_BUDGET, name
 

@@ -10,7 +10,9 @@ import pytest
 
 from catdb.cli import run_cli
 from tests.conftest import FIXTURES
-from tests.genfixtures import company_instance, type_equations_workspace
+from tests.genfixtures import (
+    company_instance, infinite_side_workspace, type_equations_workspace,
+)
 
 GROUP = str(FIXTURES / "group.cdb")
 WORKSPACE = str(FIXTURES / "paper.cdb")
@@ -202,6 +204,17 @@ class TestQuery:
         code, out, _ = run(capsys, "query", WORKSPACE, "--query", "Q",
                            "--instance", "J", "--crosscheck")
         assert code == 0 and "crosscheck: ok" in out
+
+    @pytest.mark.parametrize("budget", [[], ["--budget", "50"]])
+    def test_crosscheck_never_builds_the_instance_side(self, capsys,
+                                                       tmp_path, budget):
+        # y(B) is infinite; B is an entity of K's schema, not of Q's result
+        path = tmp_path / "loop.cdb"
+        path.write_text(infinite_side_workspace(), encoding="utf-8")
+        code, out, err = run(capsys, "query", str(path), "--query", "Q",
+                             "--instance", "K", "--crosscheck", *budget)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "crosscheck: ok"
 
     def test_uber_query(self, capsys):
         code, out, _ = run(capsys, "query", WORKSPACE, "--query", "N",

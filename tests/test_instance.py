@@ -8,6 +8,8 @@ import pytest
 from catdb.kernel import (
     Context, Equation, FunctionSymbol, Sort, Var, app, ctx, render_term,
 )
+from catdb.dsl import parse_workspace
+from catdb.migration import delta
 from catdb.rewrite import Budget, EqResult
 from catdb.schema import PossiblyInfinite, SchemaPresentation, compile_schema
 from catdb.instance import (
@@ -20,6 +22,7 @@ from catdb.instance import (
 from catdb.typeside import (
     INT, LE, STR, TRUE, int_term, str_literal, ts_normalize,
 )
+from tests.genfixtures import bench_company
 
 
 def entity(schema, name):
@@ -253,6 +256,45 @@ class TestCanonicalPresentation:
     def test_round_trip_preserves_hom_counts(self, ws, satJ):
         again = saturate(canonical_presentation(satJ))
         assert hom_count(ws.instances["I"], again) == 3
+
+    @pytest.fixture(scope="class")
+    def companies(self):
+        return [saturate(parse_workspace(
+            bench_company(seed, 40, 8, **kw), "company").instances["W"])
+            for seed, kw in ((3, {}), (4, dict(null_share=0.25,
+                                                  salaries=(300, 600))))]
+
+    def test_each_equation_is_written_once(self, satJ, companies):
+        # a cell whose atom the type algebra substitutes (e1.sal = 250)
+        # is both a cell equation and a substitution
+        for si in [satJ] + companies:
+            eqs = canonical_presentation(si).equations
+            sides = [(eq.lhs, eq.rhs, eq.sort) for eq in eqs]
+            assert len(set(sides)) == len(sides)
+
+    def test_written_once_saturates_as_written_twice(self, satJ, companies):
+        for si in [satJ] + companies:
+            cp = canonical_presentation(si)
+            assert tables(saturate(cp)) == tables(saturate(twice(cp)))
+
+    def test_pi_representables_map_out_as_written_twice(self, ws, satJ,
+                                                        companies):
+        G = ws.mappings["G"]
+        for t in G.target.entities:
+            cp = canonical_presentation(delta(
+                G, saturate(representable_instance(G.target, t))))
+            for I in [satJ] + companies:
+                once = enumerate_transforms(cp, I)
+                assert [(a.rows, a.vals) for a in once] == [
+                    (a.rows, a.vals)
+                    for a in enumerate_transforms(twice(cp), I)]
+                assert once or t.name != "QR"
+
+
+def twice(pres):
+    """pres with every equation written a second time."""
+    return InstancePresentation(pres.schema, pres.generators,
+                                pres.equations + pres.equations)
 
 
 class TestIsomorphism:

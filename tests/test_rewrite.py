@@ -247,3 +247,18 @@ class TestGroundClosure:
         cl = GroundClosure(eqs, empty)
         members = cl.class_members(app(k2))
         assert app(fe, app(k1)) in members and app(k2) in members
+
+
+def test_completion_builds_one_probe_per_pushed_rule(grp_ws, monkeypatch):
+    # Grp pushes 17 rules; each needs one probe system to interreduce by
+    built = []
+    init = RewriteSystem.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(RewriteSystem, "__post_init__", counted)
+    rs = complete(grp_ws.theories["Grp"])
+    assert rs.status == "confluent" and len(rs.rules) == 10
+    assert len(built) <= 18

@@ -48,11 +48,14 @@ class DslError(Exception):
 # --- tokenizer ----------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+|//[^\n]*)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*'*|\*(?![/)]))
-  | (?P<op><=|->|:=|[{}();:,.=+\-\[\]|])
+    [^\S\n]*(?://[^\n]*)?           # blanks and a comment before the token
+    (?:(?P<ident>[A-Za-z_][A-Za-z0-9_']*'*|\*(?![/)]))
+     | (?P<op><=|->|:=|[{}();:,.=+\-\[\]|])
+     | (?P<nl>\n\s*)
+     | (?P<int>\d+)
+     | (?P<string>"(?:[^"\\]|\\.)*")
+     | (?P<eof>\Z)
+     | (?P<error>.))
 """, re.VERBOSE)
 
 
@@ -69,23 +72,23 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
+    """One pass: a match is a token and the blanks and comment before it."""
     out = []
-    line, start, i = 1, 0, 0  # start: offset of the current line
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise DslError(f"unexpected character {text[i]!r}",
+    line, start = 1, 0  # start: offset of the current line
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tok, i = m[kind], m.start(kind)
+        if kind == "error":
+            raise DslError(f"unexpected character {tok!r}",
                            SourceSpan(filename, line, i - start + 1))
-        end = m.end()
-        if m.lastgroup != "ws":
-            out.append(Token(m.lastgroup, m.group(), filename, line,
-                             i - start + 1))
-        if nl := text.count("\n", i, end):
-            line += nl
-            start = text.rfind("\n", i, end) + 1
-        i = end
-    out.append(Token("eof", "", filename, line, i - start + 1))
-    return out
+        if kind != "nl":
+            out.append(Token(kind, tok, filename, line, i - start + 1))
+            if kind == "eof":  # finditer may match the empty end twice
+                return out
+            if kind != "string" or "\n" not in tok:
+                continue
+        line += tok.count("\n")
+        start = text.rfind("\n", i, m.end()) + 1
 
 
 # --- workspace ----------------------------------------------------------
@@ -114,6 +117,7 @@ class Workspace:
 BUILTIN_SORTS = {s.name: s for s in TYPE_SORTS}
 _DECLARATIONS = ("theory", "schema", "instance", "mapping", "bimodule",
                  "query", "uberquery")
+_INFIX = {"<=": 0, "+": 1, "-": 1, "*": 2}  # binding power
 
 
 def check_equation(env: "TermEnv", lhs: Term, rhs: Term | Sort | None = None,
@@ -174,11 +178,11 @@ class Parser:
             raise DslError(f"expected {kw!r}, found {t.text!r}", t.span)
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.toks[self.pos].text == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        if self.toks[self.pos].text == text:
+            self.pos += 1
             return True
         return False
 
@@ -584,43 +588,28 @@ class Parser:
 
     # - terms -
 
-    def parse_term(self, env: "TermEnv") -> Term:
-        return self._cmp(env)
-
-    def _cmp(self, env) -> Term:
-        t = self._add(env)
-        if self.accept("<="):
-            u = self._add(env)
-            return app(LE, t, u)
-        return t
-
-    def _add(self, env) -> Term:
-        t = self._mul(env)
+    def parse_term(self, env: "TermEnv", prec: int = 0) -> Term:
+        """Precedence climbing over the operators of `_INFIX` that bind at
+        least as tightly as `prec`; `*` only where `env.times()` exists."""
+        t = (app(NEG, self.parse_term(env, 3)) if self.accept("-")
+             else self._postfix(env))  # binding power 3: a unary term
         while True:
-            if self.accept("+"):
-                t = app(PLUS, t, self._mul(env))
-            elif self.accept("-"):
-                t = app(PLUS, t, app(NEG, self._mul(env)))
-            else:
+            op = self.toks[self.pos].text
+            p = _INFIX.get(op, -1)
+            if p < prec or op == "*" and (times := env.times()) is None:
                 return t
-
-    def _mul(self, env) -> Term:
-        t = self._unary(env)
-        while self.at("*") and (times := env.times()) is not None:
-            self.next()
-            t = App(times, (t, self._unary(env)))
-        return t
-
-    def _unary(self, env) -> Term:
-        if self.accept("-"):
-            return app(NEG, self._unary(env))
-        return self._postfix(env)
+            self.pos += 1
+            u = self.parse_term(env, p + 1)
+            if op == "<=":  # non-associative
+                return app(LE, t, u)
+            t = (App(times, (t, u)) if op == "*"
+                 else app(PLUS, t, u if op == "+" else app(NEG, u)))
 
     def _postfix(self, env) -> Term:
         t = self._primary(env)
         while self.at(".") and self.toks[self.pos + 1].kind == "ident":
-            self.next()
-            ntok = self.expect_ident()
+            ntok = self.toks[self.pos + 1]
+            self.pos += 2
             sym = env.lookup(ntok.text, 1)
             if sym is None:
                 raise DslError(f"unknown symbol {ntok.text!r}", ntok.span)

@@ -13,7 +13,7 @@ opaque atom by sides compiled once (`typeside.type_plan`).
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -201,10 +201,12 @@ def chase(ip: InstancePresentation, budget: Budget = DEFAULT_BUDGET
     # m rewrites m and the representative alike.  So f is applied to a member
     # other than the representative only when f(m) matches a path of two or
     # more edges that begins a rule's side (x.mgr.on ~> x.on needs x.mgr).
+    # `by_head` holds those paths by head edge, as `match` fails on another.
     sides = [r.lhs for r in rs.rules]
     sides += [t for eq in rs.unoriented for t in (eq.lhs, eq.rhs)]
-    patterns = [p for side in sides for _, p in _positions(side)
-                if isinstance(p.args[0], App)]
+    paths = [p for side in sides for _, p in _positions(side)
+             if isinstance(p.args[0], App)]
+    by_head = {f: [p for p in paths if p.symbol == f] for f in sch.edges}
 
     items: dict[Term, Sort] = {}
     for n, s in ip.entity_generators():
@@ -218,7 +220,7 @@ def chase(ip: InstancePresentation, budget: Budget = DEFAULT_BUDGET
             for f in sch.edges_from(s):
                 for m in cl.class_members(rep):
                     if (f, m) in applied or m != rep and all(
-                            match(p, app(f, m)) is None for p in patterns):
+                            match(p, app(f, m)) is None for p in by_head[f]):
                         continue
                     applied.add((f, m))
                     fired = True
@@ -940,4 +942,19 @@ def render_tables(si: SaturatedInstance) -> str:
 
 
 def tables_json(si: SaturatedInstance) -> str:
-    return json.dumps(tables(si), indent=2, sort_keys=False)
+    return _json(tables(si), "\n")
+
+
+def _json(v, pad: str) -> str:
+    """`json.dumps(v, indent=2)` of nested dicts and lists of strings: the
+    stdlib's indenting encoder is slower and leaves cyclic garbage."""
+    if isinstance(v, str):
+        return _quote(v)
+    if not v:
+        return "{}" if isinstance(v, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(v, dict):
+        items = [f"{_quote(k)}: {_json(x, inner)}" for k, x in v.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    items = [_json(x, inner) for x in v]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"

@@ -255,14 +255,18 @@ def _replace(t: Term, path: tuple[int, ...], new: Term) -> Term:
 
 
 def _critical_pairs(r1: RewriteRule, r2: RewriteRule):
-    """Critical pairs from overlapping r2's lhs into r1's lhs."""
+    """Critical pairs from overlapping r2's lhs into r1's lhs, at positions
+    headed by r2's head symbol: `unify` fails at once on any other."""
+    head = r2.lhs.symbol
+    if all(sub.symbol != head for _, sub in _positions(r1.lhs)):
+        return
     l1 = _rename_apart(r1.lhs, "#1")
     rhs1 = _rename_apart(r1.rhs, "#1")
     l2 = _rename_apart(r2.lhs, "#2")
     rhs2 = _rename_apart(r2.rhs, "#2")
     for path, sub in _positions(l1):
-        if path == () and r1 is r2:
-            continue  # trivial self-overlap at the root
+        if sub.symbol != head or path == () and r1 is r2:
+            continue  # another head, or the trivial self-overlap at the root
         s = unify(sub, l2, {})
         if s is None:
             continue

@@ -5,10 +5,11 @@
 Run from anywhere; the engine is imported from ``src/`` of this checkout.
 Each workspace is ``bench/gen.py``'s company with N employees and N//5
 departments, ``make_company(random.Random(1), N, N//5)``: *ground*, or
-*nulls* with ``null_share=0.25, salaries=(300, 600)``.  On each, four
+*nulls* with ``null_share=0.25, salaries=(300, 600)``.  On each, six
 commands run as subprocesses with ``--budget 100000``: ``saturate W
---format json``, ``homs W W``, ``query Q --crosscheck`` and ``migrate G
---mode pi``.  Seconds are wall clock including interpreter start-up, and
+--format json``, ``homs W W``, ``query Q --crosscheck``, ``query N
+--format json``, ``migrate G --mode pi`` and ``migrate H --mode sigma
+--saturate``.  Seconds are wall clock including interpreter start-up, and
 peak RSS is the child's ``ru_maxrss``, of one run each.  The exponent per
 decade is the log-log slope of seconds against N between
 consecutive sizes.  Workspaces go to a temporary directory, and nothing
@@ -37,8 +38,12 @@ COMMANDS = {
     "homs": ["homs", "{file}", "--from", "W", "--to", "W"],
     "query_crosscheck": ["query", "{file}", "--query", "Q", "--instance", "W",
                          "--crosscheck"],
+    "query_n": ["query", "{file}", "--query", "N", "--instance", "W",
+                "--format", "json"],
     "migrate_pi": ["migrate", "{file}", "--mapping", "G", "--instance", "W",
                    "--mode", "pi"],
+    "migrate_sigma": ["migrate", "{file}", "--mapping", "H", "--instance", "W",
+                      "--mode", "sigma", "--saturate"],
 }
 BUDGET = ["--budget", "100000"]
 

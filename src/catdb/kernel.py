@@ -1,15 +1,16 @@
 """Multi-sorted term syntax: signatures, contexts, terms, substitution.
 
 Everything downstream (rewriting, schemas, instances, migration) is built
-from the values defined here.  All values are immutable and hashable, so
-structural equality is cheap and terms can be used as dict keys freely.
+from the values defined here.  All values are immutable and hashable, and
+sorts, symbols and terms are hash-consed through weak tables: an equal live
+value is the same object, so `==` and `hash` are `object`'s, O(1) in C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterator
+from weakref import ref
 
 
 class KernelError(Exception):
@@ -36,40 +37,61 @@ class ContextMismatch(KernelError):
     pass
 
 
-def hash_once(cls):
-    """Class decorator for an immutable dataclass: its generated `__hash__`
-    runs once per instance (the hash-once half of hash-consing).  The value
-    is kept on the instance outside the dataclass fields, so the hash
-    itself, `==` and `repr` stay those of the dataclass."""
-    generated = cls.__hash__
+class _Table(dict):
+    """Fields -> weak reference to the live value with those fields."""
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = generated(self)
-            object.__setattr__(self, "_hash", h)
-        return h
+    limit = 1024  # sweep when the table reaches this size
 
-    cls._hash = None  # until an instance sets its own
-    cls.__hash__ = __hash__
-    return cls
+    def make(self, key, cls, *values):
+        v = object.__new__(cls)
+        for name, x in zip(cls.__slots__, values):
+            object.__setattr__(v, name, x)
+        if len(self) >= self.limit:
+            self.sweep()
+        self[key] = ref(v)
+        return v
+
+    def sweep(self):
+        """Drop the dead entries, newest first: a dropped key frees its dead
+        arguments before their (older) entries come up."""
+        keys = list(self)
+        while keys:
+            k = keys.pop()
+            if self[k]() is None:
+                del self[k]
+        self.limit = 2 * len(self) + 1024
 
 
-@hash_once
-@dataclass(frozen=True)
-class Sort:
-    name: str
+class _Interned:
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+_SORTS, _SYMBOLS, _VARS, _APPS = _Table(), _Table(), _Table(), _Table()
+
+
+class Sort(_Interned):
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        r = _SORTS.get(name)
+        return (r and r()) or _SORTS.make(name, cls, name)
 
     def __repr__(self):
         return self.name
 
 
-@hash_once
-@dataclass(frozen=True)
-class FunctionSymbol:
-    name: str
-    dom: tuple[Sort, ...]
-    cod: Sort
+class FunctionSymbol(_Interned):
+    __slots__ = ("name", "dom", "cod")
+
+    def __new__(cls, name: str, dom: tuple[Sort, ...], cod: Sort):
+        key = name, dom, cod
+        r = _SYMBOLS.get(key)
+        return (r and r()) or _SYMBOLS.make(key, cls, name, dom, cod)
 
     @property
     def arity(self) -> int:
@@ -80,7 +102,6 @@ class FunctionSymbol:
         return f"{self.name}:({dom})->{self.cod.name}"
 
 
-@lru_cache(maxsize=None)
 def int_literal(value: int) -> FunctionSymbol:
     """Nullary symbol denoting an arbitrary-precision integer constant."""
     return FunctionSymbol(str(value), (), Sort("Int"))
@@ -114,9 +135,7 @@ class AlgSignature:
             self.add_symbol(f)
 
     def add_sort(self, s: Sort):
-        if s.name in self.sorts and self.sorts[s.name] != s:
-            raise KernelError(f"duplicate sort name {s.name}")
-        self.sorts.setdefault(s.name, s)
+        self.sorts.setdefault(s.name, s)  # a sort is its name
 
     def add_symbol(self, f: FunctionSymbol):
         if f.name in self.symbols:
@@ -129,40 +148,37 @@ class AlgSignature:
         self.symbols[f.name] = f
 
     def has_symbol(self, sym: FunctionSymbol) -> bool:
-        if self.symbols.get(sym.name) == sym:
-            return True
         # Integer and string constants are admitted wherever their sort exists.
-        return ((is_int_literal(sym) and "Int" in self.sorts)
-                or (is_str_literal(sym) and "Str" in self.sorts))
+        return (self.symbols.get(sym.name) is sym
+                or is_int_literal(sym) and "Int" in self.sorts
+                or is_str_literal(sym) and "Str" in self.sorts)
 
     def __repr__(self):
         return f"AlgSignature(sorts={list(self.sorts)}, symbols={list(self.symbols)})"
 
 
-class Term:
+class Term(_Interned):
     __slots__ = ()
 
 
-@hash_once
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        r = _VARS.get(name)
+        return (r and r()) or _VARS.make(name, cls, name)
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class App(Term):
-    symbol: FunctionSymbol
-    args: tuple[Term, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    __slots__ = ("symbol", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.symbol.name, self.args)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, symbol: FunctionSymbol, args: tuple[Term, ...] = ()):
+        key = symbol, args
+        r = _APPS.get(key)
+        return (r and r()) or _APPS.make(key, cls, symbol, args)
 
     def __repr__(self):
         return render_term(self)

@@ -254,20 +254,26 @@ def _replace(t: Term, path: tuple[int, ...], new: Term) -> Term:
     return App(t.symbol, tuple(args))
 
 
+def _clash_free(s: Term, t: Term) -> bool:
+    """No symbol clash between s and t, variables matching anything."""
+    return (isinstance(s, Var) or isinstance(t, Var) or s.symbol == t.symbol
+            and all(map(_clash_free, s.args, t.args)))
+
+
 def _critical_pairs(r1: RewriteRule, r2: RewriteRule):
-    """Critical pairs from overlapping r2's lhs into r1's lhs, at positions
-    headed by r2's head symbol: `unify` fails at once on any other."""
-    head = r2.lhs.symbol
-    if all(sub.symbol != head for _, sub in _positions(r1.lhs)):
+    """Critical pairs from overlapping r2's lhs into r1's lhs at each position
+    clash-free with it (`unify` fails at any other), bar a root self-overlap."""
+    paths = [path for path, sub in _positions(r1.lhs)
+             if _clash_free(sub, r2.lhs) and (path or r1 is not r2)]
+    if not paths:
         return
     l1 = _rename_apart(r1.lhs, "#1")
     rhs1 = _rename_apart(r1.rhs, "#1")
     l2 = _rename_apart(r2.lhs, "#2")
     rhs2 = _rename_apart(r2.rhs, "#2")
-    for path, sub in _positions(l1):
-        if sub.symbol != head or path == () and r1 is r2:
-            continue  # another head, or the trivial self-overlap at the root
-        s = unify(sub, l2, {})
+    at = dict(_positions(l1))
+    for path in paths:
+        s = unify(at[path], l2, {})
         if s is None:
             continue
         peak = _apply(l1, s)

@@ -22,7 +22,7 @@ from operator import itemgetter
 
 from .kernel import (
     App, Context, FunctionSymbol, Sort, Term, Var, app,
-    hash_once, int_literal, is_int_literal, is_str_literal, render_term,
+    int_literal, is_int_literal, is_str_literal, render_term,
     spine, str_literal_symbol,
 )
 from .rewrite import EqResult
@@ -70,6 +70,23 @@ def int_term(n: int) -> Term:
 
 # shared by every atom-free value, so that caching its atoms allocates nothing
 _NO_ATOMS: frozenset = frozenset()
+
+
+def hash_once(cls):
+    """Class decorator for an immutable dataclass: its generated `__hash__`
+    runs once per instance, the value kept outside the dataclass fields."""
+    generated = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = generated(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None  # until an instance sets its own
+    cls.__hash__ = __hash__
+    return cls
 
 
 class CanonicalValue:

@@ -48,9 +48,6 @@ def _node():
 
 # a fresh, not yet hashed instance of each class with a cached hash
 EXAMPLES = {
-    "Sort": lambda: Sort("Int"),
-    "FunctionSymbol": lambda: FunctionSymbol("f", (Sort("A"),), Sort("B")),
-    "Var": lambda: Var("n"),
     "IntPoly": _poly,
     "StrWord": lambda: StrWord.lit("ab").concat(StrWord.atom(Var("s"))),
     "BAtom": lambda: BAtom(True, "var", (Var("b"),)),

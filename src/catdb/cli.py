@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .kernel import KernelError, Presentation, render_term
+from .kernel import Context, KernelError, Presentation, render_term
 from .rewrite import DEFAULT_BUDGET, Budget, BudgetExceeded, complete
 from .schema import PossiblyInfinite, SchemaError
 from .instance import (
@@ -105,7 +105,6 @@ def cmd_complete(ws: Workspace, args) -> int:
 def cmd_eq(ws: Workspace, args) -> int:
     th: Presentation = _pick(ws.theories, args.theory, "theory")
     rs = complete(th, budget=args.budget)
-    from .kernel import Context
     env = TermEnv(th.signature, Context(()))
 
     def parse_one(text: str):
@@ -113,10 +112,10 @@ def cmd_eq(ws: Workspace, args) -> int:
         t = p.parse_term(env)
         if p.peek().kind != "eof":
             raise DslError(f"trailing input {p.peek().text!r}", p.peek().span)
-        return t, p.toks[0].span
+        return t, p.toks[0]
 
-    (a, _), (b, span) = parse_one(args.terms[0]), parse_one(args.terms[1])
-    check_equation(env, a, b, span)
+    (a, _), (b, first) = parse_one(args.terms[0]), parse_one(args.terms[1])
+    check_equation(env, a, b, first)
     print(rs.decide_equal(a, b).name)
     return 0
 

@@ -4,7 +4,8 @@ queries and uber-queries (.cdb files).
 Every parse and check error carries a file:line:column span.  The
 grammar uses explicit `forall x:A .` binders for equations; terms use
 postfix paths (x.f.g), infix `* + - <=`, function application, integer
-and string literals, and `true`/`false`.
+and string literals, and `true`/`false`.  A term is sorted as it is built,
+an attribute grammar after Knuth (1968): each node in O(arity), no walk.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .kernel import (
-    AlgSignature, App, Context, ContextMorphism, Equation, FunctionSymbol,
-    KernelError, Presentation, Sort, Term, Var, app, well_sort_check,
+    AlgSignature, App, AritySortMismatch, Context, ContextMorphism, Equation,
+    FunctionSymbol, KernelError, Presentation, Sort, Term, UnknownSymbol, Var,
+    render_term,
 )
 from .typeside import (
     FALSE, LE, NEG, PLUS, TIMES, TRUE, TYPE_SORTS, TYPE_SYMBOLS, int_term,
@@ -73,7 +75,7 @@ class Token(NamedTuple):
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     """One pass: a match is a token and the blanks and comment before it."""
-    out = []
+    out, new = [], tuple.__new__  # a Token without its Python-level __new__
     line, start = 1, 0  # start: offset of the current line
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -82,7 +84,7 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
             raise DslError(f"unexpected character {tok!r}",
                            SourceSpan(filename, line, i - start + 1))
         if kind != "nl":
-            out.append(Token(kind, tok, filename, line, i - start + 1))
+            out.append(new(Token, (kind, tok, filename, line, i - start + 1)))
             if kind == "eof":  # finditer may match the empty end twice
                 return out
             if kind != "string" or "\n" not in tok:
@@ -120,29 +122,23 @@ _DECLARATIONS = ("theory", "schema", "instance", "mapping", "bimodule",
 _INFIX = {"<=": 0, "+": 1, "-": 1, "*": 2}  # binding power
 
 
-def check_equation(env: "TermEnv", lhs: Term, rhs: Term | Sort | None = None,
-                   span: SourceSpan | None = None) -> Sort:
-    """Well-sort `lhs` in `env` and return its sort.  `rhs` is the other
-    side of an equation or a wanted sort; a different sort, or an
-    ill-sorted subterm of either side, raises DslError at `span`."""
-
-    def sort_of(t: Term) -> Sort:
-        try:
-            return well_sort_check(t, env.context, env.sig)
-        except KernelError as exc:
-            raise DslError(str(exc), span) from exc
-
-    ls = sort_of(lhs)
-    if isinstance(rhs, Sort):
-        if ls != rhs:
-            raise DslError(f"{render_dsl_term(lhs)} has sort {ls.name}, "
-                           f"expected {rhs.name}", span)
-    elif rhs is not None:
-        rs = sort_of(rhs)
-        if ls != rs:
-            raise DslError(
-                f"equation sides have sorts {ls.name} and {rs.name}", span)
-    return ls
+def check_equation(env: "TermEnv", lhs: Term, rhs: Term | Sort | None,
+                   at: Token) -> Sort:
+    """The sort of `lhs`, a term `env` built.  `rhs` is the other side of
+    an equation or a wanted sort; a different sort, or an ill-sorted
+    subterm of either side, raises DslError at token `at`."""
+    try:
+        ls = env.sort(lhs)
+        rs = rhs if rhs is None or isinstance(rhs, Sort) else env.sort(rhs)
+    except KernelError as exc:
+        raise DslError(str(exc), at.span) from exc
+    if rs is None or ls is rs:
+        return ls
+    if rs is rhs:  # a wanted sort
+        raise DslError(f"{render_dsl_term(lhs)} has sort {ls.name}, "
+                       f"expected {rs.name}", at.span)
+    raise DslError(f"equation sides have sorts {ls.name} and {rs.name}",
+                   at.span)
 
 
 class Parser:
@@ -237,7 +233,7 @@ class Parser:
         eqt = self.expect("=")
         rhs = self.parse_term(env)
         return Equation(env.context, lhs, rhs,
-                        check_equation(env, lhs, rhs, eqt.span))
+                        check_equation(env, lhs, rhs, eqt))
 
     def parse_forall_eq(self, sig: AlgSignature, sorts) -> Equation:
         self.expect_kw("forall")
@@ -384,6 +380,7 @@ class Parser:
         entity_map: dict[Sort, Sort] = {}
         edge_map: dict[FunctionSymbol, Term] = {}
         attr_map: dict[FunctionSymbol, Term] = {}
+        errors: dict[FunctionSymbol, KernelError | None] = {}
         while not self.accept("}"):
             section = self.expect_ident()
             if section.text == "entity":
@@ -411,12 +408,13 @@ class Parser:
                 env = TermEnv(tgt.collage_sig, context, implicit_x=True)
                 term = self.parse_term(env)
                 (edge_map if section.text == "edge" else attr_map)[sym] = term
+                errors[sym] = env.errors.get(term)
                 self.expect(";")
             else:
                 raise DslError(f"unknown mapping section {section.text!r}",
                                section.span)
         ws.mappings[name.text] = SchemaMapping.make(src, tgt, entity_map,
-                                                    edge_map, attr_map)
+                                                    edge_map, attr_map, errors)
         ws.order.append(("mapping", name.text))
 
     # - bimodules -
@@ -479,7 +477,7 @@ class Parser:
             raise DslError("keys clauses require an uberquery",
                            keys[0][0].span)
         ret_ctx = Context(tuple(
-            (n.text, check_equation(env, t, span=ttok.span))
+            (n.text, check_equation(env, t, None, ttok))
             for n, ttok, t in returns))
         ws.queries[name.text] = Query(
             schema, env.context, tuple(where_eqs), ret_ctx,
@@ -498,6 +496,8 @@ class Parser:
         while not self.at("}"):
             section = self.expect_ident()
             if section.text == "for":
+                if env.context.bindings:  # terms may have been sorted in it
+                    raise DslError("a block has one for section", section.span)
                 env = TermEnv(schema.collage_sig, Context(tuple(
                     self._binders(";", schema.entities))))
             elif section.text == "where":
@@ -552,7 +552,7 @@ class Parser:
                 if n.text not in attrs:
                     raise DslError(f"unknown result attribute {n.text!r}",
                                    etok.span)
-                check_equation(env, t, attrs[n.text].cod, ttok.span)
+                check_equation(env, t, attrs[n.text].cod, ttok)
                 rets.append((attrs[n.text], t))
             edges = {f.name: f for f in result.edges_from(e)}
             key_list = []
@@ -573,7 +573,7 @@ class Parser:
                     if v.text not in cod_ctx:
                         raise DslError(f"block {f.cod.name} has no FOR "
                                        f"variable {v.text!r}", v.span)
-                    check_equation(env, t, cod_ctx.sort_of(v.text), ttok.span)
+                    check_equation(env, t, cod_ctx.sort_of(v.text), ttok)
                     assignment[v.text] = t
                 missing = [n for n in cod_ctx.names() if n not in assignment]
                 if missing:
@@ -591,7 +591,8 @@ class Parser:
     def parse_term(self, env: "TermEnv", prec: int = 0) -> Term:
         """Precedence climbing over the operators of `_INFIX` that bind at
         least as tightly as `prec`; `*` only where `env.times()` exists."""
-        t = (app(NEG, self.parse_term(env, 3)) if self.accept("-")
+        t = (env.app(NEG, (self.parse_term(env, 3),), False)
+             if self.accept("-")
              else self._postfix(env))  # binding power 3: a unary term
         while True:
             op = self.toks[self.pos].text
@@ -601,19 +602,16 @@ class Parser:
             self.pos += 1
             u = self.parse_term(env, p + 1)
             if op == "<=":  # non-associative
-                return app(LE, t, u)
-            t = (App(times, (t, u)) if op == "*"
-                 else app(PLUS, t, u if op == "+" else app(NEG, u)))
+                return env.app(LE, (t, u), False)
+            t = (env.app(times, (t, u), False) if op == "*"
+                 else env.app(PLUS, (t, u if op == "+"
+                                     else env.app(NEG, (u,), False)), False))
 
     def _postfix(self, env) -> Term:
         t = self._primary(env)
         while self.at(".") and self.toks[self.pos + 1].kind == "ident":
-            ntok = self.toks[self.pos + 1]
             self.pos += 2
-            sym = env.lookup(ntok.text, 1)
-            if sym is None:
-                raise DslError(f"unknown symbol {ntok.text!r}", ntok.span)
-            t = App(sym, (t,))
+            t = env.apply(self.toks[self.pos - 1], (t,))
         return t
 
     def _primary(self, env) -> Term:
@@ -623,41 +621,66 @@ class Parser:
             self.expect(")")
             return out
         if t.kind == "int":
-            return env.int_term(int(t.text), t.span)
+            return env.int_term(int(t.text), t)
         if t.kind == "string":
             try:
-                return str_literal(t.text[1:-1].replace('\\"', '"')
-                                   .replace("\\\\", "\\"))
+                return env.app(str_literal(t.text[1:-1].replace('\\"', '"')
+                               .replace("\\\\", "\\")).symbol, (), False)
             except ValueError as exc:
                 raise DslError(str(exc), t.span) from None
         if t.kind != "ident":
             raise DslError(f"unexpected {t.text!r} in term", t.span)
-        if t.text == "true":
-            return app(TRUE)
-        if t.text == "false":
-            return app(FALSE)
-        if self.at("("):
-            self.next()
+        if t.text in ("true", "false"):
+            return env.app(TRUE if t.text == "true" else FALSE, (), False)
+        if self.accept("("):
             args = []
             while not self.accept(")"):
                 args.append(self.parse_term(env))
                 self.accept(",")
-            sym = env.lookup(t.text, len(args))
-            if sym is None:
-                raise DslError(f"unknown symbol {t.text!r}", t.span)
-            return App(sym, tuple(args))
-        return env.atom(t.text, t.span)
+            return env.apply(t, tuple(args))
+        return env.atom(t)
 
 
 class TermEnv:
-    """Name resolution for term parsing: context variables, signature
-    symbols, and (for mapping images) bare paths rooted at x."""
+    """Name resolution for term parsing, and the sorts of the terms built:
+    context variables, symbols, and (for mapping images) paths from x."""
 
     def __init__(self, sig: AlgSignature, context: Context,
                  implicit_x: bool = False):
         self.sig = sig
         self.context = context
         self.implicit_x = implicit_x
+        self.errors: dict[Term, KernelError] = {}  # ill-sorted terms built
+
+    def sort(self, t: Term) -> Sort:
+        """The sort of `t`, a term built here, or its recorded error."""
+        if t in self.errors:
+            raise self.errors[t]
+        return t.symbol.cod if type(t) is App else self.context.sort_of(t.name)
+
+    def app(self, sym: FunctionSymbol, args: tuple[Term, ...] = (),
+            known: bool = True) -> App:
+        """`App(sym, args)` and the first error a walk would meet in it: an
+        unknown symbol (unless `known`), else an argument's error or sort."""
+        t = App(sym, args)
+        try:
+            if not (known or self.sig.has_symbol(sym)):
+                raise UnknownSymbol(f"{sym.name} in {render_term(t)}")
+            for a, want in zip(args, sym.dom):
+                if (got := self.sort(a)) is not want:
+                    raise AritySortMismatch(
+                        f"argument {render_term(a)} of {sym.name} has sort "
+                        f"{got.name}, expected {want.name}")
+        except KernelError as exc:
+            self.errors[t] = exc
+        return t
+
+    def apply(self, tok: Token, args: tuple[Term, ...]) -> App:
+        """The symbol `tok` names, of the arity of `args`, applied to them."""
+        sym = self.lookup(tok.text, len(args))
+        if sym is None:
+            raise DslError(f"unknown symbol {tok.text!r}", tok.span)
+        return self.app(sym, args)
 
     def lookup(self, name: str, arity: int):
         sym = self.sig.symbols.get(name)
@@ -670,25 +693,25 @@ class TermEnv:
         return self.lookup("*", 2) or (TIMES if "Int" in self.sig.sorts
                                        else None)
 
-    def int_term(self, n: int, span: SourceSpan) -> Term:
+    def int_term(self, n: int, tok: Token) -> Term:
         if "Int" in self.sig.sorts:
             return int_term(n)
         sym = self.lookup(str(n), 0)
         if sym is not None:
-            return app(sym)
-        raise DslError(f"no constant named {n}", span)
+            return App(sym)
+        raise DslError(f"no constant named {n}", tok.span)
 
-    def atom(self, name: str, span: SourceSpan) -> Term:
-        if name in self.context:
-            return Var(name)
-        sym = self.lookup(name, 0)
+    def atom(self, tok: Token) -> Term:
+        if tok.text in self.context:
+            return Var(tok.text)
+        sym = self.lookup(tok.text, 0)
         if sym is not None:
-            return app(sym)
+            return App(sym)
         if self.implicit_x:
-            sym = self.lookup(name, 1)
+            sym = self.lookup(tok.text, 1)
             if sym is not None:
-                return App(sym, (Var("x"),))
-        raise DslError(f"unknown name {name!r}", span)
+                return self.app(sym, (Var("x"),))
+        raise DslError(f"unknown name {tok.text!r}", tok.span)
 
 
 def parse_workspace(text: str, filename: str = "<input>") -> Workspace:

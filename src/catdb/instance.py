@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .kernel import (
     App, Context, Equation, FunctionSymbol, Sort, Term, Var, app, ctx,
-    render_term, subst_map, term_key, term_vars, well_sort_check,
+    render_term, subst_map, term_key, term_vars,
 )
 from .rewrite import (
     DEFAULT_BUDGET, Budget, EqResult, GroundClosure, _positions, match,
@@ -52,13 +52,9 @@ class InstancePresentation:
     equations: tuple[Equation, ...] = ()
 
     def __post_init__(self):
-        sig = self.schema.collage_sig
         for n, s in self.generators.bindings:
-            if sig.sorts.get(s.name) != s:
+            if self.schema.collage_sig.sorts.get(s.name) != s:
                 raise InstanceError(f"unknown sort for generator {n}: {s}")
-        for eq in self.equations:
-            well_sort_check(eq.lhs, self.generators, sig)
-            well_sort_check(eq.rhs, self.generators, sig)
 
     def entity_generators(self):
         return [(n, s) for n, s in self.generators.bindings

@@ -232,28 +232,6 @@ def ctx(*bindings: tuple[str, Sort]) -> Context:
     return Context(tuple(bindings))
 
 
-def well_sort_check(term: Term, context: Context, sig: AlgSignature) -> Sort:
-    """Return the sort of `term`, or raise naming the offending subterm."""
-    if isinstance(term, Var):
-        return context.sort_of(term.name)
-    assert isinstance(term, App)
-    sym = term.symbol
-    if not sig.has_symbol(sym):
-        raise UnknownSymbol(f"{sym.name} in {render_term(term)}")
-    if len(term.args) != sym.arity:
-        raise AritySortMismatch(
-            f"{sym.name} expects {sym.arity} arguments in {render_term(term)}"
-        )
-    for arg, want in zip(term.args, sym.dom):
-        got = well_sort_check(arg, context, sig)
-        if got != want:
-            raise AritySortMismatch(
-                f"argument {render_term(arg)} of {sym.name} has sort "
-                f"{got.name}, expected {want.name}"
-            )
-    return sym.cod
-
-
 @dataclass(frozen=True)
 class Equation:
     context: Context

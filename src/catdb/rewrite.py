@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
+from itertools import count
 
 from .kernel import (
     AlgSignature, App, Context, Equation, Presentation, Term, Var,
@@ -289,37 +291,39 @@ def complete(pres: Presentation,
     order = TermOrder(pres.signature)
     rs = RewriteSystem([], order, "confluent", [], budget)
     limit = budget.critical_pairs
-    pending: list[Equation] = list(pres.equations)
+    # smallest first, ties in insertion order
+    pending: list[tuple[int, int, Equation]] = []
+    tick = count()
     processed = 0
-    exhausted = False
+
+    def queue(eq: Equation):
+        heappush(pending, (term_size(eq.lhs) + term_size(eq.rhs), next(tick), eq))
 
     def push_rule(rule: RewriteRule):
         # interreduce: drop/revise existing rules the new rule touches
-        kept, reopened = [], []
+        kept = []
         probe = RewriteSystem([rule], order, "budget-exhausted", [], budget)
         for old in rs.rules:
             if normalize(old.lhs, probe) != old.lhs:
-                reopened.append(Equation(old.context, old.lhs, old.rhs, _sort_of(old.lhs)))
+                queue(Equation(old.context, old.lhs, old.rhs, old.lhs.symbol.cod))
             else:
                 kept.append(old)
         rs.rules = kept + [rule]
         rs._nf_cache = {}
-        pending.extend(reopened)
-        # reduce all right-hand sides by the full current system
+        # reduce all right-hand sides by the full current system; a rule
+        # whose right side is in normal form stays the same object
         rs.rules = [
-            RewriteRule(r.context, r.lhs, normalize(r.rhs, rs)) for r in rs.rules
+            r if (rhs := normalize(r.rhs, rs)) is r.rhs
+            else RewriteRule(r.context, r.lhs, rhs) for r in rs.rules
         ]
         rs._nf_cache = {}
 
-    def _sort_of(t: Term):
-        return t.symbol.cod if isinstance(t, App) else None
-
+    for eq in pres.equations:
+        queue(eq)
     while pending:
-        pending.sort(key=lambda e: term_size(e.lhs) + term_size(e.rhs))
-        eq = pending.pop(0)
+        eq = heappop(pending)[2]
         processed += 1
         if processed > limit:
-            exhausted = True
             break
         lhs, rhs = normalize(eq.lhs, rs), normalize(eq.rhs, rs)
         if lhs == rhs:
@@ -330,13 +334,14 @@ def complete(pres: Presentation,
             rs._nf_cache = {}
             continue
         push_rule(o)
-        # queue critical pairs with every current rule
+        # queue critical pairs of o with itself, and both ways with every
+        # other rule; o's right side is already normal, so o is in rs.rules
         for other in list(rs.rules):
-            for a, b in ((o, other), (other, o)):
+            for a, b in ((o, o),) if other is o else ((o, other), (other, o)):
                 for _, left, right in _critical_pairs(a, b):
-                    pending.append(Equation(eq.context, left, right, eq.sort))
+                    queue(Equation(eq.context, left, right, eq.sort))
 
-    rs.status = ("budget-exhausted" if exhausted
+    rs.status = ("budget-exhausted" if processed > limit
                  else "unoriented" if rs.unoriented else "confluent")
     rs.rules = [_tidy_rule(r) for r in rs.rules]
     rs._nf_cache = {}

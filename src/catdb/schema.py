@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .kernel import (
     AlgSignature, App, Context, Equation, FunctionSymbol, Presentation, Sort,
-    Term, Var, app, ctx, subst_map, term_key, well_sort_check,
+    Term, Var, app, ctx, subst_map, term_key,
 )
 from .rewrite import (
     DEFAULT_BUDGET, Budget, BudgetExceeded, EqResult, RewriteSystem, complete,
@@ -100,16 +100,8 @@ class Schema:
 def compile_schema(pres: SchemaPresentation,
                    budget: Budget = DEFAULT_BUDGET) -> Schema:
     entity_sig = AlgSignature(pres.entities, pres.edges)
-    for eq in pres.path_eqs:
-        well_sort_check(eq.lhs, eq.context, entity_sig)
-        well_sort_check(eq.rhs, eq.context, entity_sig)
-    collage_sig = AlgSignature(
-        TYPE_SORTS + pres.entities,
-        TYPE_SYMBOLS + pres.edges + pres.attributes,
-    )
-    for eq in pres.obs_eqs:
-        well_sort_check(eq.lhs, eq.context, collage_sig)
-        well_sort_check(eq.rhs, eq.context, collage_sig)
+    collage_sig = AlgSignature(TYPE_SORTS + pres.entities,
+                               TYPE_SYMBOLS + pres.edges + pres.attributes)
     entity_rs = complete(Presentation(entity_sig, pres.path_eqs), budget=budget)
     # Saturation treats entity_rs as canonical.  A total precedence orients
     # every equation between unary paths, so only the budget stops short.
@@ -135,7 +127,10 @@ class SchemaMapping:
 
     @staticmethod
     def make(source: Schema, target: Schema, entity_map: dict,
-             edge_map: dict, attr_map: dict) -> "SchemaMapping":
+             edge_map: dict, attr_map: dict,
+             errors: dict | None = None) -> "SchemaMapping":
+        """Compares the images' top sorts: an image is well-sorted unless
+        the parser recorded its sort error in `errors`, raised in turn."""
         F = SchemaMapping(source, target,
                           tuple(entity_map.items()),
                           tuple(edge_map.items()),
@@ -143,17 +138,20 @@ class SchemaMapping:
         for e in source.entities:
             if F.on_entity(e) not in target.entities:
                 raise SchemaMismatch(f"no target entity for {e}")
+
+        def image_sort(f: FunctionSymbol, t: Term) -> Sort:
+            if errors and errors.get(f):
+                raise errors[f]
+            return (t.symbol.cod if isinstance(t, App) else
+                    ctx(("x", F.on_entity(f.dom[0]))).sort_of(t.name))
+
         for f in source.edges:
             t = F.on_edge(f)
-            got = well_sort_check(t, ctx(("x", F.on_entity(f.dom[0]))),
-                                  target.collage_sig)
-            if got != F.on_entity(f.cod):
+            if image_sort(f, t) != F.on_entity(f.cod):
                 raise SchemaMismatch(f"edge image has wrong codomain: {f} -> {t}")
         for a in source.attributes:
             t = F.on_attr(a)
-            got = well_sort_check(t, ctx(("x", F.on_entity(a.dom[0]))),
-                                  target.collage_sig)
-            if got != a.cod:
+            if image_sort(a, t) != a.cod:
                 raise SchemaMismatch(f"attribute image has wrong sort: {a} -> {t}")
         return F
 

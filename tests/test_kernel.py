@@ -10,8 +10,9 @@ from catdb.kernel import (
     FunctionSymbol, KernelError, Sort, SortMismatch, Term, UnknownSymbol,
     UnknownVariable, Var, app, compose_ctx_morphisms, ctx, enumerate_terms,
     render_term, substitute, subst_map, term_height, term_key, term_size,
-    term_vars, well_sort_check,
+    term_vars,
 )
+from tests.term_oracle import well_sort_check
 
 A, B = Sort("A"), Sort("B")
 c = FunctionSymbol("c", (), A)

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .kernel import (
     App, Context, Equation, FunctionSymbol, Sort, Term, Var, app, ctx,
-    render_term, subst_map, term_key, term_vars,
+    is_int_literal, is_str_literal, render_term, term_key,
 )
 from .rewrite import (
     DEFAULT_BUDGET, Budget, EqResult, GroundClosure, _positions, match,
@@ -30,7 +30,8 @@ from .rewrite import (
 from .schema import PossiblyInfinite, Schema
 from .typeside import (
     CanonicalValue, TypeAlgebra, _constant, decide_values, map_value_atoms,
-    opaque_atom, render_value, type_plan, value_sort, value_to_term,
+    opaque_atom, render_value, symbol_operation, type_plan, value_sort,
+    value_to_term,
 )
 
 class InstanceError(Exception):
@@ -245,11 +246,13 @@ def saturate(ip: InstancePresentation,
     """The tables of ip: the chase finds the rows and edge columns, then the
     type algebra settles the attribute cells.  Its hypotheses are pairs of
     values, read off an instance whose every attribute cell is its own
-    opaque atom: each type-sorted equation of ip, and each side of each
-    observable equation, compiled once over its variable and applied at
-    every row of its entity."""
+    opaque atom: each side of each type-sorted equation of ip, compiled
+    once per shape (`_shape`, with its generators, nulls and literals as
+    holes), and each side of each observable equation, compiled once over
+    its variable and applied at every row of its entity."""
     sch = ip.schema
     nulls = Context(tuple(ip.type_generators()))
+    gen_names = set(ip.generators.names())
     cl, row_list = chase(ip, budget)
 
     edge_cols = {
@@ -262,7 +265,29 @@ def saturate(ip: InstancePresentation,
          for a in sch.attributes},
         TypeAlgebra(nulls), gen_env)
 
-    hypotheses = [(cells.compile(eq.lhs)({}), cells.compile(eq.rhs)({}))
+    plans: dict[Term, Callable] = {}  # by shape
+    # a generator's row, a null's atom, and a literal's value once it occurs
+    leaf_values: dict[Term, object] = {Var(n): r for n, r in gen_env.items()}
+    leaf_values.update((Var(n), opaque_atom(Var(n), s))
+                       for n, s in nulls.bindings)
+
+    def value(t: Term):
+        leaves: dict[Term, Var] = {}
+        shape = _shape(t, gen_names, True, leaves)
+        fn = plans.get(shape)
+        if fn is None:
+            fn = plans[shape] = cells.compile(
+                shape, [h.name for h in leaves.values()])
+        env = {}
+        for leaf, hole in leaves.items():
+            v = leaf_values.get(leaf)
+            if v is None:
+                v = leaf_values[leaf] = symbol_operation(leaf.symbol)(
+                    cells.typealg)
+            env[hole.name] = v
+        return fn(env)
+
+    hypotheses = [(value(eq.lhs), value(eq.rhs))
                   for eq in ip.equations if not sch.is_entity(eq.sort)]
     for eq in sch.obs_eqs:
         zname, zsort = eq.context.bindings[0]
@@ -380,9 +405,35 @@ def canonical_form(si: SaturatedInstance
 
 # --- transforms ---------------------------------------------------------
 
-# stands for the generator of a side over one generator, so that sides
-# that differ only in it (e1.last, e2.last) share one inverse index
-HOLE = Var("?")
+
+def _shape(t: Term, names, literals: bool, leaves: dict[Term, Var]) -> Term:
+    """t with each variable named in names, and each integer or string
+    literal if literals, replaced by a hole `?k`, k counting the distinct
+    ones in order of first occurrence; leaves maps each replaced subterm to
+    its hole.  Terms of one shape are compiled once, as functions of their
+    holes: e1.last and e2.last are both `?0.last`.  A path is walked in a
+    loop."""
+    top, path = t, []
+    while isinstance(t, App) and len(t.args) == 1:
+        path.append(t.symbol)
+        t = t.args[0]
+    if isinstance(t, App) and t.args:
+        args = tuple(_shape(a, names, literals, leaves) for a in t.args)
+        if args == t.args:
+            return top
+        t = App(t.symbol, args)
+    else:
+        leaf = t.name in names if isinstance(t, Var) else literals and (
+            is_int_literal(t.symbol) or is_str_literal(t.symbol))
+        if not leaf:
+            return top
+        hole = leaves.get(t)
+        if hole is None:
+            hole = leaves[t] = Var(f"?{len(leaves)}")
+        t = hole
+    for sym in reversed(path):
+        t = App(sym, (t,))
+    return t
 
 
 @dataclass(frozen=True)
@@ -447,25 +498,28 @@ def enumerate_transforms(src: InstancePresentation,
     declaration order, which is the order a search that always branches in
     declaration order emits.
 
-    Propagation.  Each equation side is compiled once per call, by
-    `SaturatedInstance.compile`, into a function of the bindings that
-    reads dst's columns; no side is interpreted per binding.  A node looks
+    Propagation.  Each side shape (`_shape`, with a hole for each
+    generator) is compiled once per call, by `SaturatedInstance.compile`,
+    into a function that reads dst's columns, and so is each side with no
+    generator; a side that is a generator alone is its binding.  No side
+    is interpreted per binding.  A node looks
     only at the equations of the generators it binds: an equation is
     checked once, when its last generator is bound (bindings only grow
     along a path, so a check that passed keeps passing), and an equation
     with a bare unbound generator on one side and a bound other side forces
     that generator.  A side is bound when the set of its generators is
     within the keys of the bindings.  Side values are memoised for the
-    call, keyed by an itemgetter over the side's generators.
+    call, one memo per shape, keyed by the rows of the side's generators
+    in the order of their holes.
 
     Indexes.  Branching on g keeps only the rows that an inverse index
     (side value -> rows in table order) lists for each equation with one
-    side over g alone and the other side bound.  There is one index per
-    path: it is keyed by the side with g replaced by a hole, so e1.last and
-    e2.last share one, and the sides of one shape share one memo, keyed by
-    row, which is the index's side value by row.  The index is exact
-    because entity sides compare as rows and decide_values is Equal
-    exactly when the two canonical values are ==.
+    side over g alone, other than g itself, and the other side bound: a
+    side that is g itself, with the other side bound, has forced g.  There
+    is one index per shape, so e1.last and e2.last share one, and the
+    shape's memo, keyed by row, is the index's side value by row.  The
+    index is exact because entity sides compare as rows and decide_values
+    is Equal exactly when the two canonical values are ==.
 
     Stack.  The search is a loop over an explicit stack of frames, not a
     recursion, so its depth is not bounded by Python's recursion limit.
@@ -483,27 +537,40 @@ def enumerate_transforms(src: InstancePresentation,
 
     # equations by generator, each list in equation order
     watch: dict[str, list[int]] = {n: [] for n in src.generators.names()}
-    # each side compiled once; the sides of one shape share one memo
-    plans: dict[tuple[Term, bool], _Side] = {}
-    memos: dict[tuple[Term, bool], dict] = {}
+    # the sides with no generator by (term, ent), the bare sides by name
+    sides: dict = {}
+    # by (shape, ent): its values by the rows of its holes
+    shapes: dict[tuple[Term, bool], _Memo] = {}
+    # by generators: the set of their names and the getter of their rows
+    getters: dict[tuple[Var, ...], tuple] = {}
 
     def plan(t: Term, ent: bool) -> _Side:
-        got = plans.get((t, ent))
-        if got is None:
-            vs = sorted(v for v in term_vars(t) if v in watch)
-            value = dst.compile(t, vs, ent)
-            memo = shape = None
-            if len(vs) == 1:
-                shape = (subst_map(t, {vs[0]: HOLE}), ent)
-                memo = memos.setdefault(shape, {})
-            elif vs:
-                memo = {}
-            if memo is not None:
-                value = _memoised(value, itemgetter(*vs), memo)
-            bare = t.name if isinstance(t, Var) else None
-            got = plans[t, ent] = _Side(frozenset(vs), value, bare, memo,
-                                        shape)
-        return got
+        leaves: dict[Term, Var] = {}
+        key = (_shape(t, watch, False, leaves), ent)
+        if not leaves:
+            got = sides.get((t, ent))
+            if got is None:
+                got = sides[t, ent] = _Side(
+                    _NO_NAMES, dst.compile(t, (), ent), None, None)
+            return got
+        gens = tuple(leaves)
+        names_get = getters.get(gens)
+        if names_get is None:
+            names = [v.name for v in gens]
+            names_get = getters[gens] = (frozenset(names), itemgetter(*names))
+        if isinstance(t, Var):
+            # its value is its binding: a row, or a value that a compiled
+            # side gave, simplified already
+            got = sides.get(t.name)
+            if got is None:
+                got = sides[t.name] = _Side(*names_get, None, t.name)
+            return got
+        memo = shapes.get(key)
+        if memo is None:
+            holes = [h.name for h in leaves.values()]
+            memo = shapes[key] = _Memo(dst.compile(key[0], holes, ent),
+                                       holes)
+        return _Side(*names_get, memo, None)
 
     # per equation: (lhs, rhs)
     eq_info: list[tuple[_Side, _Side]] = []
@@ -514,7 +581,6 @@ def enumerate_transforms(src: InstancePresentation,
             watch[v].append(i)
         eq_info.append((lhs, rhs))
 
-    indexes: dict[tuple[tuple, str], tuple] = {}  # by (shape, sort name)
     results: list[Transform] = []
     bound: dict = {}
     is_bound = bound.keys().__ge__
@@ -532,36 +598,42 @@ def enumerate_transforms(src: InstancePresentation,
         for i in queue:
             if i in checked:
                 continue
-            (lhs_vars, lhs_value, lhs_bare, *_), \
-                (rhs_vars, rhs_value, rhs_bare, *_) = eq_info[i]
+            # a side's value, inlined: get(bound), looked up in memo if
+            # the side has one
+            (lhs_vars, lhs_get, lhs_memo, lhs_bare), \
+                (rhs_vars, rhs_get, rhs_memo, rhs_bare) = eq_info[i]
             lhs_bound, rhs_bound = is_bound(lhs_vars), is_bound(rhs_vars)
             if lhs_bound and rhs_bound:
                 checked.add(i)
-                if lhs_value(bound) != rhs_value(bound):
+                lv, rv = lhs_get(bound), rhs_get(bound)
+                if lhs_memo is not None:
+                    lv = lhs_memo[lv]
+                if rhs_memo is not None:
+                    rv = rhs_memo[rv]
+                if lv != rv:
                     return False
                 continue
-            for bare, other_value, other_bound in (
-                    (lhs_bare, rhs_value, rhs_bound),
-                    (rhs_bare, lhs_value, lhs_bound)):
-                if bare is not None and other_bound:
-                    bound[bare] = other_value(bound)
-                    trail[top] = bare
-                    top += 1
-                    queue.extend(watch[bare])
-                    break
+            if lhs_bare is not None and rhs_bound:
+                bare, v, memo = lhs_bare, rhs_get(bound), rhs_memo
+            elif rhs_bare is not None and lhs_bound:
+                bare, v, memo = rhs_bare, lhs_get(bound), lhs_memo
+            else:
+                continue
+            bound[bare] = v if memo is None else memo[v]
+            trail[top] = bare
+            top += 1
+            queue.extend(watch[bare])
         return True
 
-    def shared_index(side: _Side, name: str, sort: Sort) -> tuple:
-        """The inverse index of a side over name alone, shared by the sides
-        of the same shape: (rows by side value, side value by row)."""
-        key = (side.shape, sort.name)
-        index = indexes.get(key)
-        if index is None:
-            buckets: dict = {}
+    def shared_index(memo: _Memo, sort: Sort) -> dict:
+        """The rows of sort by the value of the shape of memo, which has one
+        hole.  The symbol applied to the hole fixes its sort, so one index
+        serves every generator."""
+        if memo.index is None:
+            memo.index = {}
             for row in dst.rows(sort):
-                buckets.setdefault(side.value({name: row}), []).append(row)
-            index = indexes[key] = (buckets, side.memo)
-        return index
+                memo.index.setdefault(memo[row], []).append(row)
+        return memo.index
 
     def narrowed(name: str, sort: Sort) -> list[Term] | None:
         """The rows that the inverse index of each equation of name with
@@ -571,12 +643,13 @@ def enumerate_transforms(src: InstancePresentation,
         for i in watch[name]:
             lhs, rhs = eq_info[i]
             for side, other in ((lhs, rhs), (rhs, lhs)):
-                if side.shape and name in side.names \
-                        and is_bound(other.names):
-                    buckets, at = shared_index(side, name, sort)
-                    want = other.value(bound)
-                    bucket = buckets.get(want, ())
-                    hits.append((len(bucket), i, bucket, at, want))
+                if side.memo is not None and len(side.names) == 1 \
+                        and name in side.names and is_bound(other.names):
+                    want = other.get(bound)
+                    if other.memo is not None:
+                        want = other.memo[want]
+                    bucket = shared_index(side.memo, sort).get(want, ())
+                    hits.append((len(bucket), i, bucket, side.memo, want))
                     break
         if not hits:
             return None
@@ -673,23 +746,32 @@ def enumerate_transforms(src: InstancePresentation,
 
 
 class _Side(NamedTuple):
-    """An equation side compiled for one transform search."""
+    """An equation side planned for one transform search.  Its value at
+    the bindings is get(bindings), looked up in memo if it has one."""
     names: frozenset  # its generators
-    value: Callable  # a function of the bindings, memoised
+    get: Callable  # a function of the bindings
+    memo: _Memo | None  # its shape's values, if it has generators
     bare: str | None  # its generator, if the side is one
-    memo: dict | None  # its values by the bindings of its generators
-    shape: tuple | None  # (the side with a hole for its one generator, ent)
 
 
-def _memoised(fn, key, memo: dict):
-    """fn, remembering its value per key of the bindings in memo."""
-    def value(env):
-        k = key(env)
-        v = memo.get(k)
-        if v is None:
-            v = memo[k] = fn(env)
+_NO_NAMES: frozenset = frozenset()
+
+
+class _Memo(dict):
+    """The values of a side shape by the rows of its holes, a row for one
+    hole, else a tuple in the order of holes.  Each is computed on its
+    first lookup by fn, a function of a dict that binds the holes; index
+    is the inverse, once built."""
+    __slots__ = ("fn", "holes", "index")
+
+    def __init__(self, fn, holes: list[str]):
+        self.fn, self.holes, self.index = fn, holes, None
+
+    def __missing__(self, rows):
+        holes = self.holes
+        env = {holes[0]: rows} if len(holes) == 1 else dict(zip(holes, rows))
+        v = self[rows] = self.fn(env)
         return v
-    return value
 
 
 def hom_count(src: InstancePresentation, dst: SaturatedInstance) -> int:
@@ -773,6 +855,8 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
         return alg.nulls.sort_of(at.name) if at.name in alg.nulls else None
 
     def shape_and_atoms(v, alg):
+        if not v.atoms():
+            return v, ()
         atoms = sorted(v.atoms(), key=term_key)
         ph = {at: opaque_atom(Var(f"@{i}"), atom_sort(at, alg))
               for i, at in enumerate(atoms)}

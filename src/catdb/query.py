@@ -75,13 +75,20 @@ def check_domain_independence(Q: Query) -> list[str]:
 STAR = Sort("*")
 
 
-def query_to_bimodule(Q: Query) -> tuple[Schema, BimodulePresentation]:
-    """The result schema has one entity with one attribute per RETURN
-    variable; the bimodule has one generating edge per FOR variable, with
-    the WHERE equations and the RETURN assignments as its equations."""
+def result_schema(Q: Query) -> Schema:
+    """One entity with one attribute per RETURN variable, in order."""
     attrs = tuple(FunctionSymbol(n, (STAR,), s)
                   for n, s in Q.return_ctx.bindings)
-    R = compile_schema(SchemaPresentation((STAR,), (), attrs))
+    return compile_schema(SchemaPresentation((STAR,), (), attrs))
+
+
+def query_to_bimodule(Q: Query, R: Schema | None = None
+                      ) -> tuple[Schema, BimodulePresentation]:
+    """The result schema (R, when the caller has built it already) and the
+    bimodule, which has one generating edge per FOR variable, with the
+    WHERE equations and the RETURN assignments as its equations."""
+    if R is None:
+        R = result_schema(Q)
     gen_edges = tuple(FunctionSymbol(n, (STAR,), s)
                       for n, s in Q.for_ctx.bindings)
     by_name = {g.name: g for g in gen_edges}
@@ -92,7 +99,7 @@ def query_to_bimodule(Q: Query) -> tuple[Schema, BimodulePresentation]:
     for eq in Q.where_eqs:
         eqs.append(Equation(qctx, subst_map(eq.lhs, sub),
                             subst_map(eq.rhs, sub), eq.sort))
-    for (n, s), a in zip(Q.return_ctx.bindings, attrs):
+    for (n, s), a in zip(Q.return_ctx.bindings, R.attributes):
         t = Q.return_morph(n)
         eqs.append(Equation(qctx, app(a, q), subst_map(t, sub), s))
     return R, BimodulePresentation(R, Q.schema, gen_edges, (), tuple(eqs))
@@ -103,9 +110,9 @@ def eval_query(Q: Query, J: SaturatedInstance) -> QueryResult:
     if bad:
         raise DomainDependence(
             f"FOR variables without entity sorts: {', '.join(bad)}")
-    R, _ = query_to_bimodule(Q)
     # one block, rows named 1, 2, ...; R has no edges, so no keys
-    out, _ = tabulate(R, J, {STAR: ("", frozen_instance(Q))}, None,
+    out, _ = tabulate(result_schema(Q), J,
+                      {STAR: ("", frozen_instance(Q))}, None,
                       lambda a: Q.return_morph(a.name))
     return QueryResult(out)
 
@@ -200,10 +207,11 @@ def crosscheck_migration(Q: Query, J: SaturatedInstance,
     """Evaluate Q directly and through the bimodule collage (restriction
     after right extension, with the right extension built on the result
     entity only); 'ok' if the two tables are isomorphic.  direct is Q's
-    result on J when the caller has it already."""
+    result on J when the caller has it already; its schema is the result
+    schema, so that is built once."""
     if direct is None:
         direct = eval_query(Q, J).instance
-    R, M = query_to_bimodule(Q)
+    _, M = query_to_bimodule(Q, direct.schema)
     via = gamma(M, J, budget)
     if instances_isomorphic(direct, via):
         return "ok"

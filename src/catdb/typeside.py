@@ -91,10 +91,13 @@ def hash_once(cls):
 
 class CanonicalValue:
     """An immutable value in canonical form (`IntPoly`, `StrWord` or a
-    `BoolForm`); its set of opaque atoms is computed once."""
+    `BoolForm`); its set of opaque atoms and its weight (`_value_weight`)
+    are computed once.  `_text` is its dataclass `repr`, written out with
+    `render_term` for the terms in it."""
 
     __slots__ = ()
     _atoms = None  # until an instance sets its own
+    _kept_weight = None  # likewise
 
     def atoms(self) -> frozenset[Term]:
         out = self._atoms
@@ -105,6 +108,13 @@ class CanonicalValue:
 
     def _atom_set(self) -> frozenset[Term]:
         return _NO_ATOMS
+
+
+def _tuple_text(parts: list[str]) -> str:
+    """The repr of a tuple whose items have the reprs in parts."""
+    if len(parts) == 1:
+        return f"({parts[0]},)"
+    return "(" + ", ".join(parts) + ")"
 
 
 @hash_once
@@ -123,9 +133,6 @@ class IntPoly(CanonicalValue):
     def atom(t: Term) -> "IntPoly":
         return IntPoly(((((t, 1),), 1),))
 
-    def _as_dict(self):
-        return dict(self.terms)
-
     @staticmethod
     def _from_dict(d) -> "IntPoly":
         items = [(m, c) for m, c in d.items() if c != 0]
@@ -133,15 +140,24 @@ class IntPoly(CanonicalValue):
         return IntPoly(tuple(items))
 
     def add(self, other: "IntPoly") -> "IntPoly":
-        d = self._as_dict()
+        a, b = self.const_value(), other.const_value()
+        if a is not None and b is not None:
+            return IntPoly.const(a + b)
+        d = dict(self.terms)
         for m, c in other.terms:
             d[m] = d.get(m, 0) + c
         return IntPoly._from_dict(d)
 
     def neg(self) -> "IntPoly":
+        a = self.const_value()
+        if a is not None:
+            return IntPoly.const(-a)
         return IntPoly(tuple((m, -c) for m, c in self.terms))
 
     def mul(self, other: "IntPoly") -> "IntPoly":
+        a, b = self.const_value(), other.const_value()
+        if a is not None and b is not None:
+            return IntPoly.const(a * b)
         d: dict = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
@@ -152,15 +168,24 @@ class IntPoly(CanonicalValue):
                 d[m] = d.get(m, 0) + c1 * c2
         return IntPoly._from_dict(d)
 
-    def is_const(self) -> bool:
-        return all(m == () for m, _ in self.terms)
-
-    def const_value(self) -> int:
-        assert self.is_const()
-        return self.terms[0][1] if self.terms else 0
+    def const_value(self) -> int | None:
+        """The integer this polynomial is, None if it has an atom; the
+        constant monomial sorts first."""
+        t = self.terms
+        if not t:
+            return 0
+        m, c = t[0]
+        return None if m or len(t) > 1 else c
 
     def _atom_set(self) -> frozenset[Term]:
         return frozenset(a for m, _ in self.terms for a, _ in m)
+
+    def _text(self) -> str:
+        parts = []
+        for m, c in self.terms:
+            mono = _tuple_text([f"({render_term(a)}, {p})" for a, p in m])
+            parts.append(f"({mono}, {c})")
+        return f"IntPoly(terms={_tuple_text(parts)})"
 
     def render(self) -> str:
         if not self.terms:
@@ -184,6 +209,10 @@ class IntPoly(CanonicalValue):
         return out
 
 
+# one item per letter, shared by every word that holds it
+_LETTER_ITEMS = {c: ("lit", c) for c in LETTERS}
+
+
 @hash_once
 @dataclass(frozen=True)
 class StrWord(CanonicalValue):
@@ -193,7 +222,7 @@ class StrWord(CanonicalValue):
 
     @staticmethod
     def lit(s: str) -> "StrWord":
-        return StrWord(tuple(("lit", c) for c in s))
+        return StrWord(tuple(_LETTER_ITEMS.get(c) or ("lit", c) for c in s))
 
     @staticmethod
     def atom(t: Term) -> "StrWord":
@@ -211,6 +240,11 @@ class StrWord(CanonicalValue):
 
     def _atom_set(self) -> frozenset[Term]:
         return frozenset(t for k, t in self.items if k == "atom")
+
+    def _text(self) -> str:
+        return "StrWord(items=" + _tuple_text([
+            f"('lit', {x!r})" if k == "lit" else f"('atom', {render_term(x)})"
+            for k, x in self.items]) + ")"
 
     def key(self):
         return tuple(
@@ -242,6 +276,9 @@ class BoolForm(CanonicalValue):
 class BConst(BoolForm):
     value: bool
 
+    def _text(self) -> str:
+        return f"BConst(value={self.value!r})"
+
     def render(self):
         return "true" if self.value else "false"
 
@@ -264,6 +301,15 @@ class BAtom(BoolForm):
             return frozenset(self.payload[:1])
         l, r = self.payload
         return l.atoms() | r.atoms()
+
+    def _text(self) -> str:
+        if self.kind == "var":
+            payload = f"({render_term(self.payload[0])},)"
+        else:
+            l, r = self.payload
+            payload = f"({l._text()}, {r._text()})"
+        return (f"BAtom(positive={self.positive!r}, kind={self.kind!r}, "
+                f"payload={payload})")
 
     def key(self):
         if self.kind == "var":
@@ -296,6 +342,10 @@ class BNode(BoolForm):
 
     def _atom_set(self) -> frozenset[Term]:
         return frozenset().union(*(a.atoms() for a in self.args))
+
+    def _text(self) -> str:
+        args = _tuple_text([a._text() for a in self.args])
+        return f"BNode(op={self.op!r}, args={args})"
 
     def key(self):
         return (self.op, tuple(_form_key(a) for a in self.args))
@@ -344,7 +394,7 @@ def _bnode(op: str, args) -> BoolForm:
 
 def _bnot(f: BoolForm) -> BoolForm:
     if isinstance(f, BConst):
-        return BConst(not f.value)
+        return BFALSE if f.value else BTRUE
     if isinstance(f, BAtom):
         return f.flip()
     assert isinstance(f, BNode)
@@ -352,12 +402,14 @@ def _bnot(f: BoolForm) -> BoolForm:
 
 
 def _le_atom(l: IntPoly, r: IntPoly) -> BoolForm:
-    if l.is_const() and r.is_const():
-        return BConst(l.const_value() <= r.const_value())
+    a, b = l.const_value(), r.const_value()
+    if a is not None and b is not None:
+        return BTRUE if a <= b else BFALSE
     # canonical offset: move the shared part to the right-hand side
     diff = l.add(r.neg())
-    if diff.is_const():
-        return BConst(diff.const_value() <= 0)
+    d = diff.const_value()
+    if d is not None:
+        return BTRUE if d <= 0 else BFALSE
     # split diff = nonconst + c as (nonconst <= -c)
     const = sum(c for m, c in diff.terms if m == ())
     lhs = IntPoly(tuple((m, c) for m, c in diff.terms if m != ()))
@@ -365,6 +417,8 @@ def _le_atom(l: IntPoly, r: IntPoly) -> BoolForm:
 
 
 def _eq_atom(l: StrWord, r: StrWord) -> BoolForm:
+    if not l.atoms() and not r.atoms():
+        return BTRUE if l.items == r.items else BFALSE
     # strip common prefix/suffix (decidable-equality axioms)
     li, ri = list(l.items), list(r.items)
     while li and ri and li[0] == ri[0]:
@@ -377,7 +431,7 @@ def _eq_atom(l: StrWord, r: StrWord) -> BoolForm:
     if not lw.items and not rw.items:
         return BTRUE
     if lw.is_literal() and rw.is_literal():
-        return BConst(lw.literal_value() == rw.literal_value())
+        return BFALSE  # equal words strip to nothing
     # mismatched literal boundary letters are provably unequal
     if li and ri:
         for end in (0, -1):
@@ -462,7 +516,8 @@ class TypeAlgebra:
         atom = _bare_atom(side)
         if atom is None or atom in value.atoms():
             return None
-        if _value_weight(value) > _value_weight(side):
+        # an atom-free value is lighter than any atom
+        if value.atoms() and _value_weight(value) > _value_weight(side):
             return None
         # `value` is a constant or a lighter atom, perhaps negated, so the
         # keys mapped onto `atom` are all the keys whose value mentions it
@@ -509,7 +564,7 @@ def _forced_apart(l: CanonicalValue, r: CanonicalValue) -> bool:
     if l.atoms() != r.atoms():
         return False
     if isinstance(l, IntPoly):
-        return l.add(r.neg()).is_const()  # type: ignore[arg-type]
+        return l.add(r.neg()).const_value() is not None  # type: ignore
     return not l.atoms() or isinstance(l, BoolForm) and l == _bnot(r)
 
 
@@ -540,10 +595,14 @@ def _bare_atom(v: CanonicalValue) -> Term | None:
 def _value_weight(v: CanonicalValue):
     """Preference order for representatives: constants, then nulls, then
     compounds; ties by size then rendering.  A boolean value weighs as the
-    lighter of it and its complement."""
-    if isinstance(v, (BAtom, BNode)):
-        return min(_weight(v), _weight(_bnot(v)))
-    return _weight(v)
+    lighter of it and its complement.  Kept on the value."""
+    w = v._kept_weight
+    if w is None:
+        w = _weight(v)
+        if isinstance(v, (BAtom, BNode)):
+            w = min(w, _weight(_bnot(v)))
+        object.__setattr__(v, "_kept_weight", w)
+    return w
 
 
 def _weight(v: CanonicalValue):
@@ -552,7 +611,7 @@ def _weight(v: CanonicalValue):
     else:
         a = _bare_atom(v)
         cls = 3 if a is None else 1 if isinstance(a, Var) else 2
-    text = repr(v)
+    text = v._text()  # type: ignore[attr-defined]
     return (cls, len(text), text)
 
 

@@ -12,7 +12,10 @@ of it is substituted, and the residual entries are applied until a value
 stops changing.  ``OracleTypeAlgebra`` compiles its hypotheses without a
 worklist: each round rebuilds the substitution and the classes of equal
 values from all the pairs, then simplifies every pair again, until a round
-changes nothing.  The tests compare ``catdb.typeside`` against these.
+changes nothing.  It picks representatives by ``value_weight`` and
+orients entries by ``orient``, catdb's weight before each value kept its
+own: the rendering is the dataclass ``repr``, computed at every call.  The
+tests compare ``catdb.typeside`` against these.
 Nothing under ``src/`` imports this.
 """
 
@@ -23,8 +26,8 @@ from catdb.kernel import (
 )
 from catdb.typeside import (
     TYPE_SYMBOLS, BAtom, BConst, BNode, BoolForm, CanonicalValue, IntPoly,
-    StrWord, TypeAlgebra, _bnode, _bnot, _eq_atom, _le_atom, _orient,
-    _value_weight, opaque_atom, symbol_operation, value_sort,
+    StrWord, TypeAlgebra, _bare_atom, _bnode, _bnot, _eq_atom, _le_atom,
+    opaque_atom, symbol_operation, value_sort,
 )
 
 
@@ -121,12 +124,12 @@ class OracleTypeAlgebra(TypeAlgebra):
             members.setdefault(find(v), []).append(v)
         out = {}
         for cls in members.values():
-            rep = min(cls, key=_value_weight)
+            rep = min(cls, key=value_weight)
             for i, v in enumerate(cls):
                 if any(forced_apart(v, w) for w in cls[i + 1:]):
                     self.inconsistent = True
                 if v != rep:
-                    big, small = _orient(v, rep)
+                    big, small = orient(v, rep)
                     out[big] = small
         return out
 
@@ -140,6 +143,37 @@ class OracleTypeAlgebra(TypeAlgebra):
 
     def simplify(self, v: CanonicalValue) -> CanonicalValue:
         return simplify(self, v)
+
+
+def value_weight(v: CanonicalValue):
+    """Preference order for representatives: constants, then nulls, then
+    compounds; ties by size then rendering.  A boolean value weighs as the
+    lighter of it and its complement."""
+    if isinstance(v, (BAtom, BNode)):
+        return min(weight(v), weight(_bnot(v)))
+    return weight(v)
+
+
+def weight(v: CanonicalValue):
+    if not v.atoms():
+        cls = 0
+    else:
+        a = _bare_atom(v)
+        cls = 3 if a is None else 1 if isinstance(a, Var) else 2
+    text = repr(v)
+    return (cls, len(text), text)
+
+
+def orient(l: CanonicalValue, r: CanonicalValue):
+    """The entry for `l = r`: the heavier side rewrites to the lighter.  Of
+    a boolean entry and its complement, the one kept has its value, or its
+    key if the value is a constant, in the lighter polarity."""
+    big, small = sorted((l, r), key=value_weight, reverse=True)
+    probe = big if isinstance(small, BConst) else small
+    if isinstance(probe, (BAtom, BNode)) and \
+            weight(_bnot(probe)) < weight(probe):
+        return _bnot(big), _bnot(small)  # type: ignore[arg-type]
+    return big, small
 
 
 def forced_apart(l: CanonicalValue, r: CanonicalValue) -> bool:

@@ -128,6 +128,7 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
     that attribute written over the presentation's generators and
     evaluated in I at alpha; a value that the generators cannot write
     depends on data outside the image of F, a domain error."""
+    _on_source(F, I, "pi")
     out, found = _pushforward(F, I, F.target, budget)
     out.pi_details = {t: {"rows": rows, "alphas": alphas}
                       for t, (rows, alphas) in found.items()}

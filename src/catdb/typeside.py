@@ -5,23 +5,22 @@ values are normalized into canonical forms per sort: multivariate integer
 polynomials, flattened letter words, and boolean formulas in negation
 normal form.  Integer and string constants are nullary literal symbols
 given by their value (`250`, `"Gauss"`), not by generators and equations.
-Unknowns (labelled nulls and unconstrained attribute cells)
-appear as opaque atoms inside these forms.  Equality modulo a set of
-hypotheses is answered tri-state; Unknown is deliberate whenever the
-answer would need reasoning outside these fragments (e.g. ordered-ring
-arithmetic over nulls).
+Unknowns (labelled nulls and unconstrained attribute cells) appear as
+opaque atoms inside these forms, which are hash-consed like terms: equal
+values are one object.  Equality modulo a set of hypotheses is answered
+tri-state; Unknown is deliberate whenever the answer would need reasoning
+outside these fragments (e.g. ordered-ring arithmetic over nulls).
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from collections import deque
 from itertools import groupby
 from operator import itemgetter
 
 from .kernel import (
-    App, Context, FunctionSymbol, Sort, Term, Var, app,
+    App, Context, FunctionSymbol, Sort, Term, Var, _Interned, _Table, app,
     int_literal, is_int_literal, is_str_literal, render_term,
     spine, str_literal_symbol,
 )
@@ -71,36 +70,22 @@ def int_term(n: int) -> Term:
 # shared by every atom-free value, so that caching its atoms allocates nothing
 _NO_ATOMS: frozenset = frozenset()
 
-
-def hash_once(cls):
-    """Class decorator for an immutable dataclass: its generated `__hash__`
-    runs once per instance, the value kept outside the dataclass fields."""
-    generated = cls.__hash__
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = generated(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls._hash = None  # until an instance sets its own
-    cls.__hash__ = __hash__
-    return cls
+# one weak intern table per class: `IntPoly(())` and `StrWord(())` have
+# equal fields but are different values
+_POLYS, _WORDS, _CONSTS, _BATOMS, _BNODES = (_Table() for _ in range(5))
 
 
-class CanonicalValue:
+class CanonicalValue(_Interned):
     """An immutable value in canonical form (`IntPoly`, `StrWord` or a
-    `BoolForm`); its set of opaque atoms and its weight (`_value_weight`)
-    are computed once.  `_text` is its dataclass `repr`, written out with
+    `BoolForm`), hash-consed like terms, so `==` and `hash` are identity.
+    Its set of opaque atoms and its weight (`_value_weight`) are computed
+    once and kept in slots.  Its `repr` is `Name(field=...)`, with
     `render_term` for the terms in it."""
 
-    __slots__ = ()
-    _atoms = None  # until an instance sets its own
-    _kept_weight = None  # likewise
+    __slots__ = ("_atoms", "_kept_weight")
 
     def atoms(self) -> frozenset[Term]:
-        out = self._atoms
+        out = getattr(self, "_atoms", None)
         if out is None:
             out = self._atom_set() or _NO_ATOMS
             object.__setattr__(self, "_atoms", out)
@@ -117,13 +102,15 @@ def _tuple_text(parts: list[str]) -> str:
     return "(" + ", ".join(parts) + ")"
 
 
-@hash_once
-@dataclass(frozen=True)
 class IntPoly(CanonicalValue):
     """Multivariate polynomial over opaque atoms; monomials sorted."""
 
     # tuple of (monomial, coeff); monomial = tuple of (atom, power)
-    terms: tuple[tuple[tuple[tuple[Term, int], ...], int], ...]
+    __slots__ = ("terms",)
+
+    def __new__(cls, terms: tuple):
+        r = _POLYS.get(terms)
+        return (r and r()) or _POLYS.make(terms, cls, terms)
 
     @staticmethod
     def const(n: int) -> "IntPoly":
@@ -180,7 +167,7 @@ class IntPoly(CanonicalValue):
     def _atom_set(self) -> frozenset[Term]:
         return frozenset(a for m, _ in self.terms for a, _ in m)
 
-    def _text(self) -> str:
+    def __repr__(self) -> str:
         parts = []
         for m, c in self.terms:
             mono = _tuple_text([f"({render_term(a)}, {p})" for a, p in m])
@@ -213,12 +200,14 @@ class IntPoly(CanonicalValue):
 _LETTER_ITEMS = {c: ("lit", c) for c in LETTERS}
 
 
-@hash_once
-@dataclass(frozen=True)
 class StrWord(CanonicalValue):
     """Flattened concatenation: literal letters and opaque atoms."""
 
-    items: tuple[tuple[str, object], ...]  # ('lit', char) | ('atom', Term)
+    __slots__ = ("items",)  # ('lit', char) | ('atom', Term)
+
+    def __new__(cls, items: tuple):
+        r = _WORDS.get(items)
+        return (r and r()) or _WORDS.make(items, cls, items)
 
     @staticmethod
     def lit(s: str) -> "StrWord":
@@ -241,7 +230,7 @@ class StrWord(CanonicalValue):
     def _atom_set(self) -> frozenset[Term]:
         return frozenset(t for k, t in self.items if k == "atom")
 
-    def _text(self) -> str:
+    def __repr__(self) -> str:
         return "StrWord(items=" + _tuple_text([
             f"('lit', {x!r})" if k == "lit" else f"('atom', {render_term(x)})"
             for k, x in self.items]) + ")"
@@ -272,11 +261,14 @@ class BoolForm(CanonicalValue):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BConst(BoolForm):
-    value: bool
+    __slots__ = ("value",)
 
-    def _text(self) -> str:
+    def __new__(cls, value: bool):
+        r = _CONSTS.get(value)
+        return (r and r()) or _CONSTS.make(value, cls, value)
+
+    def __repr__(self) -> str:
         return f"BConst(value={self.value!r})"
 
     def render(self):
@@ -286,12 +278,13 @@ class BConst(BoolForm):
 BTRUE, BFALSE = BConst(True), BConst(False)
 
 
-@hash_once
-@dataclass(frozen=True)
 class BAtom(BoolForm):
-    positive: bool
-    kind: str          # 'var' | 'le' | 'eq'
-    payload: tuple
+    __slots__ = ("positive", "kind", "payload")  # kind: 'var' | 'le' | 'eq'
+
+    def __new__(cls, positive: bool, kind: str, payload: tuple):
+        key = positive, kind, payload
+        r = _BATOMS.get(key)
+        return (r and r()) or _BATOMS.make(key, cls, positive, kind, payload)
 
     def flip(self) -> "BAtom":
         return BAtom(not self.positive, self.kind, self.payload)
@@ -302,12 +295,12 @@ class BAtom(BoolForm):
         l, r = self.payload
         return l.atoms() | r.atoms()
 
-    def _text(self) -> str:
+    def __repr__(self) -> str:
         if self.kind == "var":
             payload = f"({render_term(self.payload[0])},)"
         else:
             l, r = self.payload
-            payload = f"({l._text()}, {r._text()})"
+            payload = f"({l!r}, {r!r})"
         return (f"BAtom(positive={self.positive!r}, kind={self.kind!r}, "
                 f"payload={payload})")
 
@@ -334,17 +327,19 @@ class BAtom(BoolForm):
         return body if self.positive else f"not {body}"
 
 
-@hash_once
-@dataclass(frozen=True)
 class BNode(BoolForm):
-    op: str  # 'and' | 'or'
-    args: tuple[BoolForm, ...]
+    __slots__ = ("op", "args")  # op: 'and' | 'or'
+
+    def __new__(cls, op: str, args: tuple):
+        key = op, args
+        r = _BNODES.get(key)
+        return (r and r()) or _BNODES.make(key, cls, op, args)
 
     def _atom_set(self) -> frozenset[Term]:
         return frozenset().union(*(a.atoms() for a in self.args))
 
-    def _text(self) -> str:
-        args = _tuple_text([a._text() for a in self.args])
+    def __repr__(self) -> str:
+        args = _tuple_text([repr(a) for a in self.args])
         return f"BNode(op={self.op!r}, args={args})"
 
     def key(self):
@@ -596,7 +591,7 @@ def _value_weight(v: CanonicalValue):
     """Preference order for representatives: constants, then nulls, then
     compounds; ties by size then rendering.  A boolean value weighs as the
     lighter of it and its complement.  Kept on the value."""
-    w = v._kept_weight
+    w = getattr(v, "_kept_weight", None)
     if w is None:
         w = _weight(v)
         if isinstance(v, (BAtom, BNode)):
@@ -611,7 +606,7 @@ def _weight(v: CanonicalValue):
     else:
         a = _bare_atom(v)
         cls = 3 if a is None else 1 if isinstance(a, Var) else 2
-    text = v._text()  # type: ignore[attr-defined]
+    text = repr(v)
     return (cls, len(text), text)
 
 

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from catdb.cli import run_cli
 from tests.conftest import FIXTURES
 from tests.genfixtures import (
     company_instance, infinite_side_workspace, type_equations_workspace,
+    typeside_instance,
 )
 
 GROUP = str(FIXTURES / "group.cdb")
@@ -281,6 +283,13 @@ class TestMigrate:
         assert err == ("error: sigma: the instance is not on the mapping's "
                        "source schema\n")
 
+    def test_pi_refuses_an_instance_on_another_schema(self, capsys):
+        code, out, err = run(capsys, "migrate", WORKSPACE, "--mapping", "F",
+                             "--instance", "J", "--mode", "pi")
+        assert (code, out) == (1, "")
+        assert err == ("error: pi: the instance is not on the mapping's "
+                       "source schema\n")
+
 
 class TestMigrateAcrossSchemas:
     """Mappings between schemas that share no function symbol: an
@@ -489,8 +498,10 @@ class TestTheorySections:
 
 
 class TestGeneratedDeterminism:
-    """A 60-row instance: the closure's node ids and member lists follow
-    insertion order, so its output must not depend on the hash seed."""
+    """A 60-row instance and the type-side workspaces: the closure's node
+    ids and member lists follow insertion order, and canonical values,
+    like terms, hash by address, so no output, error or exit code may
+    depend on the hash seed."""
 
     @pytest.fixture(scope="class")
     def company(self, tmp_path_factory):
@@ -499,6 +510,21 @@ class TestGeneratedDeterminism:
                         + "\n" + company_instance(random.Random(60)),
                         encoding="utf-8")
         return str(path)
+
+    @pytest.fixture(scope="class")
+    def type_equations(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("typeside") / "type_equations.cdb"
+        path.write_text(type_equations_workspace(), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def across_hash_seeds(*argv):
+        """Run argv under hash seeds 0 and 1, which must give the same
+        stdout, stderr and exit code, and give back the first run."""
+        runs = [run_module(*argv, hash_seed=seed) for seed in ("0", "1")]
+        first, second = ((p.returncode, p.stdout, p.stderr) for p in runs)
+        assert first == second
+        return runs[0]
 
     @pytest.mark.parametrize("extra", [
         ("saturate", "--format", "json"),
@@ -509,7 +535,26 @@ class TestGeneratedDeterminism:
     ])
     def test_byte_identical_across_hash_seeds(self, company, extra):
         argv = (extra[0], company, "--instance", "W", *extra[1:])
-        runs = [run_module(*argv, hash_seed=seed) for seed in ("0", "1")]
-        assert all(p.returncode == 0 and p.stdout for p in runs), \
-            [p.stderr for p in runs]
-        assert runs[0].stdout == runs[1].stdout
+        p = self.across_hash_seeds(*argv)
+        assert p.returncode == 0 and p.stdout, p.stderr
+
+    def test_homs_byte_identical_across_hash_seeds(self, company):
+        p = self.across_hash_seeds("homs", company, "--from", "W",
+                                   "--to", "W")
+        assert p.returncode == 0 and p.stdout.endswith("count: 1\n")
+
+    def test_type_side_instance_byte_identical_across_hash_seeds(
+            self, tmp_path):
+        path = tmp_path / "typeside.cdb"
+        path.write_text(typeside_instance(), encoding="utf-8")
+        p = self.across_hash_seeds("saturate", str(path), "--instance", "K",
+                                   "--format", "json")
+        assert p.returncode == 0 and p.stdout, p.stderr
+
+    @pytest.mark.parametrize("name", re.findall(
+        r"^instance (\w+) on", type_equations_workspace(), re.M))
+    def test_type_equations_byte_identical_across_hash_seeds(
+            self, type_equations, name):
+        p = self.across_hash_seeds("saturate", type_equations,
+                                   "--instance", name)
+        assert p.stdout or p.stderr

@@ -2,12 +2,12 @@
 
 Atom-free arithmetic, `<=`, `eq` and `not` fold to their answers, and these
 tests compare them with the unfolded operations of `tests/fold_oracle.py`.
-A value's weight is kept on it, its rendering written out by `_text`; the
-weight must order values as the `repr`-based weight of
-`tests/typeside_oracle.py` does.  `saturate` and the transform search
-compile each side shape once; the counts of
-`SaturatedInstance.compile` calls are pinned on one workspace.  A
-crosscheck builds its result schema once.
+A value's weight is kept on it and reads its `repr`, which must be the
+text the value's frozen dataclass wrote (`tests/typeside_oracle.py`'s
+`dataclass_text`); the weight must order values as that oracle's does.
+`saturate` and the transform search compile each side shape once; the
+counts of `SaturatedInstance.compile` calls are pinned on one workspace.
+A crosscheck builds its result schema once.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -29,7 +29,9 @@ from tests.genfixtures import bench_company
 from tests.test_typeside_cache import (
     ATTRS, NULLS, PLAIN, ROWS, algebras, terms,
 )
-from tests.typeside_oracle import value_pairs, value_weight, weight
+from tests.typeside_oracle import (
+    dataclass_text, value_pairs, value_weight, weight,
+)
 
 NULL_ATOMS = {INT: [Var("n1"), Var("n2")], STR: [Var("s1")],
               BOOL: [Var("b1")]}
@@ -163,7 +165,7 @@ def weighed_values(draw):
 @given(st.lists(weighed_values(), min_size=2, max_size=8))
 def test_weight_orders_values_as_the_repr_weight(vs):
     for v in vs:
-        assert v._text() == repr(v)
+        assert repr(v) == dataclass_text(v)
         assert _weight(v) == weight(v)
         assert _value_weight(v) == value_weight(v)
         assert _value_weight(v) is _value_weight(v)  # kept on the value
@@ -201,7 +203,7 @@ def test_weight_orders_every_kind_as_the_repr_weight():
         (k, a) for k in ("IntPoly", "StrWord") for a in (False, True)}
     assert sorted(vs, key=_value_weight) == sorted(vs, key=value_weight)
     for v in vs:
-        assert v._text() == repr(v)
+        assert repr(v) == dataclass_text(v)
         assert _value_weight(v) == value_weight(v)
 
 

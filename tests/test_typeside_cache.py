@@ -1,19 +1,17 @@
-"""Cached identity of terms and canonical values.
+"""Cached atom sets and the shortcuts they allow.
 
-Terms and values keep their hash and their atom set after computing them
-once, `_apply_subst` gives back a value none of whose atoms it replaces,
-and `TypeAlgebra.simplify` gives back an atom-free value at once.  These
-tests pin the cached hashes to the dataclass ones and compare the
-shortcuts against the rebuilding oracle in `tests/typeside_oracle.py`.
+Canonical values are hash-consed (`tests/test_interning.py`) and keep
+their atom set after computing it once, `_apply_subst` gives back a value
+none of whose atoms it replaces, and `TypeAlgebra.simplify` gives back an
+atom-free value at once.  These tests compare the shortcuts against the
+rebuilding oracle in `tests/typeside_oracle.py`.
 """
 
-from dataclasses import fields
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import catdb.kernel as kernel
 import catdb.typeside as typeside
 from catdb.kernel import Context, Equation, FunctionSymbol, Sort, Var, app
 from catdb.typeside import (
@@ -46,52 +44,17 @@ def _node():
     return symbol_operation(AND)(PLAIN, BAtom(True, "var", (Var("b"),)), le)
 
 
-# a fresh, not yet hashed instance of each class with a cached hash
-EXAMPLES = {
-    "IntPoly": _poly,
-    "StrWord": lambda: StrWord.lit("ab").concat(StrWord.atom(Var("s"))),
-    "BAtom": lambda: BAtom(True, "var", (Var("b"),)),
-    "BNode": _node,
-}
-
-
-@pytest.mark.parametrize("name", EXAMPLES)
-def test_cached_hash_is_the_dataclass_hash(name, monkeypatch):
-    make = EXAMPLES[name]
-    x = make()
-    assert type(x).__name__ == name
-    compare = tuple(getattr(x, f.name) for f in fields(x) if f.compare)
-    assert hash(x) == hash(compare)
-    fresh = make()
-    assert fresh == x and repr(fresh) == repr(x)
-    assert "_hash" not in {f.name for f in fields(x)}
-
-    # the generated hash calls the `hash` builtin of the class's module
-    module = kernel if type(x).__module__ == kernel.__name__ else typeside
-    calls = []
-
-    def counting(obj):
-        calls.append(obj)
-        return hash(obj)
-
-    monkeypatch.setattr(module, "hash", counting, raising=False)
-    y = make()
-    calls.clear()
-    assert hash(y) == hash(compare)
-    assert calls
-    calls.clear()
-    assert hash(y) == hash(compare)
-    assert not calls
+def _word():
+    return StrWord.lit("ab").concat(StrWord.atom(Var("s")))
 
 
 def test_atoms_are_one_cached_frozenset():
-    for make in (_poly, EXAMPLES["StrWord"], _node):
+    for make in (_poly, _word, _node):
         v = make()
         got = v.atoms()
         assert isinstance(got, frozenset)
         assert v.atoms() is got
-        twin = make()
-        assert twin == v and repr(twin) == repr(v)
+        assert make() is v
     assert typeside.BTRUE.atoms() == frozenset()
 
 

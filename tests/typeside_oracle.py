@@ -14,8 +14,9 @@ worklist: each round rebuilds the substitution and the classes of equal
 values from all the pairs, then simplifies every pair again, until a round
 changes nothing.  It picks representatives by ``value_weight`` and
 orients entries by ``orient``, catdb's weight before each value kept its
-own: the rendering is the dataclass ``repr``, computed at every call.  The
-tests compare ``catdb.typeside`` against these.
+own: the rendering is ``dataclass_text``, the ``repr`` that the frozen
+dataclasses of the values generated, computed at every call.  The tests
+compare ``catdb.typeside`` against these.
 Nothing under ``src/`` imports this.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from catdb.kernel import (
     App, Context, FunctionSymbol, Term, Var, is_int_literal, is_str_literal,
+    render_term,
 )
 from catdb.typeside import (
     TYPE_SYMBOLS, BAtom, BConst, BNode, BoolForm, CanonicalValue, IntPoly,
@@ -160,8 +162,27 @@ def weight(v: CanonicalValue):
     else:
         a = _bare_atom(v)
         cls = 3 if a is None else 1 if isinstance(a, Var) else 2
-    text = repr(v)
+    text = dataclass_text(v)
     return (cls, len(text), text)
+
+
+# the fields of each value class, in the order its dataclass declared them
+FIELDS = {IntPoly: ("terms",), StrWord: ("items",), BConst: ("value",),
+          BAtom: ("positive", "kind", "payload"), BNode: ("op", "args")}
+
+
+def dataclass_text(x) -> str:
+    """x written as a frozen dataclass writes its `repr`: a value as
+    `Name(field=..., ...)`, a tuple with its items written so, a term by
+    `render_term` and anything else by its own `repr`."""
+    if isinstance(x, CanonicalValue):
+        fields = (f"{f}={dataclass_text(getattr(x, f))}"
+                  for f in FIELDS[type(x)])
+        return f"{type(x).__name__}({', '.join(fields)})"
+    if isinstance(x, tuple):
+        items = [dataclass_text(y) for y in x]
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+    return render_term(x) if isinstance(x, Term) else repr(x)
 
 
 def orient(l: CanonicalValue, r: CanonicalValue):

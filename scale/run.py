@@ -5,15 +5,17 @@
 Run from anywhere; the engine is imported from ``src/`` of this checkout.
 Each workspace is ``bench/gen.py``'s company with N employees and N//5
 departments, ``make_company(random.Random(1), N, N//5)``: *ground*, or
-*nulls* with ``null_share=0.25, salaries=(300, 600)``.  On each, six
-commands run as subprocesses with ``--budget 100000``: ``saturate W
---format json``, ``homs W W``, ``query Q --crosscheck``, ``query N
---format json``, ``migrate G --mode pi`` and ``migrate H --mode sigma
---saturate``.  Seconds are wall clock including interpreter start-up, and
-peak RSS is the child's ``ru_maxrss``, of one run each.  The exponent per
-decade is the log-log slope of seconds against N between
-consecutive sizes.  Workspaces go to a temporary directory, and nothing
-is written under ``bench/``.  A command that exits non-zero fails the run.
+*nulls* with ``null_share=0.25, salaries=(300, 600)``.  On each, seven
+commands run as subprocesses: ``check``, which parses and checks the
+workspace and saturates nothing, so it times the parse on its own; then,
+with ``--budget 100000``, ``saturate W --format json``, ``homs W W``,
+``query Q --crosscheck``, ``query N --format json``, ``migrate G --mode
+pi`` and ``migrate H --mode sigma --saturate``.  Seconds are wall clock
+including interpreter start-up, and peak RSS is the child's
+``ru_maxrss``, of one run each.  The exponent per decade is the log-log
+slope of seconds against N between consecutive sizes.  Workspaces go to
+a temporary directory, and nothing is written under ``bench/``.  A
+command that exits non-zero fails the run.
 """
 
 from __future__ import annotations
@@ -33,19 +35,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHAPES = {"ground": {}, "nulls": {"null_share": 0.25, "salaries": (300, 600)}}
-COMMANDS = {
-    "saturate": ["saturate", "{file}", "--instance", "W", "--format", "json"],
-    "homs": ["homs", "{file}", "--from", "W", "--to", "W"],
-    "query_crosscheck": ["query", "{file}", "--query", "Q", "--instance", "W",
-                         "--crosscheck"],
-    "query_n": ["query", "{file}", "--query", "N", "--instance", "W",
-                "--format", "json"],
-    "migrate_pi": ["migrate", "{file}", "--mapping", "G", "--instance", "W",
-                   "--mode", "pi"],
-    "migrate_sigma": ["migrate", "{file}", "--mapping", "H", "--instance", "W",
-                      "--mode", "sigma", "--saturate"],
-}
 BUDGET = ["--budget", "100000"]
+COMMANDS = {
+    "check": ["check", "{file}"],
+    "saturate": ["saturate", "{file}", "--instance", "W", "--format", "json",
+                 *BUDGET],
+    "homs": ["homs", "{file}", "--from", "W", "--to", "W", *BUDGET],
+    "query_crosscheck": ["query", "{file}", "--query", "Q", "--instance", "W",
+                         "--crosscheck", *BUDGET],
+    "query_n": ["query", "{file}", "--query", "N", "--instance", "W",
+                "--format", "json", *BUDGET],
+    "migrate_pi": ["migrate", "{file}", "--mapping", "G", "--instance", "W",
+                   "--mode", "pi", *BUDGET],
+    "migrate_sigma": ["migrate", "{file}", "--mapping", "H", "--instance", "W",
+                      "--mode", "sigma", "--saturate", *BUDGET],
+}
 
 
 def load_gen():
@@ -68,7 +72,7 @@ def run_command(argv: list[str]) -> tuple[float, float, int, str]:
     with tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen(
-            [sys.executable, "-m", "catdb.cli", *argv, *BUDGET],
+            [sys.executable, "-m", "catdb.cli", *argv],
             stdout=subprocess.DEVNULL, stderr=err, env=env)
         _, status, usage = os.wait4(proc.pid, 0)
         seconds = time.perf_counter() - t0

@@ -21,10 +21,7 @@ from .migration import MigrationError, delta, pi, sigma
 from .query import (
     QueryError, crosscheck_migration, eval_query, eval_uber_query,
 )
-from .dsl import (
-    DslError, Parser, TermEnv, Workspace, check_equation, parse_workspace,
-    tokenize,
-)
+from .dsl import DslError, Parser, TermEnv, Workspace, parse_workspace
 
 
 class UsageError(Exception):
@@ -42,6 +39,8 @@ def _load(path: str) -> Workspace:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: {exc}")
     return parse_workspace(text, path)
 
 
@@ -108,14 +107,14 @@ def cmd_eq(ws: Workspace, args) -> int:
     env = TermEnv(th.signature, Context(()))
 
     def parse_one(text: str):
-        p = Parser(tokenize(text, "<arg>"))
+        p = Parser(text, "<arg>")
         t = p.parse_term(env)
-        if p.peek().kind != "eof":
-            raise DslError(f"trailing input {p.peek().text!r}", p.peek().span)
-        return t, p.toks[0]
+        if p.peek():
+            p.fail(f"trailing input {p.peek()!r}", p.pos)
+        return t, p
 
-    (a, _), (b, first) = parse_one(args.terms[0]), parse_one(args.terms[1])
-    check_equation(env, a, b, first)
+    (a, _), (b, p) = parse_one(args.terms[0]), parse_one(args.terms[1])
+    p.check_equation(env, a, b, 0)
     print(rs.decide_equal(a, b).name)
     return 0
 
@@ -256,6 +255,12 @@ def run_cli(argv: list[str] | None = None) -> int:
     except RecursionError:  # term walks recurse on term depth
         print("error: term depth exceeds the recursion limit "
               f"({sys.getrecursionlimit()})", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # str() of an integer past the digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        print("error: an integer exceeds the limit of "
+              f"{sys.get_int_max_str_digits()} digits", file=sys.stderr)
         return 1
 
 

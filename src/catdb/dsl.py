@@ -1,18 +1,22 @@
 """Text DSL for theories, schemas, instances, mappings, bimodules,
 queries and uber-queries (.cdb files).
 
-Every parse and check error carries a file:line:column span.  The
-grammar uses explicit `forall x:A .` binders for equations; terms use
-postfix paths (x.f.g), infix `* + - <=`, function application, integer
-and string literals, and `true`/`false`.  A term is sorted as it is built,
+Every parse and check error carries a file:line:column span.  Tokens
+are plain strings from one regular-expression pass; a span is found
+again from the text only when an error is raised.  The grammar uses
+explicit `forall x:A .` binders for equations; terms use postfix paths
+(x.f.g), infix `* + - <=`, function application, integer and string
+literals, and `true`/`false`.  A term is sorted as it is built,
 an attribute grammar after Knuth (1968): each node in O(arity), no walk.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import islice
+from typing import NoReturn
 
 from .kernel import (
     AlgSignature, App, AritySortMismatch, Context, ContextMorphism, Equation,
@@ -49,48 +53,40 @@ class DslError(Exception):
 
 # --- tokenizer ----------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    [^\S\n]*(?://[^\n]*)?           # blanks and a comment before the token
-    (?:(?P<ident>[A-Za-z_][A-Za-z0-9_']*'*|\*(?![/)]))
-     | (?P<op><=|->|:=|[{}();:,.=+\-\[\]|])
-     | (?P<nl>\n\s*)
-     | (?P<int>\d+)
-     | (?P<string>"(?:[^"\\]|\\.)*")
-     | (?P<eof>\Z)
-     | (?P<error>.))
-""", re.VERBOSE)
+# a token: a name, an operator, an integer or a string
+_TOKEN = r'''[A-Za-z_][A-Za-z0-9_']*|\*(?![/)])|<=|->|:=|[{}();:,.=+\-\[\]|]
+    |\d+|"(?:[^"\\]|\\.)*"'''
+# blanks, newlines and comments, then a token; or, at a character no token
+# starts, the rest of the text, so the bad character is the last token; or
+# the end, so trailing blanks are skipped once, not rescanned from each.
+# After the greedy prefix one of the three always matches: no backtracking.
+_TOKEN_RE = re.compile(rf"\s*(?://[^\n]*\s*)*({_TOKEN}|\S[\s\S]*|\Z)",
+                       re.VERBOSE)
+_NAME_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_*")
 
 
-class Token(NamedTuple):
-    kind: str  # ident | int | string | op | eof
-    text: str
-    file: str
-    line: int
-    column: int
+def tokenize(text: str, filename: str = "<input>") -> list[str]:
+    """The tokens of `text` as strings, ending in "" at its end, from one
+    C-level pass of `_TOKEN_RE`, whose first bad character ends it.  A
+    token's kind is its first character's: a letter, `_` or `*` starts a
+    name, a digit an integer and `"` a string; anything else is an
+    operator."""
+    toks = _TOKEN_RE.findall(text)
+    end = toks.index("")
+    del toks[end + 1:]  # findall may match the empty end twice
+    if end and not re.fullmatch(_TOKEN, toks[end - 1], re.VERBOSE):
+        raise DslError(f"unexpected character {toks[end - 1][0]!r}",
+                       token_span(text, filename, end - 1))
+    return toks
 
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.file, self.line, self.column)
 
-
-def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    """One pass: a match is a token and the blanks and comment before it."""
-    out, new = [], tuple.__new__  # a Token without its Python-level __new__
-    line, start = 1, 0  # start: offset of the current line
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tok, i = m[kind], m.start(kind)
-        if kind == "error":
-            raise DslError(f"unexpected character {tok!r}",
-                           SourceSpan(filename, line, i - start + 1))
-        if kind != "nl":
-            out.append(new(Token, (kind, tok, filename, line, i - start + 1)))
-            if kind == "eof":  # finditer may match the empty end twice
-                return out
-            if kind != "string" or "\n" not in tok:
-                continue
-        line += tok.count("\n")
-        start = text.rfind("\n", i, m.end()) + 1
+def token_span(text: str, filename: str, i: int) -> SourceSpan:
+    """Where token `i` of `text` starts, found by scanning it again: only
+    an error needs it."""
+    at = next(islice(_TOKEN_RE.finditer(text), i, None)).start(1)
+    return SourceSpan(filename, text.count("\n", 0, at) + 1,
+                      at - text.rfind("\n", 0, at))
 
 
 # --- workspace ----------------------------------------------------------
@@ -122,98 +118,109 @@ _DECLARATIONS = ("theory", "schema", "instance", "mapping", "bimodule",
 _INFIX = {"<=": 0, "+": 1, "-": 1, "*": 2}  # binding power
 
 
-def check_equation(env: "TermEnv", lhs: Term, rhs: Term | Sort | None,
-                   at: Token) -> Sort:
-    """The sort of `lhs`, a term `env` built.  `rhs` is the other side of
-    an equation or a wanted sort; a different sort, or an ill-sorted
-    subterm of either side, raises DslError at token `at`."""
-    try:
-        ls = env.sort(lhs)
-        rs = rhs if rhs is None or isinstance(rhs, Sort) else env.sort(rhs)
-    except KernelError as exc:
-        raise DslError(str(exc), at.span) from exc
-    if rs is None or ls is rs:
-        return ls
-    if rs is rhs:  # a wanted sort
-        raise DslError(f"{render_dsl_term(lhs)} has sort {ls.name}, "
-                       f"expected {rs.name}", at.span)
-    raise DslError(f"equation sides have sorts {ls.name} and {rs.name}",
-                   at.span)
-
-
 class Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    def __init__(self, text: str, filename: str = "<input>"):
+        self.toks = tokenize(text, filename)
+        self.text, self.file = text, filename  # for spans
         self.pos = 0
+        self._sig = None, None  # the last signature and what it was built of
 
     # - token plumbing -
 
-    def peek(self) -> Token:
+    def span(self, at: int) -> SourceSpan:
+        return token_span(self.text, self.file, at)
+
+    def fail(self, message: str, at: int | None = None) -> NoReturn:
+        """Raise DslError at token `at`, by default the one just read."""
+        raise DslError(message, self.span(self.pos - 1 if at is None else at))
+
+    def check_equation(self, env: "TermEnv", lhs: Term,
+                       rhs: Term | Sort | None, at: int) -> Sort:
+        """The sort of `lhs`, a term `env` built.  `rhs` is the other side
+        of an equation or a wanted sort; a different sort, or an ill-sorted
+        subterm of either side, raises DslError at token `at`."""
+        try:
+            ls = env.sort(lhs)
+            rs = rhs if rhs is None or isinstance(rhs, Sort) else env.sort(rhs)
+        except KernelError as exc:
+            raise DslError(str(exc), self.span(at)) from exc
+        if rs is None or ls is rs:
+            return ls
+        if rs is rhs:  # a wanted sort
+            self.fail(f"{render_dsl_term(lhs)} has sort {ls.name}, "
+                      f"expected {rs.name}", at)
+        self.fail(f"equation sides have sorts {ls.name} and {rs.name}", at)
+
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str):
         t = self.next()
-        if t.text != text:
-            raise DslError(f"expected {text!r}, found {t.text!r}", t.span)
+        if t != text:
+            self.fail(f"expected {text!r}, found {t!r}")
+
+    def expect_ident(self) -> str:
+        t = self.next()
+        if t[:1] not in _NAME_START:
+            self.fail(f"expected a name, found {t!r}")
         return t
 
-    def expect_ident(self) -> Token:
-        t = self.next()
-        if t.kind != "ident":
-            raise DslError(f"expected a name, found {t.text!r}", t.span)
-        return t
+    def ident_at(self) -> int:
+        """Read a name; its token index, for an error later."""
+        self.expect_ident()
+        return self.pos - 1
 
     def expect_kw(self, kw: str):
         t = self.expect_ident()
-        if t.text != kw:
-            raise DslError(f"expected {kw!r}, found {t.text!r}", t.span)
+        if t != kw:
+            self.fail(f"expected {kw!r}, found {t!r}")
 
     def at(self, text: str) -> bool:
-        return self.toks[self.pos].text == text
+        return self.toks[self.pos] == text
 
     def accept(self, text: str) -> bool:
-        if self.toks[self.pos].text == text:
+        if self.toks[self.pos] == text:
             self.pos += 1
             return True
         return False
 
     def peek_is_decl_name(self) -> bool:
-        return (self.peek().kind == "ident"
-                and self.toks[self.pos + 1].text in (",", ":"))
+        return (self.peek()[:1] in _NAME_START
+                and self.toks[self.pos + 1] in (",", ":"))
 
     # - top level -
 
     def parse_workspace(self) -> Workspace:
         ws = Workspace()
-        while self.peek().kind != "eof":
+        while self.peek():
             kw = self.expect_ident()
-            if kw.text in _DECLARATIONS:
-                getattr(self, f"parse_{kw.text}")(ws)
-            elif kw.text == "typeside":
-                raise DslError(
-                    "the typeside is built in; `typeside` declarations are "
-                    "reserved", kw.span)
+            if kw in _DECLARATIONS:
+                getattr(self, f"parse_{kw}")(ws)
+            elif kw == "typeside":
+                self.fail("the typeside is built in; `typeside` declarations "
+                          "are reserved")
             else:
-                raise DslError(f"unknown declaration {kw.text!r}", kw.span)
+                self.fail(f"unknown declaration {kw!r}")
         return ws
 
     # - shared pieces -
 
-    def _sort(self, tok: Token, sorts, types: bool = True) -> Sort:
-        """The sort `tok` names among `sorts`, then, when `types`, among the
-        built-in type sorts.  Without them `tok` must name an entity."""
+    def _sort(self, at: int, sorts, types: bool = True) -> Sort:
+        """The sort token `at` names among `sorts`, then, when `types`,
+        among the built-in type sorts.  Without them it must name an
+        entity."""
+        name = self.toks[at]
         for s in sorts:
-            if s.name == tok.text:
+            if s.name == name:
                 return s
-        if types and tok.text in BUILTIN_SORTS:
-            return BUILTIN_SORTS[tok.text]
-        raise DslError(f"unknown {'sort' if types else 'entity'} "
-                       f"{tok.text!r}", tok.span)
+        if types and name in BUILTIN_SORTS:
+            return BUILTIN_SORTS[name]
+        self.fail(f"unknown {'sort' if types else 'entity'} {name!r}", at)
 
     def _binders(self, end: str, sorts) -> list[tuple[str, Sort]]:
         """`x y : A, z : B` up to `end`: forall binders, generators, for."""
@@ -223,27 +230,37 @@ class Parser:
             while not self.at(":"):
                 names.append(self.expect_ident())
             self.expect(":")
-            s = self._sort(self.expect_ident(), sorts)
-            out.extend((n.text, s) for n in names)
+            s = self._sort(self.ident_at(), sorts)
+            out.extend((n, s) for n in names)
             self.accept(",")
         return out
 
     def _equation(self, env: "TermEnv") -> Equation:
         lhs = self.parse_term(env)
-        eqt = self.expect("=")
+        self.expect("=")
+        at = self.pos - 1
         rhs = self.parse_term(env)
         return Equation(env.context, lhs, rhs,
-                        check_equation(env, lhs, rhs, eqt))
+                        self.check_equation(env, lhs, rhs, at))
 
     def parse_forall_eq(self, sig: AlgSignature, sorts) -> Equation:
         self.expect_kw("forall")
         context = Context(tuple(self._binders(".", sorts)))
         return self._equation(TermEnv(sig, context))
 
-    def _schema(self, ws: Workspace, tok: Token) -> Schema:
-        if tok.text not in ws.schemas:
-            raise DslError(f"unknown schema {tok.text!r}", tok.span)
-        return ws.schemas[tok.text]
+    def _signature(self, sorts: tuple, symbols: tuple) -> AlgSignature:
+        """`AlgSignature(sorts, symbols)`, built again only when they have
+        grown since the last call: once per declaration, not per section."""
+        if self._sig[1] != (sorts, symbols):
+            self._sig = AlgSignature(sorts, symbols), (sorts, symbols)
+        return self._sig[0]
+
+    def _schema(self, ws: Workspace) -> Schema:
+        """The schema the next token names."""
+        name = self.expect_ident()
+        if name not in ws.schemas:
+            self.fail(f"unknown schema {name!r}")
+        return ws.schemas[name]
 
     # - theories -
 
@@ -255,11 +272,11 @@ class Parser:
         equations: list[Equation] = []
         while not self.accept("}"):
             section = self.expect_ident()
-            if section.text == "sorts":
+            if section == "sorts":
                 while not self.accept(";"):
                     s = self.expect_ident()
-                    sorts[s.text] = Sort(s.text)
-            elif section.text in ("constants", "symbols"):
+                    sorts[s] = Sort(s)
+            elif section in ("constants", "symbols"):
                 # name [name...] : S1 ... Sn -> S  |  name : S
                 while not self.accept(";"):
                     names = [self.next()]
@@ -269,27 +286,26 @@ class Parser:
                     parts = []
                     while not self.at("->") and not self.at(";") \
                             and not self.at(","):
-                        parts.append(self.expect_ident())
+                        parts.append(self.ident_at())
                     if self.accept("->") or not parts:
-                        cod = self.expect_ident()
+                        cod = self.ident_at()
                     else:
                         cod = parts.pop()
                     dom = tuple(self._sort(p, sorts.values()) for p in parts)
                     cod_sort = self._sort(cod, sorts.values())
-                    symbols.extend(FunctionSymbol(n.text, dom, cod_sort)
+                    symbols.extend(FunctionSymbol(n, dom, cod_sort)
                                    for n in names)
                     self.accept(",")
-            elif section.text == "equations":
-                sig = AlgSignature(tuple(sorts.values()), tuple(symbols))
+            elif section == "equations":
+                sig = self._signature(tuple(sorts.values()), tuple(symbols))
                 while not self.accept(";"):
                     equations.append(self.parse_forall_eq(sig, sorts.values()))
                     self.accept(",")
             else:
-                raise DslError(f"unknown theory section {section.text!r}",
-                               section.span)
+                self.fail(f"unknown theory section {section!r}")
         sig = AlgSignature(tuple(sorts.values()), tuple(symbols))
-        ws.theories[name.text] = Presentation(sig, tuple(equations))
-        ws.order.append(("theory", name.text))
+        ws.theories[name] = Presentation(sig, tuple(equations))
+        ws.order.append(("theory", name))
 
     # - schemas -
 
@@ -303,11 +319,11 @@ class Parser:
         obs_eqs: list[Equation] = []
         while not self.accept("}"):
             section = self.expect_ident()
-            if section.text == "entities":
+            if section == "entities":
                 while not self.accept(";"):
-                    entities.append(Sort(self.expect_ident().text))
-            elif section.text in ("edges", "attributes"):
-                into = edges if section.text == "edges" else attributes
+                    entities.append(Sort(self.expect_ident()))
+            elif section in ("edges", "attributes"):
+                into = edges if section == "edges" else attributes
                 while not self.accept(";"):
                     names = [self.expect_ident()]
                     while self.accept(","):
@@ -316,43 +332,41 @@ class Parser:
                         else:
                             break
                     self.expect(":")
-                    dom = self._sort(self.expect_ident(), entities)
+                    dom = self._sort(self.ident_at(), entities)
                     self.expect("->")
-                    cod = self._sort(self.expect_ident(), entities)
-                    into.extend(FunctionSymbol(n.text, (dom,), cod)
-                                for n in names)
+                    cod = self._sort(self.ident_at(), entities)
+                    into.extend(FunctionSymbol(n, (dom,), cod) for n in names)
                     self.accept(",")
-            elif section.text in ("path_eqs", "obs_eqs"):
-                sig = AlgSignature(TYPE_SORTS + tuple(entities),
-                                   TYPE_SYMBOLS + tuple(edges + attributes))
-                into = path_eqs if section.text == "path_eqs" else obs_eqs
+            elif section in ("path_eqs", "obs_eqs"):
+                sig = self._signature(TYPE_SORTS + tuple(entities),
+                                      TYPE_SYMBOLS + tuple(edges + attributes))
+                into = path_eqs if section == "path_eqs" else obs_eqs
                 while not self.accept(";"):
                     into.append(self.parse_forall_eq(sig, entities))
                     self.accept(",")
             else:
-                raise DslError(f"unknown schema section {section.text!r}",
-                               section.span)
+                self.fail(f"unknown schema section {section!r}")
         pres = SchemaPresentation(tuple(entities), tuple(edges),
                                   tuple(attributes), tuple(path_eqs),
                                   tuple(obs_eqs))
-        ws.schemas[name.text] = compile_schema(pres)
-        ws.order.append(("schema", name.text))
+        ws.schemas[name] = compile_schema(pres)
+        ws.order.append(("schema", name))
 
     # - instances -
 
     def parse_instance(self, ws: Workspace):
         name = self.expect_ident()
         self.expect_kw("on")
-        schema = self._schema(ws, self.expect_ident())
+        schema = self._schema(ws)
         self.expect("{")
         bindings: list[tuple[str, Sort]] = []
         gens = Context(())
         equations: list[Equation] = []
         while not self.accept("}"):
             section = self.expect_ident()
-            if section.text == "generators":
+            if section == "generators":
                 bindings += self._binders(";", schema.entities)
-            elif section.text == "equations":
+            elif section == "equations":
                 # rebuilt only after new generators: generated workspaces
                 # have one equations section per row
                 if len(gens.bindings) != len(bindings):
@@ -362,20 +376,19 @@ class Parser:
                     equations.append(self._equation(env))
                     self.accept(",")
             else:
-                raise DslError(f"unknown instance section {section.text!r}",
-                               section.span)
-        ws.instances[name.text] = InstancePresentation(
+                self.fail(f"unknown instance section {section!r}")
+        ws.instances[name] = InstancePresentation(
             schema, Context(tuple(bindings)), tuple(equations))
-        ws.order.append(("instance", name.text))
+        ws.order.append(("instance", name))
 
     # - mappings -
 
     def parse_mapping(self, ws: Workspace):
         name = self.expect_ident()
         self.expect(":")
-        src = self._schema(ws, self.expect_ident())
+        src = self._schema(ws)
         self.expect("->")
-        tgt = self._schema(ws, self.expect_ident())
+        tgt = self._schema(ws)
         self.expect("{")
         entity_map: dict[Sort, Sort] = {}
         edge_map: dict[FunctionSymbol, Term] = {}
@@ -383,71 +396,68 @@ class Parser:
         errors: dict[FunctionSymbol, KernelError | None] = {}
         while not self.accept("}"):
             section = self.expect_ident()
-            if section.text == "entity":
-                stok = self.expect_ident()
+            if section == "entity":
+                s_at = self.ident_at()
                 self.expect("->")
-                ttok = self.expect_ident()
-                e = self._sort(stok, src.entities, types=False)
-                entity_map[e] = self._sort(ttok, tgt.entities, types=False)
+                t_at = self.ident_at()
+                e = self._sort(s_at, src.entities, types=False)
+                entity_map[e] = self._sort(t_at, tgt.entities, types=False)
                 self.expect(";")
-            elif section.text in ("edge", "attribute"):
-                ntok = self.expect_ident()
+            elif section in ("edge", "attribute"):
+                n_at = self.ident_at()
                 self.expect("->")
-                syms = {f.name: f for f in (src.edges if section.text == "edge"
+                syms = {f.name: f for f in (src.edges if section == "edge"
                                             else src.attributes)}
-                if ntok.text not in syms:
-                    raise DslError(f"unknown {section.text} {ntok.text!r}",
-                                   ntok.span)
-                sym = syms[ntok.text]
+                if self.toks[n_at] not in syms:
+                    self.fail(f"unknown {section} {self.toks[n_at]!r}", n_at)
+                sym = syms[self.toks[n_at]]
                 dom_img = entity_map.get(sym.dom[0])
                 if dom_img is None:
-                    raise DslError(
-                        f"entity image of {sym.dom[0].name} must be declared "
-                        f"before {ntok.text}", ntok.span)
+                    self.fail(f"entity image of {sym.dom[0].name} must be "
+                              f"declared before {sym.name}", n_at)
                 context = Context((("x", dom_img),))
                 env = TermEnv(tgt.collage_sig, context, implicit_x=True)
                 term = self.parse_term(env)
-                (edge_map if section.text == "edge" else attr_map)[sym] = term
+                (edge_map if section == "edge" else attr_map)[sym] = term
                 errors[sym] = env.errors.get(term)
                 self.expect(";")
             else:
-                raise DslError(f"unknown mapping section {section.text!r}",
-                               section.span)
-        ws.mappings[name.text] = SchemaMapping.make(src, tgt, entity_map,
-                                                    edge_map, attr_map, errors)
-        ws.order.append(("mapping", name.text))
+                self.fail(f"unknown mapping section {section!r}")
+        ws.mappings[name] = SchemaMapping.make(src, tgt, entity_map,
+                                               edge_map, attr_map, errors)
+        ws.order.append(("mapping", name))
 
     # - bimodules -
 
     def parse_bimodule(self, ws: Workspace):
         name = self.expect_ident()
         self.expect(":")
-        src = self._schema(ws, self.expect_ident())
+        src = self._schema(ws)
         self.expect("->")
-        dst = self._schema(ws, self.expect_ident())
+        dst = self._schema(ws)
         self.expect("{")
         gen_edges: list[FunctionSymbol] = []
         gen_attrs: list[FunctionSymbol] = []
         equations: list[Equation] = []
         while not self.accept("}"):
             section = self.expect_ident()
-            if section.text in ("edges", "attributes"):
+            if section in ("edges", "attributes"):
                 # edges land on dst entities, attributes on type sorts
-                edges = section.text == "edges"
+                edges = section == "edges"
                 into = gen_edges if edges else gen_attrs
                 cods = dst.entities if edges else ()
                 while not self.accept(";"):
-                    ntok = self.expect_ident()
+                    gen = self.expect_ident()
                     self.expect(":")
-                    dtok = self.expect_ident()
+                    d_at = self.ident_at()
                     self.expect("->")
-                    ctok = self.expect_ident()
-                    dom = self._sort(dtok, src.entities, types=False)
-                    cod = self._sort(ctok, cods, types=not edges)
-                    into.append(FunctionSymbol(ntok.text, (dom,), cod))
+                    c_at = self.ident_at()
+                    dom = self._sort(d_at, src.entities, types=False)
+                    cod = self._sort(c_at, cods, types=not edges)
+                    into.append(FunctionSymbol(gen, (dom,), cod))
                     self.accept(",")
-            elif section.text == "equations":
-                sig = AlgSignature(
+            elif section == "equations":
+                sig = self._signature(
                     TYPE_SORTS + src.entities + dst.entities,
                     TYPE_SYMBOLS + src.edges + dst.edges + tuple(gen_edges)
                     + src.attributes + dst.attributes + tuple(gen_attrs))
@@ -458,133 +468,128 @@ class Parser:
                     equations.append(self.parse_forall_eq(sig, sorts))
                     self.expect(";")
             else:
-                raise DslError(f"unknown bimodule section {section.text!r}",
-                               section.span)
-        ws.bimodules[name.text] = BimodulePresentation(
+                self.fail(f"unknown bimodule section {section!r}")
+        ws.bimodules[name] = BimodulePresentation(
             src, dst, tuple(gen_edges), tuple(gen_attrs), tuple(equations))
-        ws.order.append(("bimodule", name.text))
+        ws.order.append(("bimodule", name))
 
     # - queries -
 
     def parse_query(self, ws: Workspace):
         name = self.expect_ident()
         self.expect_kw("on")
-        schema = self._schema(ws, self.expect_ident())
+        schema = self._schema(ws)
         self.expect("{")
         env, where_eqs, returns, keys = self._block_body(schema)
         self.expect("}")
         if keys:
-            raise DslError("keys clauses require an uberquery",
-                           keys[0][0].span)
+            self.fail("keys clauses require an uberquery", keys[0][0])
         ret_ctx = Context(tuple(
-            (n.text, check_equation(env, t, None, ttok))
-            for n, ttok, t in returns))
-        ws.queries[name.text] = Query(
+            (self.toks[n], self.check_equation(env, t, None, at))
+            for n, at, t in returns))
+        ws.queries[name] = Query(
             schema, env.context, tuple(where_eqs), ret_ctx,
             ContextMorphism.make(env.context, ret_ctx,
-                                 {n.text: t for n, _, t in returns}))
-        ws.order.append(("query", name.text))
+                                 {self.toks[n]: t for n, _, t in returns}))
+        ws.order.append(("query", name))
 
     def _block_body(self, schema: Schema):
         """The FOR, WHERE, RETURN and KEYS sections of a block.  Returns and
-        key assignments keep their name token and the first token of
-        their term, for the checks the caller makes."""
+        key assignments keep the token indices of their name and of the
+        first token of their term, for the checks the caller makes."""
         env = TermEnv(schema.collage_sig, Context(()))
         where_eqs: list[Equation] = []
-        returns: list[tuple[Token, Token, Term]] = []
-        keys: list[tuple[Token, Token, list]] = []
+        returns: list[tuple[int, int, Term]] = []
+        keys: list[tuple[int, int, list]] = []
         while not self.at("}"):
             section = self.expect_ident()
-            if section.text == "for":
+            if section == "for":
                 if env.context.bindings:  # terms may have been sorted in it
-                    raise DslError("a block has one for section", section.span)
+                    self.fail("a block has one for section")
                 env = TermEnv(schema.collage_sig, Context(tuple(
                     self._binders(";", schema.entities))))
-            elif section.text == "where":
+            elif section == "where":
                 while not self.accept(";"):
                     where_eqs.append(self._equation(env))
                     self.accept(",")
-            elif section.text == "return":
+            elif section == "return":
                 while not self.accept(";"):
-                    n = self.expect_ident()
+                    n = self.ident_at()
                     self.expect(":=")
-                    returns.append((n, self.peek(), self.parse_term(env)))
+                    returns.append((n, self.pos, self.parse_term(env)))
                     self.accept(",")
-            elif section.text == "keys":
+            elif section == "keys":
                 while not self.accept(";"):
-                    ftok = self.expect_ident()
+                    f_at = self.ident_at()
                     self.expect(":=")
-                    btok = self.expect_ident()
+                    b_at = self.ident_at()
                     self.expect("[")
                     assigns = []
                     while not self.accept("]"):
-                        v = self.expect_ident()
+                        v = self.ident_at()
                         self.expect(":=")
-                        assigns.append((v, self.peek(), self.parse_term(env)))
+                        assigns.append((v, self.pos, self.parse_term(env)))
                         self.accept(",")
-                    keys.append((ftok, btok, assigns))
+                    keys.append((f_at, b_at, assigns))
                     self.accept(",")
             else:
-                raise DslError(f"unknown query section {section.text!r}",
-                               section.span)
+                self.fail(f"unknown query section {section!r}")
         return env, where_eqs, returns, keys
 
     def parse_uberquery(self, ws: Workspace):
         name = self.expect_ident()
         self.expect_kw("on")
-        schema = self._schema(ws, self.expect_ident())
+        schema = self._schema(ws)
         self.expect("->")
-        result = self._schema(ws, self.expect_ident())
+        result = self._schema(ws)
         self.expect("{")
         raw_blocks = {}
         while not self.accept("}"):
             self.expect_kw("entity")
-            etok = self.expect_ident()
-            e = self._sort(etok, result.entities, types=False)
+            e_at = self.ident_at()
+            e = self._sort(e_at, result.entities, types=False)
             self.expect("{")
-            raw_blocks[e] = (etok, *self._block_body(schema))
+            raw_blocks[e] = (e_at, *self._block_body(schema))
             self.expect("}")
-        blocks = []
-        for e, (etok, env, where_eqs, returns, keys) in raw_blocks.items():
+        toks, blocks = self.toks, []
+        for e, (e_at, env, where_eqs, returns, keys) in raw_blocks.items():
             attrs = {a.name: a for a in result.attrs_from(e)}
             rets = []
-            for n, ttok, t in returns:
-                if n.text not in attrs:
-                    raise DslError(f"unknown result attribute {n.text!r}",
-                                   etok.span)
-                check_equation(env, t, attrs[n.text].cod, ttok)
-                rets.append((attrs[n.text], t))
+            for n, at, t in returns:
+                if toks[n] not in attrs:
+                    self.fail(f"unknown result attribute {toks[n]!r}", e_at)
+                self.check_equation(env, t, attrs[toks[n]].cod, at)
+                rets.append((attrs[toks[n]], t))
             edges = {f.name: f for f in result.edges_from(e)}
             key_list = []
-            for ftok, btok, assigns in keys:
-                if ftok.text not in edges:
-                    raise DslError(f"unknown result edge {ftok.text!r}",
-                                   ftok.span)
-                f = edges[ftok.text]
-                if btok.text != f.cod.name:
-                    raise DslError(f"keys {f.name} names {btok.text}, not "
-                                   f"its target {f.cod.name}", btok.span)
+            for f_at, b_at, assigns in keys:
+                if toks[f_at] not in edges:
+                    self.fail(f"unknown result edge {toks[f_at]!r}", f_at)
+                f = edges[toks[f_at]]
+                if toks[b_at] != f.cod.name:
+                    self.fail(f"keys {f.name} names {toks[b_at]}, not its "
+                              f"target {f.cod.name}", b_at)
                 if f.cod not in raw_blocks:
-                    raise DslError(f"no block for result entity "
-                                   f"{f.cod.name}", btok.span)
+                    self.fail(f"no block for result entity {f.cod.name}",
+                              b_at)
                 cod_ctx = raw_blocks[f.cod][1].context
                 assignment = {}
-                for v, ttok, t in assigns:
-                    if v.text not in cod_ctx:
-                        raise DslError(f"block {f.cod.name} has no FOR "
-                                       f"variable {v.text!r}", v.span)
-                    check_equation(env, t, cod_ctx.sort_of(v.text), ttok)
-                    assignment[v.text] = t
+                for v, at, t in assigns:
+                    if toks[v] not in cod_ctx:
+                        self.fail(f"block {f.cod.name} has no FOR variable "
+                                  f"{toks[v]!r}", v)
+                    self.check_equation(env, t, cod_ctx.sort_of(toks[v]), at)
+                    assignment[toks[v]] = t
                 missing = [n for n in cod_ctx.names() if n not in assignment]
                 if missing:
-                    raise DslError(f"keys {f.name} must assign "
-                                   f"{', '.join(missing)}", btok.span)
+                    self.fail(f"keys {f.name} must assign "
+                              f"{', '.join(missing)}", b_at)
                 key_list.append((f, ContextMorphism.make(
                     env.context, cod_ctx, assignment)))
             blocks.append((e, UberBlock(env.context, tuple(where_eqs),
                                         tuple(key_list), tuple(rets))))
-        ws.uberqueries[name.text] = UberQuery(schema, result, tuple(blocks))
-        ws.order.append(("uberquery", name.text))
+        ws.uberqueries[name] = UberQuery(schema, result, tuple(blocks))
+        ws.order.append(("uberquery", name))
 
     # - terms -
 
@@ -595,7 +600,7 @@ class Parser:
              if self.accept("-")
              else self._postfix(env))  # binding power 3: a unary term
         while True:
-            op = self.toks[self.pos].text
+            op = self.toks[self.pos]
             p = _INFIX.get(op, -1)
             if p < prec or op == "*" and (times := env.times()) is None:
                 return t
@@ -609,36 +614,50 @@ class Parser:
 
     def _postfix(self, env) -> Term:
         t = self._primary(env)
-        while self.at(".") and self.toks[self.pos + 1].kind == "ident":
+        toks = self.toks
+        while toks[self.pos] == "." and toks[self.pos + 1][:1] in _NAME_START:
             self.pos += 2
-            t = env.apply(self.toks[self.pos - 1], (t,))
+            t = self._apply(env, self.pos - 1, (t,))
         return t
+
+    def _apply(self, env, at: int, args: tuple[Term, ...]) -> App:
+        """The symbol token `at` names, of the arity of `args`, applied to
+        them."""
+        sym = env.lookup(self.toks[at], len(args))
+        if sym is None:
+            self.fail(f"unknown symbol {self.toks[at]!r}", at)
+        return env.app(sym, args)
 
     def _primary(self, env) -> Term:
         t = self.next()
-        if t.text == "(":
+        if t[:1] in _NAME_START:
+            if t in ("true", "false"):
+                return env.app(TRUE if t == "true" else FALSE, (), False)
+            if self.accept("("):
+                at, args = self.pos - 2, []
+                while not self.accept(")"):
+                    args.append(self.parse_term(env))
+                    self.accept(",")
+                return self._apply(env, at, tuple(args))
+            return env.atom(t) or self.fail(f"unknown name {t!r}")
+        if t == "(":
             out = self.parse_term(env)
             self.expect(")")
             return out
-        if t.kind == "int":
-            return env.int_term(int(t.text), t)
-        if t.kind == "string":
+        if t.isdigit():
             try:
-                return env.app(str_literal(t.text[1:-1].replace('\\"', '"')
+                n = int(t)
+            except ValueError:  # over the digit limit of int(str)
+                self.fail(f"integer literal of {len(t)} digits exceeds the "
+                          f"limit of {sys.get_int_max_str_digits()} digits")
+            return env.int_term(n) or self.fail(f"no constant named {n}")
+        if t.startswith('"'):
+            try:
+                return env.app(str_literal(t[1:-1].replace('\\"', '"')
                                .replace("\\\\", "\\")).symbol, (), False)
             except ValueError as exc:
-                raise DslError(str(exc), t.span) from None
-        if t.kind != "ident":
-            raise DslError(f"unexpected {t.text!r} in term", t.span)
-        if t.text in ("true", "false"):
-            return env.app(TRUE if t.text == "true" else FALSE, (), False)
-        if self.accept("("):
-            args = []
-            while not self.accept(")"):
-                args.append(self.parse_term(env))
-                self.accept(",")
-            return env.apply(t, tuple(args))
-        return env.atom(t)
+                self.fail(str(exc))
+        self.fail(f"unexpected {t!r} in term")
 
 
 class TermEnv:
@@ -675,13 +694,6 @@ class TermEnv:
             self.errors[t] = exc
         return t
 
-    def apply(self, tok: Token, args: tuple[Term, ...]) -> App:
-        """The symbol `tok` names, of the arity of `args`, applied to them."""
-        sym = self.lookup(tok.text, len(args))
-        if sym is None:
-            raise DslError(f"unknown symbol {tok.text!r}", tok.span)
-        return self.app(sym, args)
-
     def lookup(self, name: str, arity: int):
         sym = self.sig.symbols.get(name)
         if sym is not None and len(sym.dom) == arity:
@@ -693,29 +705,27 @@ class TermEnv:
         return self.lookup("*", 2) or (TIMES if "Int" in self.sig.sorts
                                        else None)
 
-    def int_term(self, n: int, tok: Token) -> Term:
+    def int_term(self, n: int) -> Term | None:
         if "Int" in self.sig.sorts:
             return int_term(n)
         sym = self.lookup(str(n), 0)
-        if sym is not None:
-            return App(sym)
-        raise DslError(f"no constant named {n}", tok.span)
+        return None if sym is None else App(sym)
 
-    def atom(self, tok: Token) -> Term:
-        if tok.text in self.context:
-            return Var(tok.text)
-        sym = self.lookup(tok.text, 0)
+    def atom(self, name: str) -> Term | None:
+        if name in self.context:
+            return Var(name)
+        sym = self.lookup(name, 0)
         if sym is not None:
             return App(sym)
         if self.implicit_x:
-            sym = self.lookup(tok.text, 1)
+            sym = self.lookup(name, 1)
             if sym is not None:
                 return self.app(sym, (Var("x"),))
-        raise DslError(f"unknown name {tok.text!r}", tok.span)
+        return None
 
 
 def parse_workspace(text: str, filename: str = "<input>") -> Workspace:
-    return Parser(tokenize(text, filename)).parse_workspace()
+    return Parser(text, filename).parse_workspace()
 
 
 # --- pretty printer -----------------------------------------------------

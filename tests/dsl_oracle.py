@@ -2,18 +2,20 @@
 
 ``tokenize`` matches one token (or one run of blanks or a comment) per
 regular-expression call and counts the newlines of every match.
-``OracleParser`` parses terms with one method per precedence level
-(``_cmp`` over ``_add`` over ``_mul`` over ``_unary``), probing the next
-token with ``at``/``accept``.  Both are slow but plain, so the tests
-compare the one-pass tokenizer and the precedence-climbing
+``OracleParser`` reads those tokens, with their spans for its errors,
+and parses terms with one method per precedence level (``_cmp`` over
+``_add`` over ``_mul`` over ``_unary``), probing the next token with
+``at``/``accept``.  Both are slow but plain,
+so the tests compare the one-pass tokenizer and the precedence-climbing
 ``Parser.parse_term`` against them.  Nothing under ``src/`` imports this.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
-from catdb.dsl import DslError, Parser, SourceSpan, Token
+from catdb.dsl import DslError, Parser, SourceSpan
 from catdb.kernel import App, Term, app
 from catdb.typeside import LE, NEG, PLUS
 
@@ -24,6 +26,18 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*'*|\*(?![/)]))
   | (?P<op><=|->|:=|[{}();:,.=+\-\[\]|])
 """, re.VERBOSE)
+
+
+class Token(NamedTuple):
+    kind: str  # ident | int | string | op | eof
+    text: str
+    file: str
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.column)
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
@@ -47,7 +61,16 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
 
 
 class OracleParser(Parser):
-    """``Parser`` with the recursive-descent chain for terms."""
+    """``Parser`` over the oracle's tokens, with the recursive-descent
+    chain for terms."""
+
+    def __init__(self, text: str, filename: str = "<input>"):
+        super().__init__("", filename)
+        self.tokens = tokenize(text, filename)
+        self.toks = [t.text for t in self.tokens]
+
+    def span(self, at: int) -> SourceSpan:
+        return self.tokens[at].span
 
     def parse_term(self, env, prec: int = 0) -> Term:
         return self._cmp(env)

@@ -152,6 +152,14 @@ class TestSaturate:
                            "--instance", "J")
         assert code == 2 and "missing.cdb" in err
 
+    def test_file_not_in_utf8_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.cdb"
+        path.write_bytes(b"schema S { entities A; }\n\xff\n")
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read {path}: 'utf-8' codec can't "
+                       "decode byte 0xff in position 25: invalid start byte\n")
+
     def test_unknown_instance_is_usage_error(self, capsys):
         code, _, err = run(capsys, "saturate", WORKSPACE, "--instance", "ZZ")
         assert code == 2 and "ZZ" in err
@@ -406,6 +414,41 @@ class TestStringLiterals:
         code, out, err = run(capsys, "check", path)
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}:7:22: only letters")
+
+
+class TestLongIntegers:
+    """Python converts between int and str only up to
+    `sys.get_int_max_str_digits()` digits (4300 by default)."""
+
+    @staticmethod
+    def workspace(tmp_path, rhs):
+        path = tmp_path / "long.cdb"
+        path.write_text("schema S {\n  entities A;\n"
+                        "  attributes n : A -> Int;\n}\n"
+                        "instance I on S {\n  generators a : A;\n"
+                        f"  equations a.n = {rhs};\n}}\n")
+        return str(path)
+
+    def test_literal_over_the_limit(self, tmp_path):
+        path = self.workspace(tmp_path, "9" * 5000)
+        p = run_module("saturate", path, "--instance", "I")
+        assert (p.returncode, p.stdout) == (1, "")
+        assert p.stderr == (f"error: {path}:7:19: integer literal of 5000 "
+                            "digits exceeds the limit of 4300 digits\n")
+
+    def test_literal_over_the_limit_in_eq(self):
+        p = run_module("eq", GROUP, "--theory", "Grp", "9" * 5000, "a")
+        assert (p.returncode, p.stdout) == (1, "")
+        assert p.stderr == ("error: <arg>:1:1: integer literal of 5000 "
+                            "digits exceeds the limit of 4300 digits\n")
+
+    def test_computed_value_over_the_limit(self, tmp_path):
+        path = self.workspace(tmp_path, f"{'9' * 4000} * {'9' * 4000}")
+        assert run_module("check", path).returncode == 0
+        p = run_module("saturate", path, "--instance", "I")
+        assert (p.returncode, p.stdout) == (1, "")
+        assert p.stderr == ("error: an integer exceeds the limit of 4300 "
+                            "digits\n")
 
 
 class TestDeepTerms:

@@ -1,31 +1,69 @@
 """Workspace text format: tokenizer, parser, and pretty printer."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catdb import dsl
 from catdb.dsl import (
     DslError, parse_workspace, render_workspace, tokenize,
 )
 from catdb.typeside import INT, STR
+from tests.conftest import FIXTURES
+from tests.genfixtures import (
+    bench_company, type_equations_workspace, typeside_instance,
+)
 
 
 class TestTokenizer:
     def test_spans(self):
-        toks = tokenize("schema S {\n  entities A;\n}", "demo.cdb")
-        assert toks[0].text == "schema"
-        assert (toks[0].span.line, toks[0].span.column) == (1, 1)
-        entities = [t for t in toks if t.text == "entities"][0]
-        assert (entities.span.line, entities.span.column) == (2, 3)
+        text = "schema S {\n  entities A;\n}"
+        toks = tokenize(text, "demo.cdb")
+        assert toks[0] == "schema"
+        first = dsl.token_span(text, "demo.cdb", 0)
+        assert (first.line, first.column) == (1, 1)
+        entities = dsl.token_span(text, "demo.cdb", toks.index("entities"))
+        assert (entities.line, entities.column) == (2, 3)
 
     def test_comments_and_strings(self):
         toks = tokenize('// hi\n"Admin" 42 e\'')
-        assert [t.kind for t in toks] == ["string", "int", "ident", "eof"]
-        assert toks[2].text == "e'"
+        assert toks == ['"Admin"', "42", "e'", ""]
 
     def test_unexpected_character(self):
         with pytest.raises(DslError) as err:
             tokenize("schema ?", "bad.cdb")
         assert "bad.cdb:1:8" in str(err.value)
+
+    @pytest.mark.parametrize("text", [
+        "schema S { entities A; }" + " " * 200_000,
+        "schema S { entities A; }" + "?" * 200_000,
+        "schema S { entities A; } //" + "c" * 1_000_000,
+    ], ids=["trailing blanks", "invalid characters", "long comment"])
+    def test_linear_time(self, text):
+        start = time.perf_counter()
+        try:
+            tokenize(text)
+        except DslError:
+            pass
+        assert time.perf_counter() - start < 1
+
+    def test_parse_builds_no_span(self, monkeypatch):
+        """Spans are found again only for an error: parsing a workspace
+        that has none makes no SourceSpan, and an error still makes one."""
+        class Built(Exception):
+            pass
+
+        def refuse(*args):
+            raise Built
+        monkeypatch.setattr(dsl, "SourceSpan", refuse)
+        for name in ("paper.cdb", "group.cdb"):
+            parse_workspace((FIXTURES / name).read_text(encoding="utf-8"))
+        for text in (bench_company(1, 36, 7, null_share=0.25),
+                     typeside_instance(), type_equations_workspace()):
+            parse_workspace(text)
+        with pytest.raises(Built):
+            parse_workspace("schema S { entities A; } ?")
 
 
 class TestParseErrors:
@@ -212,8 +250,7 @@ class TestMutatedFixtures:
     def test_only_domain_errors(self, fixture, data):
         from catdb.cli import DOMAIN_ERRORS
         from tests.conftest import FIXTURES
-        words = [t.text for t in
-                 tokenize((FIXTURES / fixture).read_text())[:-1]]
+        words = tokenize((FIXTURES / fixture).read_text())[:-1]
         i = data.draw(st.integers(0, len(words) - 2))
         edit = data.draw(st.sampled_from(("delete", "duplicate", "swap")))
         if edit == "delete":

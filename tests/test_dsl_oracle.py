@@ -1,16 +1,19 @@
 """The one-pass tokenizer and the precedence-climbing term parser against
 the earlier lexer and recursive-descent chain kept in ``dsl_oracle``:
-equal tokens, equal terms in the same order, or the same error text."""
+tokens of equal kinds, texts and spans, equal terms in the same order, or
+the same error text."""
 
 import inspect
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catdb import dsl
 from catdb.cli import DOMAIN_ERRORS
 from catdb.dsl import (
-    DslError, Parser, TermEnv, render_workspace, tokenize,
+    DslError, Parser, SourceSpan, TermEnv, render_workspace, tokenize,
 )
 from catdb.kernel import Context, Sort
 from catdb.typeside import INT
@@ -32,32 +35,61 @@ class _Recording:
         return t
 
 
+def kind(tok: str) -> str:
+    """A token's kind, read from its first character."""
+    if not tok:
+        return "eof"
+    if re.match(r"[A-Za-z_*]", tok):
+        return "ident"
+    return "int" if tok[0].isdigit() else "string" if tok[0] == '"' else "op"
+
+
 class NewParser(_Recording, Parser):
-    pass
+    def spanned(self, stride: int = 1):
+        """Each token's kind, text and span.  The spans come from one pass
+        of the tokenizer's regular expression with a running count of
+        lines; `Parser.span`, which scans the text again for each, must
+        agree at every `stride`-th token and at the last."""
+        spans, line, start, prev = [], 1, 0, 0  # start: offset of the line
+        for m, _ in zip(dsl._TOKEN_RE.finditer(self.text), self.toks):
+            at = m.start(1)
+            if nl := self.text.count("\n", prev, at):
+                line += nl
+                start = self.text.rfind("\n", prev, at) + 1
+            spans.append(SourceSpan(self.file, line, at - start + 1))
+            prev = at
+        for i in [*range(0, len(spans), stride), len(spans) - 1]:
+            assert self.span(i) == spans[i]
+        return [(kind(t), t, sp) for t, sp in zip(self.toks, spans)]
 
 
 class OldParser(_Recording, dsl_oracle.OracleParser):
-    pass
+    def spanned(self, stride: int = 1):
+        return [(t.kind, t.text, t.span) for t in self.tokens]
 
 
-def outcome(tokenizer, parser, text: str):
-    """Tokens, recorded terms, and the rendered workspace or the error."""
+def outcome(parser, text: str, stride: int = 1):
+    """Token kinds, texts and spans, recorded terms, and the rendered
+    workspace or the error."""
     try:
-        toks = tokenizer(text, "m.cdb")
+        p = parser(text, "m.cdb")
     except DslError as exc:
         return "tokenize", str(exc)
-    p = parser(toks)
     p.terms = []
+    tokens = p.spanned(stride)
     try:
         ws = p.parse_workspace()
     except DOMAIN_ERRORS + (RecursionError,) as exc:
-        return toks, p.terms, type(exc).__name__, str(exc)
-    return toks, p.terms, render_workspace(ws), ws.order
+        return tokens, p.terms, type(exc).__name__, str(exc)
+    return tokens, p.terms, render_workspace(ws), ws.order
 
 
-def assert_same(text: str):
-    assert (outcome(tokenize, NewParser, text)
-            == outcome(dsl_oracle.tokenize, OldParser, text))
+def assert_same(text: str, stride: int = 1):
+    """Every span is compared; the mutated fixtures check `Parser.span`
+    itself at every 50th token, as each call scans the text up to its
+    token."""
+    assert (outcome(NewParser, text, stride)
+            == outcome(OldParser, text, stride))
 
 
 @pytest.mark.parametrize("name", sorted(TEXTS))
@@ -81,7 +113,7 @@ def test_token_mutated_fixtures_alike(name, data):
         words.insert(i, words[i])
     else:
         words[i], words[i + 1] = words[i + 1], words[i]
-    assert_same(" ".join(words))
+    assert_same(" ".join(words), 50)
 
 
 CHARS = ["É", '"', "\\", "\r", "\t", "\n", "\r\n", "/", "//", "*", "-",
@@ -100,7 +132,7 @@ def test_character_mutated_fixtures_alike(name, data):
             text = text[:i] + data.draw(st.sampled_from(CHARS)) + text[i:]
         else:
             text = text[:i] + text[i + 1:]
-    assert_same(text)
+    assert_same(text, 50)
 
 
 def _envs(ws, grp_ws):
@@ -128,7 +160,7 @@ def test_random_terms_alike(ws, grp_ws, env_name, pieces):
     text = " ".join(pieces)
 
     def run(parser):
-        p = parser(tokenize(text, "<arg>"))
+        p = parser(text, "<arg>")
         p.terms = []
         try:
             return p.parse_term(env), p.pos, p.terms
@@ -157,7 +189,7 @@ def test_operator_chains_alike(ws, grp_ws, env_name, data):
     env = _envs(ws, grp_ws)[env_name]
 
     def run(parser):
-        p = parser(tokenize(text, "<arg>"))
+        p = parser(text, "<arg>")
         p.terms = []
         return p.parse_term(env), p.pos, p.terms
     assert run(NewParser) == run(OldParser)
@@ -198,9 +230,10 @@ def test_edge_case_spans(text, message):
     ("\n\n  ", (3, 3)),
 ])
 def test_end_of_file_spans(text, eof):
-    toks = tokenize(text, "e.cdb")
-    assert toks == dsl_oracle.tokenize(text, "e.cdb")
-    assert (toks[-1].kind, toks[-1].line, toks[-1].column) == ("eof", *eof)
+    toks = NewParser(text, "e.cdb").spanned()
+    assert toks == OldParser(text, "e.cdb").spanned()
+    last, _, end = toks[-1]
+    assert (last, end.line, end.column) == ("eof", *eof)
 
 
 
@@ -214,9 +247,8 @@ def test_parentheses_nest_three_frames_deep(grp_ws):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(here + 700)
     try:
-        assert Parser(tokenize(text)).parse_term(env) == \
-            Parser(tokenize("a")).parse_term(env)
+        assert Parser(text).parse_term(env) == Parser("a").parse_term(env)
         with pytest.raises(RecursionError):
-            dsl_oracle.OracleParser(tokenize(text)).parse_term(env)
+            dsl_oracle.OracleParser(text).parse_term(env)
     finally:
         sys.setrecursionlimit(limit)

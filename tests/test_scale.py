@@ -26,13 +26,13 @@ def test_ladder_at_192_writes_its_report(tmp_path):
     assert report["failures"] == []
     runs = report["runs"]
     assert {(r["command"], r["shape"]) for r in runs} == {
-        (c, s) for c in ("saturate", "homs", "query_crosscheck", "query_n",
-                         "migrate_pi", "migrate_sigma")
+        (c, s) for c in ("check", "saturate", "homs", "query_crosscheck",
+                         "query_n", "migrate_pi", "migrate_sigma")
         for s in ("ground", "nulls")}
     assert all(r["n"] == 192 and r["rows"] == 230 and r["seconds"] > 0
                and r["peak_rss_mb"] > 0 for r in runs)
     slopes = report["exponent_per_decade"]
-    assert len(slopes) == 12 and all(v == [] for v in slopes.values())
+    assert len(slopes) == 14 and all(v == [] for v in slopes.values())
 
 
 def test_exponent_per_decade():

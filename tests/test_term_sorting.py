@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catdb.dsl import (
-    DslError, Parser, TermEnv, check_equation, parse_workspace,
-    render_dsl_term, tokenize,
+    DslError, Parser, TermEnv, parse_workspace, render_dsl_term,
 )
 from catdb.instance import (
     InstancePresentation, canonical_form, enumerate_transforms,
@@ -98,11 +97,11 @@ def text(t, postfix: bool) -> str:
 
 
 def parse(env: TermEnv, t, postfix: bool):
-    p = Parser(tokenize(text(t, postfix), "<t>"))
+    p = Parser(text(t, postfix), "<t>")
     got = p.parse_term(env)
-    assert p.peek().kind == "eof"
+    assert p.peek() == ""
     assert got is t, (text(t, postfix), got)
-    return got, p.toks[0]
+    return got, p
 
 
 def walked_check(context, sig, lhs, rhs, span):
@@ -143,13 +142,13 @@ def test_parser_sorts_like_the_walk(pool, data):
     sig, context, terms = data.draw(workspaces(pool))
     env = TermEnv(sig, context)
     postfix = data.draw(st.booleans())
-    lhs, tok = parse(env, data.draw(terms), postfix)
+    lhs, p = parse(env, data.draw(terms), postfix)
     rhs = data.draw(st.one_of(
         st.none(), st.sampled_from(list(sig.sorts.values())), terms))
     if isinstance(rhs, App | Var):
         rhs = parse(env, rhs, not postfix)[0]
-    assert outcome(check_equation, env, lhs, rhs, tok) == outcome(
-        walked_check, context, sig, lhs, rhs, tok.span)
+    assert outcome(p.check_equation, env, lhs, rhs, 0) == outcome(
+        walked_check, context, sig, lhs, rhs, p.span(0))
     for t in (lhs, rhs):
         if isinstance(t, App | Var):
             assert outcome(env.sort, t) == outcome(
@@ -172,7 +171,7 @@ def test_first_of_two_errors(pool, source, message):
     sig = POOLS[pool][0]
     e = Sort("Emp") if pool == "collage" else Sort("G")
     env = TermEnv(sig, ctx(("e", e)))
-    p = Parser(tokenize(source, "<t>"))
+    p = Parser(source, "<t>")
     t = p.parse_term(env)
     with pytest.raises(KernelError) as err:
         env.sort(t)

@@ -124,6 +124,19 @@ def test_apply_subst_matches_rebuilding_oracle(v, data):
     assert _apply_subst(v, subst) == apply_subst(v, subst)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(terms(INT, depth=4), st.data())
+def test_integer_substitution_matches_rebuilding_oracle(t, data):
+    """Every atom of a polynomial mapped to an integer: `_apply_subst`
+    gives one constant, the object the oracle builds step by step."""
+    v = ts_normalize(t, PLAIN)
+    subst = {a: IntPoly.const(data.draw(st.integers(-9, 9)))
+             for a in sorted(v.atoms(), key=repr)}
+    got = _apply_subst(v, subst)
+    assert got is apply_subst(v, subst)
+    assert got.const_value() is not None
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(algebras(), st.lists(terms(), max_size=4))
 def test_type_algebra_matches_rebuilding_oracle(hyps, probes):

@@ -1,6 +1,6 @@
 """Scale ladder: whole `catdb` commands on generated workspaces.
 
-    python3 scale/run.py [--sizes 192 1920] [--out BENCH_scale.json]
+    python3 scale/run.py [--sizes 192 1920] [--repeat K] [--out BENCH_scale.json]
 
 Run from anywhere; the engine is imported from ``src/`` of this checkout.
 Each workspace is ``bench/gen.py``'s company with N employees and N//5
@@ -12,8 +12,12 @@ with ``--budget 100000``, ``saturate W --format json``, ``homs W W``,
 ``query Q --crosscheck``, ``query N --format json``, ``migrate G --mode
 pi`` and ``migrate H --mode sigma --saturate``.  Seconds are wall clock
 including interpreter start-up, and peak RSS is the child's
-``ru_maxrss``, of one run each.  The exponent per decade is the log-log
-slope of seconds against N between consecutive sizes.  Workspaces go to
+``ru_maxrss``.  With ``--repeat K`` each command runs K times, in K
+rounds that each run every command on the workspace once, so that the
+machine's drift falls on all commands alike; a command's seconds are the
+median of its K runs and its peak RSS the largest.  K defaults to 1, one
+run each.  The exponent per decade is the log-log slope of seconds
+against N between consecutive sizes.  Workspaces go to
 a temporary directory, and nothing is written under ``bench/``.  A
 command that exits non-zero fails the run.
 """
@@ -27,6 +31,7 @@ import math
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -82,7 +87,14 @@ def run_command(argv: list[str]) -> tuple[float, float, int, str]:
     return seconds, usage.ru_maxrss / 1024, proc.returncode, stderr
 
 
-def measure(sizes: list[int]) -> dict:
+def summary(samples: list[tuple[float, float]]) -> tuple[float, float]:
+    """The median seconds and the largest peak RSS of (seconds, peak RSS)
+    samples of one command."""
+    return (statistics.median(s for s, _ in samples),
+            max(rss for _, rss in samples))
+
+
+def measure(sizes: list[int], repeat: int) -> dict:
     gen = load_gen()
     paper = (ROOT / "fixtures" / "paper.cdb").read_text(encoding="utf-8")
     runs, failures = [], []
@@ -93,18 +105,23 @@ def measure(sizes: list[int]) -> dict:
                 path = Path(work) / f"{shape}{n}.cdb"
                 path.write_text(gen.workspace_text(paper, company),
                                 encoding="utf-8")
-                for name, argv in COMMANDS.items():
-                    argv = [a.replace("{file}", str(path)) for a in argv]
-                    seconds, rss, code, stderr = run_command(argv)
-                    if code != 0:
-                        failures.append(f"{name} {shape} {n}: exit {code}: "
-                                        f"{stderr.strip()}")
+                samples: dict[str, list] = {name: [] for name in COMMANDS}
+                for _ in range(repeat):
+                    for name, argv in COMMANDS.items():
+                        argv = [a.replace("{file}", str(path)) for a in argv]
+                        seconds, rss, code, stderr = run_command(argv)
+                        if code != 0:
+                            failures.append(f"{name} {shape} {n}: exit "
+                                            f"{code}: {stderr.strip()}")
+                        samples[name].append((seconds, rss))
+                for name, got in samples.items():
+                    seconds, rss = summary(got)
                     runs.append({"command": name, "shape": shape, "n": n,
                                  "rows": company.rows,
                                  "seconds": round(seconds, 4),
                                  "peak_rss_mb": round(rss, 1)})
     return {"python": platform.python_version(), "sizes": sizes,
-            "budget": int(BUDGET[1]), "runs": runs,
+            "budget": int(BUDGET[1]), "repeat": repeat, "runs": runs,
             "exponent_per_decade": exponents(runs), "failures": failures}
 
 
@@ -126,11 +143,14 @@ def exponents(runs: list[dict]) -> dict[str, list[float]]:
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--sizes", type=int, nargs="+", default=[192, 1920])
+    p.add_argument("--repeat", type=int, default=1)
     p.add_argument("--out", default="BENCH_scale.json")
     args = p.parse_args(argv)
     if any(n < 5 for n in args.sizes):
         p.error("sizes must be at least 5")
-    report = measure(sorted(set(args.sizes)))
+    if args.repeat < 1:
+        p.error("repeat must be at least 1")
+    report = measure(sorted(set(args.sizes)), args.repeat)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n",
                               encoding="utf-8")
     for r in report["runs"]:

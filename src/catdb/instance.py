@@ -488,47 +488,43 @@ def enumerate_transforms(src: InstancePresentation,
     equations, in deterministic order (generators by declaration, rows by
     table order).  Type-sorted generators must be forced by equations.
 
-    Branching.  A node branches on the first unbound entity generator in
-    declaration order when an inverse index narrows it, and otherwise on
-    the unbound entity generator with the smallest target table, ties to
-    declaration order: like the variable orders of Generic Join and
-    Leapfrog Triejoin, it never scans a whole table while a smaller one is
-    at hand.  If any node left declaration order, the transforms are
-    sorted at the end by the table positions of their entity rows in
-    declaration order, which is the order a search that always branches in
-    declaration order emits.
+    Sides.  Each side shape (`_shape`, with a hole for each generator) is
+    compiled once per call, by `SaturatedInstance.compile`, into a function
+    that reads dst's columns, and so is each side with no generator; a side
+    that is a generator alone is its binding.  Side values are memoised for
+    the call, one memo per shape, keyed by the rows of its holes.
 
-    Propagation.  Each side shape (`_shape`, with a hole for each
-    generator) is compiled once per call, by `SaturatedInstance.compile`,
-    into a function that reads dst's columns, and so is each side with no
-    generator; a side that is a generator alone is its binding.  No side
-    is interpreted per binding.  A node looks
-    only at the equations of the generators it binds: an equation is
-    checked once, when its last generator is bound (bindings only grow
-    along a path, so a check that passed keeps passing), and an equation
-    with a bare unbound generator on one side and a bound other side forces
-    that generator.  A side is bound when the set of its generators is
-    within the keys of the bindings.  Side values are memoised for the
-    call, one memo per shape, keyed by the rows of the side's generators
-    in the order of their holes.
+    Plan.  The names bound at a search node depend only on its depth, so
+    the search is planned once, level by level, over the set of bound
+    names, like a query plan compiled before it runs.  Each level binds one
+    entity generator (the root binds none) and then runs a straight-line
+    list of steps, made by a worklist over the equations of the names it
+    binds.  Each equation is one step, at the level that binds the last of
+    its generators: a check that its sides are equal, or, if one side is a
+    bare unbound generator, the binding of that generator to the other
+    side's value, after which the equation holds by construction.
 
-    Indexes.  Branching on g keeps only the rows that an inverse index
-    (side value -> rows in table order) lists for each equation with one
-    side over g alone, other than g itself, and the other side bound: a
-    side that is g itself, with the other side bound, has forced g.  There
-    is one index per shape, so e1.last and e2.last share one, and the
-    shape's memo, keyed by row, is the index's side value by row.  The
-    index is exact because entity sides compare as rows and decide_values
-    is Equal exactly when the two canonical values are ==.
+    Branching.  A level binds the first unbound entity generator in
+    declaration order when an inverse index narrows it, and otherwise the
+    one with the smallest target table, ties to declaration order: like
+    the variable orders of Generic Join and Leapfrog Triejoin, it never
+    scans a whole table while a smaller one is at hand.  If a level left
+    declaration order, the transforms are sorted at the end by the table
+    positions of their entity rows in declaration order, which is the
+    order a search that always branches in declaration order emits.
 
-    Stack.  The search is a loop over an explicit stack of frames, not a
+    Indexes.  A level's candidates for its generator g are the rows that an
+    inverse index (side value -> rows in table order) lists for each
+    equation with one side over g alone, other than g itself, and the
+    other side bound.  There is one index per shape, so e1.last and e2.last
+    share one, and the shape's memo is its side value by row.  The index is
+    exact because entity sides compare as rows and decide_values is Equal
+    exactly when the two canonical values are ==.
+
+    Run.  The search is a loop over a stack of the levels entered, not a
     recursion, so its depth is not bounded by Python's recursion limit.
-    There is one dict of bindings and a trail of the names bound along
-    the current path; a frame records where the trail stood when it was
-    pushed, and backtracking unbinds the names past that point.  A cursor
-    per entity sort points at its first unbound generator and is restored
-    with the frame, so finding the next generator does not rescan the
-    bound ones."""
+    Nothing is unbound on backtracking: no step reads a name bound below
+    its level, and the next candidate overwrites its level's names."""
     if src.schema.presentation != dst.schema.presentation:
         raise InstanceError("transform endpoints live on different schemas")
     is_ent = src.schema.is_entity
@@ -581,86 +577,54 @@ def enumerate_transforms(src: InstancePresentation,
             watch[v].append(i)
         eq_info.append((lhs, rhs))
 
-    results: list[Transform] = []
-    bound: dict = {}
-    is_bound = bound.keys().__ge__
-    # the names bound along the current path, in binding order, up to top;
-    # preallocated, like the frame stack below, so that binding a name and
-    # pushing a frame make no call
-    trail: list = [None] * len(watch)
-    top = 0
+    # --- the plan: the names bound so far, and each level's steps
+    known: set = set()
+    is_known = known.issuperset
+    planned = [False] * len(eq_info)
 
-    def propagate(todo) -> bool:
-        # todo: the equations of the generators bound since the parent node;
-        # checked keeps one that mentions two of them from being checked twice
-        nonlocal top
-        queue, checked = list(todo), set()
+    def steps(todo) -> list:
+        """The steps of the equations in todo, and of those of each name
+        they force, in worklist order; each is a tuple (forced name or
+        None, get, memo, other get, other memo)."""
+        out, queue = [], list(todo)
         for i in queue:
-            if i in checked:
+            if planned[i]:
                 continue
-            # a side's value, inlined: get(bound), looked up in memo if
-            # the side has one
-            (lhs_vars, lhs_get, lhs_memo, lhs_bare), \
-                (rhs_vars, rhs_get, rhs_memo, rhs_bare) = eq_info[i]
-            lhs_bound, rhs_bound = is_bound(lhs_vars), is_bound(rhs_vars)
-            if lhs_bound and rhs_bound:
-                checked.add(i)
-                lv, rv = lhs_get(bound), rhs_get(bound)
-                if lhs_memo is not None:
-                    lv = lhs_memo[lv]
-                if rhs_memo is not None:
-                    rv = rhs_memo[rv]
-                if lv != rv:
-                    return False
-                continue
-            if lhs_bare is not None and rhs_bound:
-                bare, v, memo = lhs_bare, rhs_get(bound), rhs_memo
-            elif rhs_bare is not None and lhs_bound:
-                bare, v, memo = rhs_bare, lhs_get(bound), lhs_memo
+            lhs, rhs = eq_info[i]
+            lhs_known, rhs_known = is_known(lhs.names), is_known(rhs.names)
+            if lhs_known and rhs_known:
+                step = (None, lhs.get, lhs.memo, rhs.get, rhs.memo)
+            elif lhs.bare is not None and rhs_known:
+                step = (lhs.bare, rhs.get, rhs.memo, None, None)
+            elif rhs.bare is not None and lhs_known:
+                step = (rhs.bare, lhs.get, lhs.memo, None, None)
             else:
                 continue
-            bound[bare] = v if memo is None else memo[v]
-            trail[top] = bare
-            top += 1
-            queue.extend(watch[bare])
-        return True
+            planned[i] = True
+            out.append(step)
+            if step[0] is not None:
+                known.add(step[0])
+                queue.extend(watch[step[0]])
+        return out
 
-    def shared_index(memo: _Memo, sort: Sort) -> dict:
-        """The rows of sort by the value of the shape of memo, which has one
-        hole.  The symbol applied to the hole fixes its sort, so one index
-        serves every generator."""
-        if memo.index is None:
-            memo.index = {}
-            for row in dst.rows(sort):
-                memo.index.setdefault(memo[row], []).append(row)
-        return memo.index
-
-    def narrowed(name: str, sort: Sort) -> list[Term] | None:
-        """The rows that the inverse index of each equation of name with
-        one side over name alone and the other side bound lists at the
-        other side's value, or None when there is no such equation."""
-        hits = []  # (bucket size, equation, bucket, side value by row, key)
+    def probes(name: str) -> list | None:
+        """Per equation of name with one side over name alone and the other
+        side bound: (that side's memo, the other's get and memo); None when
+        there is no such equation."""
+        out = []
         for i in watch[name]:
             lhs, rhs = eq_info[i]
             for side, other in ((lhs, rhs), (rhs, lhs)):
                 if side.memo is not None and len(side.names) == 1 \
-                        and name in side.names and is_bound(other.names):
-                    want = other.get(bound)
-                    if other.memo is not None:
-                        want = other.memo[want]
-                    bucket = shared_index(side.memo, sort).get(want, ())
-                    hits.append((len(bucket), i, bucket, side.memo, want))
+                        and name in side.names and is_known(other.names):
+                    out.append((side.memo, other.get, other.memo))
                     break
-        if not hits:
-            return None
-        hits.sort()
-        rest = hits[1:]
-        if not rest:
-            return hits[0][2]
-        # a row is in another side's bucket iff its side value is the key
-        return [r for r in hits[0][2]
-                if all(at[r] == want for _, _, _, at, want in rest)]
+        return out or None
 
+    # per level: (generator, all rows of its sort, probes or None, steps);
+    # the root is the level that binds no generator, named None, to its one
+    # candidate, None
+    levels = [(None, (None,), None, steps(range(len(eq_info))))]
     # the entity generators of each sort as (position, name, sort), in
     # declaration order, with the size of the sort's table
     groups: dict[str, list] = {}
@@ -670,15 +634,11 @@ def enumerate_transforms(src: InstancePresentation,
                 for gens in groups.values()]
     cursors = [0] * len(per_sort)
     reordered = False
-
-    def choose():
-        """The generator to branch on and its candidate rows, or None when
-        every entity generator is bound."""
-        nonlocal reordered
+    while True:
         first = smallest = None
         for j, (gens, n, size) in enumerate(per_sort):
             c = cursors[j]
-            while c < n and gens[c][1] in bound:
+            while c < n and gens[c][1] in known:
                 c += 1
             cursors[j] = c
             if c < n:
@@ -688,55 +648,54 @@ def enumerate_transforms(src: InstancePresentation,
                 if smallest is None or (size, here) < smallest:
                     smallest = (size, here)
         if first is None:
-            return None
+            break
         _, name, sort = first
-        rows = narrowed(name, sort)
-        if rows is None and smallest[1] != first:
+        narrow = probes(name)
+        if narrow is None and smallest[1] != first:
             reordered = True
             _, name, sort = smallest[1]
-            rows = narrowed(name, sort)
-        return name, dst.rows(sort) if rows is None else rows
+            narrow = probes(name)
+        known.add(name)
+        levels.append((name, dst.rows(sort), narrow, steps(watch[name])))
+    unforced = [n for n in type_gen_names if n not in known]
 
-    # frames, up to depth: [generator, candidate rows, their number, next
-    # candidate, top of the trail before the frame, cursors at the frame]
-    stack: list = [None] * (len(ent_gens) + 1)
-    depth = 0
-    ok = propagate(range(len(eq_info)))
-    while True:
-        if ok:
-            branch = choose()
-            if branch is not None:
-                name, rows = branch
-                stack[depth] = [name, rows, len(rows), 0, top, tuple(cursors)]
-                depth += 1
-            else:
-                unforced = [n for n in type_gen_names if n not in bound]
-                if unforced:
-                    raise DomainDependence(
-                        "type-sorted generators not determined by equations: "
-                        + ", ".join(unforced))
-                results.append(Transform(
-                    src, dst,
-                    tuple((n, bound[n]) for n, _ in ent_gens),
-                    tuple((n, bound[n]) for n in type_gen_names)))
-        while depth:
-            frame = stack[depth - 1]
-            name, rows, n, k, mark, saved = frame
-            for undone in trail[mark:top]:
-                del bound[undone]
-            top = mark
-            cursors[:] = saved
-            if k == n:
-                depth -= 1
+    # --- the run: a stack of iterators over the candidates of each level
+    # entered
+    results: list[Transform] = []
+    bound: dict = {}
+    stack = [iter(levels[0][1])]
+    while stack:
+        row = next(stack[-1], _DONE)
+        if row is _DONE:
+            stack.pop()
+            continue
+        name, _, _, todo = levels[len(stack) - 1]
+        bound[name] = row
+        for bare, get, memo, oget, omemo in todo:
+            v = get(bound)
+            if memo is not None:
+                v = memo[v]
+            if bare is not None:
+                bound[bare] = v
                 continue
-            frame[3] = k + 1
-            bound[name] = rows[k]
-            trail[top] = name
-            top += 1
-            ok = propagate(watch[name])
-            break
+            w = oget(bound)
+            if omemo is not None:
+                w = omemo[w]
+            if v != w:
+                break
         else:
-            break
+            if len(stack) < len(levels):
+                _, rows, narrow, _ = levels[len(stack)]
+                stack.append(iter(
+                    rows if narrow is None else _narrowed(narrow, bound, rows)))
+                continue
+            if unforced:
+                raise DomainDependence(
+                    "type-sorted generators not determined by equations: "
+                    + ", ".join(unforced))
+            results.append(Transform(
+                src, dst, tuple([(n, bound[n]) for n, _ in ent_gens]),
+                tuple([(n, bound[n]) for n in type_gen_names])))
 
     if reordered:
         pos = {r: k for rows in dst.row_list.values()
@@ -755,6 +714,33 @@ class _Side(NamedTuple):
 
 
 _NO_NAMES: frozenset = frozenset()
+_DONE = object()  # the end of a level's candidates
+
+
+def _narrowed(probes: list, bound: dict, rows: list[Term]) -> list[Term]:
+    """The rows, in table order, that each probe's inverse index lists at
+    the value its other side takes at the bindings.  A probe is a side
+    over one generator, whose sort's rows are rows, as its shape's memo,
+    and the other side as its get and memo."""
+    hits = []  # (bucket size, probe, bucket, side value by row, key)
+    for k, (memo, get, other_memo) in enumerate(probes):
+        want = get(bound)
+        if other_memo is not None:
+            want = other_memo[want]
+        if memo.index is None:
+            # the symbol applied to the hole fixes its sort, so one index
+            # serves every generator
+            memo.index = {}
+            for row in rows:
+                memo.index.setdefault(memo[row], []).append(row)
+        bucket = memo.index.get(want, ())
+        hits.append((len(bucket), k, bucket, memo, want))
+    if len(hits) == 1:
+        return hits[0][2]
+    hits.sort()
+    # a row is in another side's bucket iff its side value is the key
+    return [r for r in hits[0][2]
+            if all(at[r] == want for _, _, _, at, want in hits[1:])]
 
 
 class _Memo(dict):

@@ -10,7 +10,7 @@ from catdb.instance import (
     canonical_presentation, enumerate_transforms, representable_instance,
     saturate,
 )
-from catdb.kernel import Equation, Var, app, ctx
+from catdb.kernel import Equation, Var, app, ctx, int_literal
 from catdb.migration import delta
 from catdb.query import frozen_instance
 from catdb.typeside import INT, STR, str_literal
@@ -23,6 +23,41 @@ query SJ on S {
   for e:Emp, f:Emp;
   where e.wrk = f.wrk, e.sal = f.sal;
   return left := e.last, right := f.last, pay := e.sal;
+}
+"""
+
+# Sources for the cases a search plan must get right; they are never
+# saturated, only searched from.
+PLAN_CASES = """
+instance Agree on S {
+  generators e f : Emp;
+  equations e.last = "Turing", f = e.mgr, f = e;
+}
+instance Disagree on S {
+  generators e f : Emp;
+  equations e.last = "Noether", f = e.mgr, f = e;
+}
+instance TwoForcings on S {
+  generators e : Emp;
+  generators x : Int;
+  equations x = e.sal, x = e.mgr.sal;
+}
+instance EmptyBucket on S {
+  generators e : Emp;
+  generators d : Dept;
+  equations d.sec = e.mgr;
+}
+instance LateNull on S {
+  generators e : Emp;
+  generators d : Dept;
+  generators x : Int;
+  equations (e.sal <= d.sec.sal) = true, x = d.sec.sal - e.sal;
+}
+instance NoLeaf on S {
+  generators e : Emp;
+  generators d : Dept;
+  generators y : Int;
+  equations e.last = "Turing", d.name = "IT", (d.sec.sal <= e.sal) = false;
 }
 """
 
@@ -115,3 +150,65 @@ class TestAgainstOracle:
             found += len(assert_same(src, dst))
             checked += 1
         assert checked >= 20 and found > 0
+
+
+@pytest.fixture(scope="module")
+def plan_cases():
+    text = (FIXTURES / "paper.cdb").read_text(encoding="utf-8")
+    ws = parse_workspace(text + PLAN_CASES, "paper+plan cases")
+    return ws, {n: saturate(ws.instances[n]) for n in ("J", "Jbar")}
+
+
+class TestPlanCases:
+    """Searches whose plans force a generator twice, fail at the root, find
+    an empty index bucket below it, leave declaration order, or reach no
+    leaf, against the nested-loop oracle."""
+
+    def test_generator_forced_by_two_equations(self, plan_cases):
+        ws, sats = plan_cases
+        J = sats["J"]
+        # e4 is its own manager: f = e4.mgr and f = e agree
+        [(rows, _)] = assert_same(ws.instances["Agree"], J)
+        assert rows == (("e", Var("e4")), ("f", Var("e4")))
+        # e2's manager is e4: the two forcings of f disagree
+        assert assert_same(ws.instances["Disagree"], J) == []
+        # x = e.sal and x = e.mgr.sal agree only for a self-managed e
+        got = assert_same(ws.instances["TwoForcings"], J)
+        assert [rows for rows, _ in got] == [
+            (("e", Var(n)),) for n in ("e1", "e3", "e4", "e7")]
+
+    def test_ground_equation_false_at_the_root(self, ws, sats):
+        s = ws.schemas["S"]
+        G = ctx(("e", entity(s, "Emp")), ("y", INT))
+        false = Equation(G, app(int_literal(1)), app(int_literal(2)), INT)
+        # the root fails, so no leaf is reached to report y as unforced
+        src = InstancePresentation(s, G, (false,))
+        assert assert_same(src, sats["J"]) == []
+        true = Equation(G, app(int_literal(2)), app(int_literal(2)), INT)
+        src = InstancePresentation(s, G, (true,))
+        assert assert_same(src, sats["J"])[0] == "DomainDependence"
+
+    def test_empty_bucket_below_the_root(self, plan_cases):
+        ws, sats = plan_cases
+        src = ws.instances["EmptyBucket"]
+        # no department's secretary manages anyone but e3 (and, in Jbar,
+        # e6), so the index on d.sec is probed at e.mgr's row and misses
+        # for every other e
+        assert len(assert_same(src, sats["J"])) == 1
+        assert len(assert_same(src, sats["Jbar"])) == 2
+
+    def test_reordered_search_forces_its_null_at_the_last_level(
+            self, plan_cases):
+        ws, sats = plan_cases
+        src = ws.instances["LateNull"]
+        for dst in sats.values():
+            # Dept is the smaller table, so d is bound before e, and x
+            # once both are
+            got = assert_same(src, dst)
+            assert len(got) > 1 and all(len(vals) == 1 for _, vals in got)
+
+    def test_unforced_null_without_a_full_assignment(self, plan_cases):
+        ws, sats = plan_cases
+        # y is forced by nothing, but the last level's check fails for the
+        # one candidate of each level, so no leaf raises
+        assert assert_same(ws.instances["NoLeaf"], sats["J"]) == []

@@ -12,7 +12,7 @@ built only on the source entities, which is delta after pi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from .kernel import (
     App, Context, Equation, FunctionSymbol, Sort, Term, Var, app, ctx,
@@ -135,33 +135,54 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
     return out
 
 
+def _memo(obj) -> dict:
+    """What obj, an immutable mapping or bimodule, has prepared so far,
+    kept in obj's own __dict__: dropped with obj and shared with no other
+    object, so a workspace parsed again prepares again.  A preparation
+    that raises stores nothing, and raises again on the next call."""
+    return obj.__dict__.setdefault("_prepared", {})
+
+
 def _pushforward(F: SchemaMapping, I: SaturatedInstance, part: Schema,
                  budget: Budget = DEFAULT_BUDGET):
     """tabulate's pair for pi(F, I) on part, whose entities, edges and
-    attributes are some of F.target's; only part's are computed."""
-    per, blocks = {}, {}
-    for t in part.entities:
-        sat = saturate(representable_instance(F.target, t), budget)
-        dI = delta(F, sat)
-        cp, term_of = canonical_form(dI)
-        per[t] = (sat, row_generator_names(dI), term_of)
-        blocks[t] = (t.name.lower(), cp)
+    attributes are some of F.target's; only part's are computed.
 
-    def keys(h: FunctionSymbol) -> dict[str, Term]:
-        # each generator of y(t1), a row that is a path term over x:t1,
-        # precomposed with h lands on a row of y(t), named by its generator
-        (sat, names, _), names1 = per[h.dom[0]], per[h.cod][1]
-        x = {"x": sat.gen_env["x"]}
-        return {g1: Var(names[sat.eval_entity(
-                    subst_map(r1, {"x": app(h, Var("x"))}), x)])
-                for r1, g1 in names1.items()}
+    The representable side never reads I, so it is prepared once per F,
+    part's entities and budget: each y(t) saturated, pulled back along F
+    and written as a canonical presentation.  keys(h) and returns(a) are
+    computed on first call, which tabulate makes only for a block with
+    rows, and kept once they succeed.  Per I, only tabulate runs: the
+    search into I and the columns."""
+    memo, key = _memo(F), (part.entities, budget)
+    if key not in memo:
+        per, blocks = {}, {}
+        for t in part.entities:
+            sat = saturate(representable_instance(F.target, t), budget)
+            dI = delta(F, sat)
+            cp, term_of = canonical_form(dI)
+            per[t] = (sat, row_generator_names(dI), term_of)
+            blocks[t] = (t.name.lower(), cp)
 
-    def returns(a: FunctionSymbol) -> Term:
-        sat, _, term_of = per[a.dom[0]]
-        return term_of(sat.eval_type(app(a, Var("x")),
-                                     {"x": sat.gen_env["x"]}))
+        @cache
+        def keys(h: FunctionSymbol) -> dict[str, Term]:
+            # each generator of y(t1), a row that is a path term over x:t1,
+            # precomposed with h lands on a row of y(t), named by its
+            # generator
+            (sat, names, _), names1 = per[h.dom[0]], per[h.cod][1]
+            x = {"x": sat.gen_env["x"]}
+            return {g1: Var(names[sat.eval_entity(
+                        subst_map(r1, {"x": app(h, Var("x"))}), x)])
+                    for r1, g1 in names1.items()}
 
-    return tabulate(part, I, blocks, keys, returns)
+        @cache
+        def returns(a: FunctionSymbol) -> Term:
+            sat, _, term_of = per[a.dom[0]]
+            return term_of(sat.eval_type(app(a, Var("x")),
+                                         {"x": sat.gen_env["x"]}))
+
+        memo[key] = blocks, keys, returns
+    return tabulate(part, I, *memo[key])
 
 
 # --- bimodules ----------------------------------------------------------
@@ -203,6 +224,10 @@ class CollageSchema:
 
 def collage_of_bimodule(M: BimodulePresentation,
                         budget: Budget = DEFAULT_BUDGET) -> CollageSchema:
+    """M's collage, built once per M and budget."""
+    memo = _memo(M)
+    if budget in memo:
+        return memo[budget]
     sp, dp = M.src.presentation, M.dst.presentation
     ent_names = {e.name for e in sp.entities} & {e.name for e in dp.entities}
     sym_names = ({f.name for f in sp.edges + sp.attributes}
@@ -228,7 +253,8 @@ def collage_of_bimodule(M: BimodulePresentation,
             {f: app(f, Var("x")) for f in side.edges},
             {a: app(a, Var("x")) for a in side.attributes})
 
-    return CollageSchema(col, inclusion(M.src), inclusion(M.dst), M)
+    memo[budget] = CollageSchema(col, inclusion(M.src), inclusion(M.dst), M)
+    return memo[budget]
 
 
 def companion_presentation(F: SchemaMapping,
@@ -463,6 +489,11 @@ def gamma(M: BimodulePresentation, J: SaturatedInstance,
           budget: Budget = DEFAULT_BUDGET) -> SaturatedInstance:
     """delta(incl_src, pi(incl_dst, J)) along M's collage, which keeps
     M.src's entities, edges and attributes under their names: pi's tables
-    on M.src, the only ones built."""
+    on M.src, the only ones built.
+
+    The collage and the representable side of the pushforward never read
+    J, so both are prepared once per M and budget and kept on M (the
+    representables on the collage's incl_dst).  Per J, only the search
+    into J and the columns run."""
     col = collage_of_bimodule(M, budget)
     return _pushforward(col.incl_dst, J, M.src, budget)[0]

@@ -7,12 +7,14 @@ Uber-queries bundle one such block per result entity plus KEYS morphisms
 that populate the result edges by precomposition.  The bimodule route
 (restriction along one collage inclusion, right extension along the
 other) must agree with direct evaluation; crosscheck_migration verifies
-that on concrete inputs.
+that on concrete inputs.  What does not read the input instance is
+prepared once per (immutable) query object and kept on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .kernel import (
     Context, ContextMorphism, Equation, FunctionSymbol, Sort, Term, Var, app,
@@ -26,6 +28,9 @@ from .instance import (
 from .migration import BimodulePresentation, gamma
 from .rewrite import DEFAULT_BUDGET, Budget
 from .typeside import TYPE_SORTS
+
+
+STAR = Sort("*")
 
 
 class QueryError(Exception):
@@ -53,6 +58,32 @@ class Query:
             if s not in type_sorts:
                 raise QueryError(f"return variable {n} must have a type sort")
 
+    @cached_property
+    def _result_schema(self) -> Schema:
+        # see result_schema
+        attrs = tuple(FunctionSymbol(n, (STAR,), s)
+                      for n, s in self.return_ctx.bindings)
+        return compile_schema(SchemaPresentation((STAR,), (), attrs))
+
+    @cached_property
+    def _bimodule(self) -> BimodulePresentation:
+        # see query_to_bimodule
+        R = self._result_schema
+        gen_edges = tuple(FunctionSymbol(n, (STAR,), s)
+                          for n, s in self.for_ctx.bindings)
+        q = Var("q")
+        qctx = ctx(("q", STAR))
+        sub = {g.name: app(g, q) for g in gen_edges}
+        eqs = []
+        for eq in self.where_eqs:
+            eqs.append(Equation(qctx, subst_map(eq.lhs, sub),
+                                subst_map(eq.rhs, sub), eq.sort))
+        for (n, s), a in zip(self.return_ctx.bindings, R.attributes):
+            t = self.return_morph(n)
+            eqs.append(Equation(qctx, app(a, q), subst_map(t, sub), s))
+        return BimodulePresentation(R, self.schema, gen_edges, (),
+                                    tuple(eqs))
+
 
 @dataclass(frozen=True)
 class QueryResult:
@@ -72,37 +103,17 @@ def check_domain_independence(Q: Query) -> list[str]:
     return [n for n, s in Q.for_ctx.bindings if not Q.schema.is_entity(s)]
 
 
-STAR = Sort("*")
-
-
 def result_schema(Q: Query) -> Schema:
-    """One entity with one attribute per RETURN variable, in order."""
-    attrs = tuple(FunctionSymbol(n, (STAR,), s)
-                  for n, s in Q.return_ctx.bindings)
-    return compile_schema(SchemaPresentation((STAR,), (), attrs))
+    """One entity with one attribute per RETURN variable, in order; built
+    once per Q."""
+    return Q._result_schema
 
 
-def query_to_bimodule(Q: Query, R: Schema | None = None
-                      ) -> tuple[Schema, BimodulePresentation]:
-    """The result schema (R, when the caller has built it already) and the
-    bimodule, which has one generating edge per FOR variable, with the
-    WHERE equations and the RETURN assignments as its equations."""
-    if R is None:
-        R = result_schema(Q)
-    gen_edges = tuple(FunctionSymbol(n, (STAR,), s)
-                      for n, s in Q.for_ctx.bindings)
-    by_name = {g.name: g for g in gen_edges}
-    q = Var("q")
-    qctx = ctx(("q", STAR))
-    sub = {n: app(by_name[n], q) for n, _ in Q.for_ctx.bindings}
-    eqs = []
-    for eq in Q.where_eqs:
-        eqs.append(Equation(qctx, subst_map(eq.lhs, sub),
-                            subst_map(eq.rhs, sub), eq.sort))
-    for (n, s), a in zip(Q.return_ctx.bindings, R.attributes):
-        t = Q.return_morph(n)
-        eqs.append(Equation(qctx, app(a, q), subst_map(t, sub), s))
-    return R, BimodulePresentation(R, Q.schema, gen_edges, (), tuple(eqs))
+def query_to_bimodule(Q: Query) -> tuple[Schema, BimodulePresentation]:
+    """The result schema and the bimodule, which has one generating edge
+    per FOR variable, with the WHERE equations and the RETURN assignments
+    as its equations; built once per Q and kept on it."""
+    return Q._result_schema, Q._bimodule
 
 
 def eval_query(Q: Query, J: SaturatedInstance) -> QueryResult:
@@ -152,6 +163,14 @@ class UberQuery:
                 return b
         raise QueryError(f"no block for result entity {e.name}")
 
+    @cached_property
+    def _checked_blocks(self) -> dict:
+        # see eval_uber_query
+        check_uber_query(self)
+        return {e: (e.name.lower(), InstancePresentation(
+                    self.schema, b.for_ctx, tuple(b.where_eqs)))
+                for e, b in self.blocks}
+
 
 def check_uber_query(N: UberQuery) -> None:
     """Domain independence per block; each keys morphism must be a valid
@@ -189,11 +208,10 @@ def check_uber_query(N: UberQuery) -> None:
 
 
 def eval_uber_query(N: UberQuery, J: SaturatedInstance) -> SaturatedInstance:
-    check_uber_query(N)
-    blocks = {e: (e.name.lower(), InstancePresentation(
-                  N.schema, b.for_ctx, tuple(b.where_eqs)))
-              for e, b in N.blocks}
-    return tabulate(N.result_schema, J, blocks,
+    """N's tables over J.  N's check and its blocks' frozen instances never
+    read J, so they are prepared once per N (a failing check stores
+    nothing and raises on every call); per J, only tabulate runs."""
+    return tabulate(N.result_schema, J, N._checked_blocks,
                     lambda f: N.block_for(f.dom[0]).key_for(f).as_dict(),
                     lambda a: N.block_for(a.dom[0]).return_for(a))[0]
 
@@ -207,11 +225,15 @@ def crosscheck_migration(Q: Query, J: SaturatedInstance,
     """Evaluate Q directly and through the bimodule collage (restriction
     after right extension, with the right extension built on the result
     entity only); 'ok' if the two tables are isomorphic.  direct is Q's
-    result on J when the caller has it already; its schema is the result
-    schema, so that is built once."""
+    result on J when the caller has it already.
+
+    Q's result schema and bimodule are built once per Q, and gamma
+    prepares the collage and y(*)'s side once per bimodule and budget.
+    Per J, only the two searches into J, their columns and the
+    isomorphism check run."""
     if direct is None:
         direct = eval_query(Q, J).instance
-    _, M = query_to_bimodule(Q, direct.schema)
+    _, M = query_to_bimodule(Q)
     via = gamma(M, J, budget)
     if instances_isomorphic(direct, via):
         return "ok"

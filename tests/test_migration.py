@@ -118,18 +118,21 @@ class TestAdjunctions:
     def test_sigma_delta_bijection_on_random_fixtures(self, ws):
         rng = random.Random(42)
         checked = 0
+        most = {}
         for Fname, tgt in (("H", "L"), ("G", "T")):
             F = ws.mappings[Fname]
             for _ in range(6):
                 I = random_instance(rng, ws.schemas["S"], attr_fill=0.0)
                 Jp = random_instance(rng, ws.schemas[tgt], attr_fill=0.0)
                 satJp = saturate(Jp)
-                assert satJp.total_rows() <= 10 or True
                 lhs = hom_count(sigma(F, I), satJp)
                 rhs = hom_count(I, delta(F, satJp))
                 assert lhs == rhs, (Fname, I, Jp)
+                most[Fname] = max(most.get(Fname, 0), lhs)
                 checked += 1
         assert checked == 12
+        # not only hom-sets with no transform or with one
+        assert min(most.values()) > 1, most
 
     def test_delta_pi_bijection_on_random_fixtures(self, ws):
         rng = random.Random(43)

@@ -464,9 +464,7 @@ class Parser:
                 sorts = src.entities + dst.entities
                 while not self.accept(";"):
                     equations.append(self.parse_forall_eq(sig, sorts))
-                while self.at("forall"):
-                    equations.append(self.parse_forall_eq(sig, sorts))
-                    self.expect(";")
+                    self.accept(",")
             else:
                 self.fail(f"unknown bimodule section {section!r}")
         ws.bimodules[name] = BimodulePresentation(

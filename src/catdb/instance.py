@@ -84,8 +84,6 @@ class SaturatedInstance:
         self.attr_cols: dict[FunctionSymbol, dict[Term, CanonicalValue]] = attr_cols
         self.typealg = typealg
         self.gen_env: dict[str, Term] = gen_env
-        self.row_sort: dict[Term, Sort] = {
-            r: e for e, rs_ in row_list.items() for r in rs_}
 
     def rows(self, e: Sort) -> list[Term]:
         return self.row_list[e]
@@ -116,11 +114,11 @@ class SaturatedInstance:
         read is one more column.  A type term is planned by
         `typeside.type_plan`, which resolves each type symbol to its
         operation once.  A variable outside names is a generator of this
-        instance, a row or a null, and like a literal it is a constant, as
-        is every subterm over constants.  With no names, a subterm that
-        spells a row is that row; with names, a term is evaluated through
-        its edges even if it spells a row, since a source generator may
-        share its name with a row."""
+        instance or a null, and like a literal it is a constant, as is
+        every subterm over constants.  A path is evaluated from the name
+        at its base, even if it spells a row: the same term may be a row of
+        two entities, and a source generator may share its name with a
+        row."""
         if entity:
             name, cols, row = self._path(t, names)
             return _constant(row) if name is None else _follow(name, cols)
@@ -135,22 +133,18 @@ class SaturatedInstance:
         names, else (None, (), its row); last is a column read at the
         end."""
         syms = []
-        while isinstance(t, App) and (names or t not in self.row_sort):
+        while isinstance(t, App):
             syms.append(t.symbol)
             t = t.args[0]
-        if isinstance(t, Var) and t.name in names:
-            name, row = t.name, None
-        else:
-            name = None
-            row = t if t in self.row_sort else self.gen_env[t.name]
         cols = [self.edge_cols[s] for s in reversed(syms)]
         if last is not None:
             cols.append(last)
-        if name is None:
-            for col in cols:
-                row = col[row]
-            return None, (), row
-        return name, tuple(cols), None
+        if t.name in names:
+            return t.name, tuple(cols), None
+        row = self.gen_env[t.name]
+        for col in cols:
+            row = col[row]
+        return None, (), row
 
     def _read(self, t: App, names):
         """The plan of an attribute read, for `type_plan`."""
@@ -308,22 +302,6 @@ def saturate(ip: InstancePresentation,
 # --- canonical presentations -------------------------------------------
 
 
-def row_generator_names(si: SaturatedInstance) -> dict[Term, str]:
-    names: dict[Term, str] = {}
-    used = set(n for n, _ in si.typealg.nulls.bindings)
-    for e in si.schema.entities:
-        for r in si.rows(e):
-            base = r.name if isinstance(r, Var) else render_term(r)
-            name = base
-            k = 1
-            while name in used:
-                k += 1
-                name = f"{base}_{k}"
-            used.add(name)
-            names[r] = name
-    return names
-
-
 def canonical_presentation(si: SaturatedInstance) -> InstancePresentation:
     """One generator per row and per null; one equation per edge cell, per
     constrained attribute cell, and per type-algebra constraint, each
@@ -332,59 +310,70 @@ def canonical_presentation(si: SaturatedInstance) -> InstancePresentation:
 
 
 def canonical_form(si: SaturatedInstance
-                   ) -> tuple[InstancePresentation, Callable[..., Term]]:
-    """The canonical presentation of si, and the function that writes a
-    value of si's type algebra as a term over its generators.
+                   ) -> tuple[InstancePresentation, Callable[..., Term],
+                              dict[tuple[Sort, Term], str]]:
+    """The canonical presentation of si, the function that writes a value
+    of si's type algebra as a term over its generators, and the generator
+    name of each row, by (entity, row): a term may be a row of two
+    entities, after a pullback along a mapping that merges them.
 
-    This is the one place that decides how an atom is written: an
-    attribute of a retained row as that attribute of the row's generator,
-    a null as itself.  While the presentation is built, any other atom
-    (possible after a pullback) becomes a fresh null generator; afterwards
-    an atom that no generator names is a domain error."""
+    This is the one place that decides how a row and an atom are written:
+    a row as a generator named after its term, an attribute of a retained
+    row as that attribute of the row's generator, a null as itself.  While
+    the presentation is built, any other atom (possible after a pullback)
+    becomes a fresh null generator; afterwards an atom that no generator
+    names is a domain error.  Row and atom names are made unique against
+    the nulls and each other by one counter suffix."""
     alg = si.typealg
-    names = row_generator_names(si)
-    used = set(names.values()) | {n for n, _ in alg.nulls.bindings}
     null_names = {n for n, _ in alg.nulls.bindings}
+    used = set(null_names)
+
+    def fresh(base: str) -> str:
+        name, k = base, 1
+        while name in used:
+            k += 1
+            name = f"{base}_{k}"
+        used.add(name)
+        return name
+
+    names = {(e, r): fresh(render_term(r))
+             for e in si.schema.entities for r in si.rows(e)}
     attrs = set(si.schema.attributes)
     extra_nulls: list[tuple[str, Sort]] = []
     orphan: dict[Term, str] = {}
     building = True
 
-    def row_var(r: Term) -> Term:
-        return Var(names[r])
+    def row_var(e: Sort, r: Term) -> Term:
+        return Var(names[e, r])
 
     def atom_term(at: Term) -> Term:
         if isinstance(at, Var) and at.name in null_names:
             return at
-        if isinstance(at, App) and at.symbol in attrs and at.args[0] in names:
-            return App(at.symbol, (row_var(at.args[0]),))
+        if isinstance(at, App) and at.symbol in attrs \
+                and (at.symbol.dom[0], at.args[0]) in names:
+            return App(at.symbol, (row_var(at.symbol.dom[0], at.args[0]),))
         if at not in orphan:
             if not building:
                 raise DomainDependence(
                     f"attribute cell depends on a value outside the image: "
                     f"{render_term(at)}")
             sort = at.symbol.cod if isinstance(at, App) else None
-            base = render_term(at).replace(".", "_").replace('"', "")
-            name, k = base, 1
-            while name in used:
-                k += 1
-                name = f"{base}_{k}"
-            used.add(name)
-            orphan[at] = name
-            extra_nulls.append((name, sort))
+            orphan[at] = fresh(
+                render_term(at).replace(".", "_").replace('"', ""))
+            extra_nulls.append((orphan[at], sort))
         return Var(orphan[at])
 
     eqs_raw: list[tuple[Term, Term, Sort]] = []
     for f in si.schema.edges:
         for r in si.rows(f.dom[0]):
-            eqs_raw.append((app(f, row_var(r)),
-                            row_var(si.edge_cols[f][r]), f.cod))
+            eqs_raw.append((app(f, row_var(f.dom[0], r)),
+                            row_var(f.cod, si.edge_cols[f][r]), f.cod))
     for a in si.schema.attributes:
         for r in si.rows(a.dom[0]):
             v = si.attr_cols[a][r]
             if v == opaque_atom(app(a, r), a.cod):
                 continue
-            eqs_raw.append((app(a, row_var(r)),
+            eqs_raw.append((app(a, row_var(a.dom[0], r)),
                             value_to_term(v, atom_term), a.cod))
     for at, v in alg._subst.items():
         eqs_raw.append((atom_term(at), value_to_term(v, atom_term),
@@ -393,14 +382,14 @@ def canonical_form(si: SaturatedInstance
         eqs_raw.append((value_to_term(big, atom_term),
                         value_to_term(small, atom_term), value_sort(big)))
 
-    bindings = [(names[r], e) for e in si.schema.entities for r in si.rows(e)]
+    bindings = [(name, e) for (e, _), name in names.items()]
     bindings += list(alg.nulls.bindings) + extra_nulls
     context = Context(tuple(bindings))
     # a cell whose atom the algebra substitutes is also a _subst equation
     eqs = [Equation(context, l, r, s) for l, r, s in dict.fromkeys(eqs_raw)]
     building = False
     return (InstancePresentation(si.schema, context, tuple(eqs)),
-            partial(value_to_term, atom_fn=atom_term))
+            partial(value_to_term, atom_fn=atom_term), names)
 
 
 # --- transforms ---------------------------------------------------------
@@ -698,9 +687,11 @@ def enumerate_transforms(src: InstancePresentation,
                 tuple([(n, bound[n]) for n in type_gen_names])))
 
     if reordered:
-        pos = {r: k for rows in dst.row_list.values()
+        pos = {(e, r): k for e, rows in dst.row_list.items()
                for k, r in enumerate(rows)}
-        results.sort(key=lambda t: tuple(pos[r] for _, r in t.rows))
+        sorts = [s for _, s in ent_gens]
+        results.sort(key=lambda t: tuple(
+            pos[s, r] for s, (_, r) in zip(sorts, t.rows)))
     return results
 
 
@@ -816,7 +807,8 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
 
     Entities and columns are matched by name unless correspondences are
     given.  Ground cells must be equal; indeterminate cells must agree up
-    to a single consistent one-to-one renaming of atoms.
+    to a single consistent one-to-one renaming of atoms.  A row is an
+    (entity, term) pair, as a term may be a row of two entities.
 
     A row of a may only map to a row of b whose attribute cells have the
     same shapes (the value with its atoms replaced by numbered holes).  The
@@ -855,7 +847,7 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
     cells_b = {(att, r): shape_and_atoms(b.attr_cols[att_b][r], b.typealg)
                for att, att_b in attr_pairs for r in b.rows(att_b.dom[0])}
 
-    pairs = []  # (a row, candidate b rows in table order, its columns)
+    pairs = []  # ((entity, a row), candidate b rows in table order, columns)
     for name, e in ea.items():
         e2 = eb[emap[name]]
         if len(a.rows(e)) != len(b.rows(e2)):
@@ -870,27 +862,28 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
         by_shape: dict[tuple, list[Term]] = {}
         for r, k in zip(b.rows(e2), shapes_b):
             by_shape.setdefault(k, []).append(r)
-        pairs += [(r, by_shape[k], atts) for r, k in zip(a.rows(e), shapes_a)]
+        pairs += [((e, r), by_shape[k], atts)
+                  for r, k in zip(a.rows(e), shapes_a)]
 
     # edge cells at each row of a: (b's column, the row at the other end)
-    edges_out: dict[Term, list] = {r: [] for r, _, _ in pairs}
-    edges_in: dict[Term, list] = {r: [] for r, _, _ in pairs}
+    edges_out: dict[tuple, list] = {r: [] for r, _, _ in pairs}
+    edges_in: dict[tuple, list] = {r: [] for r, _, _ in pairs}
     for f in a.schema.edges:
         col_b = b.edge_cols[cols_b[cmap[f.name]]]
         for r in a.rows(f.dom[0]):
-            r2 = a.edge_cols[f][r]
-            edges_out[r].append((col_b, r2))
-            edges_in[r2].append((col_b, r))
+            r2 = (f.cod, a.edge_cols[f][r])
+            edges_out[f.dom[0], r].append((col_b, r2))
+            edges_in[r2].append((col_b, (f.dom[0], r)))
 
-    rowmap: dict[Term, Term] = {}
-    used: set[Term] = set()
+    rowmap: dict[tuple, Term] = {}  # (entity, a row) -> b row
+    used: set[tuple] = set()  # (entity of a, b row)
     atom_map: dict = {}
     inverse: dict = {}
     added: list = []  # atoms of a in the order atom_map took them
 
     def assign(r, cand, atts) -> bool:
         rowmap[r] = cand
-        used.add(cand)
+        used.add((r[0], cand))
         for col_b, r2 in edges_out[r]:
             if r2 in rowmap and rowmap[r2] != col_b[cand]:
                 return False
@@ -898,7 +891,7 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
             if r0 in rowmap and col_b[rowmap[r0]] != cand:
                 return False
         for att in atts:
-            for x, y in zip(cells_a[att, r][1], cells_b[att, cand][1]):
+            for x, y in zip(cells_a[att, r[1]][1], cells_b[att, cand][1]):
                 y0, x0 = atom_map.get(x), inverse.get(y)
                 if y0 is None and x0 is None:
                     atom_map[x], inverse[y] = y, x
@@ -908,7 +901,7 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
         return True
 
     def unassign(r, mark):
-        used.discard(rowmap.pop(r))
+        used.discard((r[0], rowmap.pop(r)))
         while len(added) > mark:
             del inverse[atom_map.pop(added.pop())]
 
@@ -921,7 +914,7 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
         while k < len(cands):
             cand = cands[k]
             k += 1
-            if cand in used:
+            if (r[0], cand) in used:
                 continue
             marks[i] = len(added)
             if assign(r, cand, atts):

@@ -8,8 +8,8 @@ value is the same object, so `==` and `hash` are `object`'s, O(1) in C.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Iterator
 from weakref import ref
 
 
@@ -356,9 +356,6 @@ def enumerate_terms(sig: AlgSignature, context: Context, sort: Sort,
     by_height: dict[Sort, list[list[Term]]] = {s: [] for s in sig.sorts.values()}
     seen: dict[Sort, set[Term]] = {s: set() for s in sig.sorts.values()}
 
-    def level(s: Sort, h: int) -> list[Term]:
-        return by_height[s][h] if h < len(by_height[s]) else []
-
     def upto(s: Sort, h: int) -> list[Term]:
         out = []
         for i in range(min(h + 1, len(by_height[s]))):
@@ -388,7 +385,7 @@ def enumerate_terms(sig: AlgSignature, context: Context, sort: Sort,
             pools = [upto(d, h - 1) for d in sym.dom]
             if any(not p for p in pools):
                 continue
-            for args in _product(pools):
+            for args in itertools.product(*pools):
                 if max(term_height(a) for a in args) != h - 1:
                     continue
                 t = App(sym, args)
@@ -399,12 +396,3 @@ def enumerate_terms(sig: AlgSignature, context: Context, sort: Sort,
             by_height[s].append(new[s])
 
     return upto(sort, size_bound)
-
-
-def _product(pools: list[list[Term]]) -> Iterator[tuple[Term, ...]]:
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head,) + rest

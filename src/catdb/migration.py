@@ -24,7 +24,7 @@ from .schema import (
 )
 from .instance import (
     InstancePresentation, SaturatedInstance, canonical_form,
-    representable_instance, row_generator_names, saturate, tabulate,
+    representable_instance, saturate, tabulate,
 )
 from .rewrite import DEFAULT_BUDGET, Budget
 
@@ -160,20 +160,20 @@ def _pushforward(F: SchemaMapping, I: SaturatedInstance, part: Schema,
         for t in part.entities:
             sat = saturate(representable_instance(F.target, t), budget)
             dI = delta(F, sat)
-            cp, term_of = canonical_form(dI)
-            per[t] = (sat, row_generator_names(dI), term_of)
+            cp, term_of, names = canonical_form(dI)
+            per[t] = (sat, names, term_of)
             blocks[t] = (t.name.lower(), cp)
 
         @cache
         def keys(h: FunctionSymbol) -> dict[str, Term]:
-            # each generator of y(t1), a row that is a path term over x:t1,
-            # precomposed with h lands on a row of y(t), named by its
-            # generator
+            # each generator of y(t1), a row of source entity s that is a
+            # path term over x:t1, precomposed with h lands on a row of
+            # y(t), named by its generator at s
             (sat, names, _), names1 = per[h.dom[0]], per[h.cod][1]
             x = {"x": sat.gen_env["x"]}
-            return {g1: Var(names[sat.eval_entity(
+            return {g1: Var(names[s, sat.eval_entity(
                         subst_map(r1, {"x": app(h, Var("x"))}), x)])
-                    for r1, g1 in names1.items()}
+                    for (s, r1), g1 in names1.items()}
 
         @cache
         def returns(a: FunctionSymbol) -> Term:

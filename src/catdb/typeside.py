@@ -634,8 +634,6 @@ def _apply_subst(v, subst: dict[Term, CanonicalValue]):
             else:
                 items.append((k, x))
         return StrWord(tuple(items))
-    if isinstance(v, BConst):
-        return v
     if isinstance(v, BAtom):
         if v.kind == "var":
             rep = subst.get(v.payload[0])

@@ -28,14 +28,19 @@ def eval_entity(si: SaturatedInstance, t: Term,
     generators of this instance.  A term over bound variables is
     evaluated through its edges even if it spells a row of this
     instance: a source generator may share its name with a row."""
+    return _eval_entity(si, t, env, {r for rs in si.row_list.values()
+                                     for r in rs})
+
+
+def _eval_entity(si: SaturatedInstance, t: Term, env, rows) -> Term:
     if isinstance(t, Var):
         if env and t.name in env:
             return env[t.name]
-        return t if t in si.row_sort else si.gen_env[t.name]
-    if not env and t in si.row_sort:
+        return t if t in rows else si.gen_env[t.name]
+    if not env and t in rows:
         return t
     assert isinstance(t, App)
-    row = eval_entity(si, t.args[0], env)
+    row = _eval_entity(si, t.args[0], env, rows)
     return si.edge_cols[t.symbol][row]
 
 

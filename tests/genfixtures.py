@@ -242,3 +242,72 @@ query Q on P {
   return w := a.v;
 }
 """
+
+
+# A bimodule from S to R whose equations section separates its two
+# equations by a comma.
+BIMODULE_WORKSPACE = """\
+schema S {
+  entities A;
+  attributes a : A -> Int;
+}
+
+schema R {
+  entities X Y;
+  edges k : Y -> X;
+  attributes n : X -> Int;
+}
+
+bimodule M : S -> R {
+  edges g : A -> X, h : A -> Y;
+  equations forall x:A . x.g.n = x.a, forall x:A . x.h.k = x.g;
+}
+"""
+
+
+# Each declaration fails `check` once: F breaks S's path equation and its
+# observable equation, Q binds a FOR variable to a type, and N's block X
+# asks for x.a = 2 where S forces x.a = 1.
+CHECK_FAILURES_WORKSPACE = """\
+schema S {
+  entities A B;
+  edges p : A -> B, q : A -> B;
+  attributes a : A -> Int;
+  path_eqs forall x:A . x.p = x.q;
+  obs_eqs forall x:A . x.a = 1;
+}
+
+schema T {
+  entities A B;
+  edges p : A -> B, q : A -> B;
+  attributes a : A -> Int;
+}
+
+schema R {
+  entities X Y;
+  edges k : X -> Y;
+}
+
+mapping F : S -> T {
+  entity A -> A;
+  entity B -> B;
+  edge p -> x.p;
+  edge q -> x.q;
+  attribute a -> x.a;
+}
+
+query Q on S {
+  for x:A, n:Int;
+}
+
+uberquery N on S -> R {
+  entity X {
+    for x:A;
+    where x.a = 2;
+    keys k := Y[y := x];
+  }
+  entity Y {
+    for y:A;
+  }
+}
+"""

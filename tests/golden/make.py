@@ -27,11 +27,10 @@ import tempfile
 from pathlib import Path
 
 from catdb.cli import run_cli
+from tests.conftest import FIXTURES
 from tests.genfixtures import bench_company
 
-HERE = Path(__file__).resolve().parent
-EXPECTED = HERE / "expected.txt"
-FIXTURES = HERE.parent.parent / "fixtures"
+EXPECTED = Path(__file__).resolve().parent / "expected.txt"
 NULLS = dict(null_share=0.25, salaries=(300, 600))
 COMPANIES = {f"company-{n}": n for n in (3, 12, 48, 96)}
 COMPANIES.update({f"company-{n}-nulls": n for n in (12, 96)})

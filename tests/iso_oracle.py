@@ -24,7 +24,8 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
 
     Entities and columns are matched by name unless correspondences are
     given.  Ground cells must be equal; indeterminate cells must agree up
-    to a single consistent one-to-one renaming of atoms."""
+    to a single consistent one-to-one renaming of atoms.  A row is an
+    (entity, term) pair, as a term may be a row of two entities."""
     ea = {e.name: e for e in a.schema.entities}
     eb = {e.name: e for e in b.schema.entities}
     emap = entity_names or {n: n for n in ea}
@@ -59,7 +60,7 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
 
     # Each row of a may only map to a row of b whose attribute cells have
     # the same shapes, which consistent() needs anyway.
-    pairs = []  # (a row, candidate b rows in table order)
+    pairs = []  # ((entity, a row), candidate b rows in table order)
     for name, e in ea.items():
         e2 = eb[emap[name]]
         if len(a.rows(e)) != len(b.rows(e2)):
@@ -74,20 +75,22 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
         by_shape: dict[tuple, list[Term]] = {}
         for r, k in zip(b.rows(e2), shapes_b):
             by_shape.setdefault(k, []).append(r)
-        pairs += [(r, by_shape[k]) for r, k in zip(a.rows(e), shapes_a)]
+        pairs += [((e, r), by_shape[k]) for r, k in zip(a.rows(e), shapes_a)]
 
     def consistent(rowmap):
         for f in a.schema.edges:
             fb = cols_b[cmap[f.name]]
             for r in a.rows(f.dom[0]):
-                if rowmap[a.edge_cols[f][r]] != b.edge_cols[fb][rowmap[r]]:
+                if rowmap[f.cod, a.edge_cols[f][r]] \
+                        != b.edge_cols[fb][rowmap[f.dom[0], r]]:
                     return False
         # the atom renaming must be a bijection
         atom_map: dict = {}
         inverse: dict = {}
         for att, _ in attr_pairs:
             for r in a.rows(att.dom[0]):
-                for x, y in zip(cells_a[att, r][1], cells_b[att, rowmap[r]][1]):
+                for x, y in zip(cells_a[att, r][1],
+                                cells_b[att, rowmap[att.dom[0], r]][1]):
                     if atom_map.setdefault(x, y) != y \
                             or inverse.setdefault(y, x) != x:
                         return False
@@ -98,10 +101,10 @@ def instances_isomorphic(a: SaturatedInstance, b: SaturatedInstance,
             return consistent(rowmap)
         r, cands = pairs[i]
         for cand in cands:
-            if cand in used:
+            if (r[0], cand) in used:
                 continue
             rowmap[r] = cand
-            if search(i + 1, rowmap, used | {cand}):
+            if search(i + 1, rowmap, used | {(r[0], cand)}):
                 return True
             del rowmap[r]
         return False

@@ -10,9 +10,9 @@ then the pullback along its source inclusion."""
 from __future__ import annotations
 
 from catdb.instance import (
-    DomainDependence, SaturatedInstance, canonical_presentation,
-    enumerate_transforms, representable_instance, row_generator_names,
-    rows_by_assignment, saturate,
+    DomainDependence, SaturatedInstance, canonical_form,
+    enumerate_transforms, representable_instance, rows_by_assignment,
+    saturate,
 )
 from catdb.kernel import App, Sort, Term, Var, app, render_term, subst_map
 from catdb import migration
@@ -33,8 +33,7 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
     for t in tgt.entities:
         sat = saturate(representable_instance(tgt, t), budget)
         dI = delta(F, sat)
-        names = row_generator_names(dI)
-        cp = canonical_presentation(dI)
+        cp, _, names = canonical_form(dI)  # names by (entity, row)
         alphas = enumerate_transforms(cp, I)
         # the atoms the algebra defines as another bare atom, by that atom
         defined_as: dict[Term, list[Term]] = {}
@@ -60,10 +59,10 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
         defined_as = per[t]["defined_as"]
 
         def direct(atom: Term) -> CanonicalValue | None:
-            if isinstance(atom, App) and atom.args and atom.args[0] in names:
+            if isinstance(atom, App) and atom.args:
                 att, r2 = atom.symbol, atom.args[0]
-                if att in I.attr_cols:
-                    return I.attr_cols[att][assign[names[r2]]]
+                if att in I.attr_cols and (att.dom[0], r2) in names:
+                    return I.attr_cols[att][assign[names[att.dom[0], r2]]]
             return None
 
         def fn(atom: Term, _seen=None) -> CanonicalValue:
@@ -104,10 +103,10 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
         pre = []
         if rows:
             x_t = {"x": sat_t.gen_env["x"]}
-            for r1, g1 in names_t1.items():
+            for (s, r1), g1 in names_t1.items():
                 r_in_t = sat_t.eval_entity(
                     subst_map(r1, {"x": app(h, Var("x"))}), x_t)
-                pre.append((g1, names_t[r_in_t]))
+                pre.append((g1, names_t[s, r_in_t]))
         col = {}
         for row in rows:
             assign = alpha_of[t][row].row_assignment()

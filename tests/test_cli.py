@@ -9,11 +9,13 @@ import sys
 
 import pytest
 
+import catdb.query as query
 from catdb.cli import run_cli
-from tests.conftest import FIXTURES
+from catdb.instance import saturate
+from tests.conftest import FIXTURES, load_fixture
 from tests.genfixtures import (
-    company_instance, infinite_side_workspace, type_equations_workspace,
-    typeside_instance,
+    BIMODULE_WORKSPACE, CHECK_FAILURES_WORKSPACE, company_instance,
+    infinite_side_workspace, type_equations_workspace, typeside_instance,
 )
 
 GROUP = str(FIXTURES / "group.cdb")
@@ -46,6 +48,25 @@ class TestCheck:
     def test_group_workspace(self, capsys):
         code, out, _ = run(capsys, "check", GROUP)
         assert code == 0 and "1 theories" in out
+
+    def test_bimodule_workspace(self, capsys, tmp_path):
+        path = tmp_path / "bimodule.cdb"
+        path.write_text(BIMODULE_WORKSPACE, encoding="utf-8")
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out, err) == (0, "ok (2 schemas, 1 bimodules)\n", "")
+
+    def test_problems_are_listed(self, capsys, tmp_path):
+        path = tmp_path / "bad.cdb"
+        path.write_text(CHECK_FAILURES_WORKSPACE, encoding="utf-8")
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, err) == (1, "")
+        assert out == (
+            "mapping F: path equation not preserved: (x:A) |- x.p = x.q\n"
+            "mapping F: observable equation not preserved: "
+            "(x:A) |- x.a = 1\n"
+            "query Q: FOR variables without entity sorts: n\n"
+            "uberquery N: type equations force distinct constants to "
+            "coincide\n")
 
 
 class TestComplete:
@@ -125,6 +146,12 @@ class TestEq:
         code, out, err = run(capsys, "eq", str(path), "--theory", "T", "a", "b")
         assert (code, out) == (1, "")
         assert err == "error: <arg>:1:1: equation sides have sorts A and B\n"
+
+    def test_trailing_input_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "eq", GROUP, "--theory", "Grp",
+                             "a*b b", "a")
+        assert (code, out) == (1, "")
+        assert err == "error: <arg>:1:5: trailing input 'b'\n"
 
 
 class TestSaturate:
@@ -230,6 +257,16 @@ class TestQuery:
         code, out, _ = run(capsys, "query", WORKSPACE, "--query", "N",
                            "--instance", "J")
         assert code == 0 and '"Euclid"' in out and "A'" in out
+
+    def test_crosscheck_mismatch_exits_1(self, capsys, monkeypatch):
+        # the route through migration reads instance I in place of J
+        real = query.gamma
+        monkeypatch.setattr(query, "gamma", lambda M, J, budget: real(
+            M, saturate(load_fixture("paper.cdb").instances["I"]), budget))
+        code, out, err = run(capsys, "query", WORKSPACE, "--query", "Q",
+                             "--instance", "J", "--crosscheck")
+        assert (code, err) == (1, "")
+        assert "\ncrosscheck: mismatch:\n--- direct evaluation ---\n" in out
 
     def test_crosscheck_of_an_uber_query_is_usage_error(self, capsys):
         code, out, err = run(capsys, "query", WORKSPACE, "--query", "N",

@@ -67,8 +67,9 @@ def entity_path(draw, si, sort, env):
         f = draw(st.sampled_from(into))
         edges.append(f)
         end = f.dom[0]
-    starts = [n for n, row in (env or {}).items() if si.row_sort[row] == end]
-    starts += [n for n, row in si.gen_env.items() if si.row_sort[row] == end]
+    rows = set(si.rows(end))
+    starts = [n for n, row in (env or {}).items() if row in rows]
+    starts += [n for n, row in si.gen_env.items() if row in rows]
     t = Var(draw(st.sampled_from(starts)))
     for f in reversed(edges):
         t = App(f, (t,))

@@ -12,7 +12,8 @@ from catdb.dsl import (
 from catdb.typeside import INT, STR
 from tests.conftest import FIXTURES
 from tests.genfixtures import (
-    bench_company, type_equations_workspace, typeside_instance,
+    BIMODULE_WORKSPACE, bench_company, type_equations_workspace,
+    typeside_instance,
 )
 
 
@@ -135,6 +136,15 @@ class TestRoundTrip:
         r1 = render_workspace(ws1)
         ws2 = parse_workspace(r1, fixture + "<rendered>")
         assert render_workspace(ws2) == r1
+
+    def test_bimodule_render_then_reparse_is_stable(self):
+        ws1 = parse_workspace(BIMODULE_WORKSPACE, "bimodule.cdb")
+        r1 = render_workspace(ws1)
+        ws2 = parse_workspace(r1, "bimodule.cdb<rendered>")
+        assert render_workspace(ws2) == r1
+        M1, M2 = ws1.bimodules["M"], ws2.bimodules["M"]
+        assert len(M1.equations) == 2
+        assert (M1.gen_edges, M1.equations) == (M2.gen_edges, M2.equations)
 
     def test_string_constants_round_trip_to_equal_terms(self, ws):
         r = render_workspace(ws)

@@ -88,6 +88,10 @@ CASES = [
      DslError, "e.cdb:4:15: unknown symbol 'zz'"),
     ("symbol arity", S + "instance I on S {\n  generators x : A;\n  equations a(x, x) = 1;\n}",
      DslError, "e.cdb:4:13: unknown symbol 'a'"),
+    # a bimodule equation is a section of its own, not a bare statement
+    ("bimodule statement", S + R + "bimodule M : S -> R {\n  edges g : A -> X;\n"
+     "  equations forall x : A . x.g.n = x.a;\n  forall x : A . x.g.n = 1;\n}",
+     DslError, "e.cdb:6:3: unknown bimodule section 'forall'"),
 ]
 
 

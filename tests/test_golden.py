@@ -3,16 +3,12 @@ tests/golden/expected.txt records for it, replayed in process, and two of
 them in fresh interpreters under PYTHONHASHSEED 0 and 1."""
 
 import difflib
-import os
 import shlex
-import subprocess
-import sys
 
 import pytest
 
 from tests.golden import make
-
-SRC = str(make.FIXTURES.parent / "src")
+from tests.test_cli import run_module
 
 
 @pytest.fixture(scope="module")
@@ -49,13 +45,8 @@ def test_replay_in_process(paths, expected):
      "--mode", "pi", "--format", "json"],
 ], ids=["query-Q-J", "migrate-G-pi-company-12-nulls"])
 def test_replay_in_a_fresh_interpreter(paths, expected, argv, hash_seed):
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
     key, path = argv[1], paths[argv[1]]
-    done = subprocess.run(
-        [sys.executable, "-m", "catdb.cli", argv[0], path, *argv[2:]],
-        capture_output=True, text=True, env=env, timeout=120)
+    done = run_module(argv[0], path, *argv[2:], hash_seed=hash_seed)
     got = make.record(argv, done.returncode,
                       done.stdout.replace(path, key),
                       done.stderr.replace(path, key))

@@ -2,10 +2,13 @@
 
 import pytest
 
+import catdb.query as query
 from catdb.kernel import (
     Context, ContextMorphism, Equation, Var, app, render_term,
 )
-from catdb.instance import DomainDependence, saturate, tables
+from catdb.instance import (
+    DomainDependence, SaturatedInstance, render_tables, saturate, tables,
+)
 from catdb.query import (
     InvalidKeys, Query, QueryError, UberBlock, UberQuery,
     check_domain_independence, check_uber_query, crosscheck_migration,
@@ -79,6 +82,19 @@ class TestQueryAsBimodule:
     def test_crosscheck_passes_on_ground_variant(self, ws):
         assert crosscheck_migration(
             ws.queries["Q"], saturate(ws.instances["Jbar"])) == "ok"
+
+    def test_crosscheck_reports_both_tables_on_mismatch(self, ws, satJ,
+                                                        monkeypatch):
+        # the route through migration loses its first row
+        full = query.gamma(query_to_bimodule(ws.queries["Q"])[1], satJ)
+        via = SaturatedInstance(
+            full.schema, {e: rows[1:] for e, rows in full.row_list.items()},
+            full.edge_cols, full.attr_cols, full.typealg, full.gen_env)
+        monkeypatch.setattr(query, "gamma", lambda M, J, budget: via)
+        direct = eval_query(ws.queries["Q"], satJ).instance
+        assert crosscheck_migration(ws.queries["Q"], satJ) == (
+            "mismatch:\n--- direct evaluation ---\n" + render_tables(direct)
+            + "\n--- via migration ---\n" + render_tables(via))
 
 
 class TestUberQuery:

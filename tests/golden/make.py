@@ -5,7 +5,12 @@ CORPUS lists each command as an argv whose file argument is a key:
 `company-N` or `company-N-nulls` one generated from bench/gen.py's
 `make_company(Random(1), N, max(1, N // 5))`, the second with a quarter
 of the staff on a labelled null salary and salaries drawn from {300,
-600}.
+600}.  The keys of EXTRA name small workspaces written with the
+companies: copies of paper.cdb with other line ends or a trailing
+comment, the type-equations workspace of tests/genfixtures.py, and the
+error cases (an instance with a free loop, A1; a cycle through a rule's
+left side, P; a 5000-edge path; a non-letter string literal; a file
+that is not UTF-8).
 expected.txt keeps, per command, its exit code and its stdout and stderr:
 as text for the fixtures, as a SHA-256 and a length for the generated
 workspaces.  A command's file path is written as its key in both.
@@ -21,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import re
 import shlex
 import sys
 import tempfile
@@ -28,12 +34,36 @@ from pathlib import Path
 
 from catdb.cli import run_cli
 from tests.conftest import FIXTURES
-from tests.genfixtures import bench_company
+from tests.genfixtures import bench_company, type_equations_workspace
 
 EXPECTED = Path(__file__).resolve().parent / "expected.txt"
 NULLS = dict(null_share=0.25, salaries=(300, 600))
 COMPANIES = {f"company-{n}": n for n in (3, 12, 48, 96)}
 COMPANIES.update({f"company-{n}-nulls": n for n in (12, 96)})
+PAPER = (FIXTURES / "paper.cdb").read_text(encoding="utf-8")
+TYPE_EQS = type_equations_workspace()
+EXTRA: dict[str, bytes] = {k: v.encode() for k, v in {
+    "paper-crlf": PAPER.replace("\n", "\r\n"),
+    "paper-cr": PAPER.replace("\n", "\r"),
+    "paper-comment": PAPER + "// a last line with no newline",
+    "type-eqs": TYPE_EQS,
+    "a1": "schema A1 { entities A; edges loop : A -> A; }\n"
+          "instance K on A1 { generators a : A; }\n",
+    "p": "schema P {\n  entities E0;\n"
+         "  edges f0 : E0 -> E0, f1 : E0 -> E0, f2 : E0 -> E0;\n"
+         "  attributes qE0 : E0 -> Int;\n"
+         "  path_eqs forall x:E0 . x.f2.f0 = x.f0.f2.f2;\n}\n"
+         "instance K on P {\n  generators ge00 : E0;\n"
+         "  equations ge00.f0 = ge00, ge00.f1 = ge00, ge00.f2 = ge00;\n}\n",
+    "deep": "schema S {\n  entities E;\n  edges mgr : E -> E;\n}\n"
+            "instance D on S {\n  generators e : E;\n"
+            f"  equations e{'.mgr' * 5000} = e;\n}}\n",
+    "literal": "schema S {\n  entities E;\n"
+               "  attributes name : E -> Str;\n}\n"
+               "instance A on S {\n  generators e : E;\n"
+               '  equations e.name = "no spaces";\n}\n',
+}.items()}
+EXTRA["latin1"] = b"schema S { entities A; }\n\xff\n"
 
 
 def _corpus() -> list[list[str]]:
@@ -85,6 +115,17 @@ def _corpus() -> list[list[str]]:
                  "--crosscheck"],
                 ["query", ws, "--query", "N", "--instance", "W", *js],
                 ["homs", ws, "--from", "I", "--to", "W"]]
+    out += [["homs", ws, "--from", "W", "--to", "W"]
+            for ws in ("company-12", "company-96", "company-96-nulls")]
+    out += [["check", ws] for ws in ("paper-crlf", "paper-cr",
+                                      "paper-comment")]
+    out += [["saturate", "type-eqs", "--instance", i]
+            for i in re.findall(r"^instance (\S+)", TYPE_EQS, re.M)]
+    out += [["saturate", "a1", "--instance", "K", "--budget", b]
+            for b in ("300", "400")]
+    out += [["saturate", "p", "--instance", "K"],
+            ["check", "deep"], ["saturate", "deep", "--instance", "D"],
+            ["check", "literal"], ["check", "latin1"]]
     return out
 
 
@@ -100,6 +141,10 @@ def workspaces(tmp: Path) -> dict[str, str]:
         path = tmp / f"{key}.cdb"
         path.write_text(bench_company(1, n, max(1, n // 5), **kw),
                         encoding="utf-8")
+        paths[key] = str(path)
+    for key, data in EXTRA.items():
+        path = tmp / f"{key}.cdb"
+        path.write_bytes(data)
         paths[key] = str(path)
     return paths
 

@@ -1,6 +1,6 @@
 """The golden corpus (tests/golden/make.py): each command prints what
-tests/golden/expected.txt records for it, replayed in process, and two of
-them in fresh interpreters under PYTHONHASHSEED 0 and 1."""
+tests/golden/expected.txt records for it, replayed in process, and three
+of them in fresh interpreters under PYTHONHASHSEED 0 and 1."""
 
 import difflib
 import shlex
@@ -43,7 +43,9 @@ def test_replay_in_process(paths, expected):
     ["query", "paper", "--query", "Q", "--instance", "J", "--crosscheck"],
     ["migrate", "company-12-nulls", "--mapping", "G", "--instance", "W",
      "--mode", "pi", "--format", "json"],
-], ids=["query-Q-J", "migrate-G-pi-company-12-nulls"])
+    ["homs", "company-96-nulls", "--from", "W", "--to", "W"],
+], ids=["query-Q-J", "migrate-G-pi-company-12-nulls",
+        "homs-W-W-company-96-nulls"])
 def test_replay_in_a_fresh_interpreter(paths, expected, argv, hash_seed):
     key, path = argv[1], paths[argv[1]]
     done = run_module(argv[0], path, *argv[2:], hash_seed=hash_seed)

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .kernel import (
     App, Context, Equation, FunctionSymbol, Sort, Term, Var, app, ctx,
@@ -84,6 +84,7 @@ class SaturatedInstance:
         self.attr_cols: dict[FunctionSymbol, dict[Term, CanonicalValue]] = attr_cols
         self.typealg = typealg
         self.gen_env: dict[str, Term] = gen_env
+        self._compiled: dict = {}  # by (term, frozenset of names, entity)
 
     def rows(self, e: Sort) -> list[Term]:
         return self.row_list[e]
@@ -108,7 +109,8 @@ class SaturatedInstance:
 
     def compile(self, t: Term, names=(), entity: bool = False):
         """t as a function of a dict that binds every name in names: the
-        row of an entity term, the simplified value of a type term.
+        row of an entity term, the simplified value of a type term; built
+        once per (t, set of names, entity) and kept, as columns never change.
 
         A path is a tuple of columns applied in a loop, and an attribute
         read is one more column.  A type term is planned by
@@ -119,6 +121,13 @@ class SaturatedInstance:
         at its base, even if it spells a row: the same term may be a row of
         two entities, and a source generator may share its name with a
         row."""
+        key = (t, frozenset(names), entity)
+        fn = self._compiled.get(key)
+        if fn is None:
+            fn = self._compiled[key] = self._compile(t, names, entity)
+        return fn
+
+    def _compile(self, t: Term, names, entity: bool):
         if entity:
             name, cols, row = self._path(t, names)
             return _constant(row) if name is None else _follow(name, cols)
@@ -259,7 +268,6 @@ def saturate(ip: InstancePresentation,
          for a in sch.attributes},
         TypeAlgebra(nulls), gen_env)
 
-    plans: dict[Term, Callable] = {}  # by shape
     # a generator's row, a null's atom, and a literal's value once it occurs
     leaf_values: dict[Term, object] = {Var(n): r for n, r in gen_env.items()}
     leaf_values.update((Var(n), opaque_atom(Var(n), s))
@@ -267,11 +275,8 @@ def saturate(ip: InstancePresentation,
 
     def value(t: Term):
         leaves: dict[Term, Var] = {}
-        shape = _shape(t, gen_names, True, leaves)
-        fn = plans.get(shape)
-        if fn is None:
-            fn = plans[shape] = cells.compile(
-                shape, [h.name for h in leaves.values()])
+        fn = cells.compile(_shape(t, gen_names, True, leaves),
+                           [h.name for h in leaves.values()])
         env = {}
         for leaf, hole in leaves.items():
             v = leaf_values.get(leaf)
@@ -401,28 +406,31 @@ def _shape(t: Term, names, literals: bool, leaves: dict[Term, Var]) -> Term:
     ones in order of first occurrence; leaves maps each replaced subterm to
     its hole.  Terms of one shape are compiled once, as functions of their
     holes: e1.last and e2.last are both `?0.last`.  A path is walked in a
-    loop."""
-    top, path = t, []
-    while isinstance(t, App) and len(t.args) == 1:
-        path.append(t.symbol)
-        t = t.args[0]
-    if isinstance(t, App) and t.args:
-        args = tuple(_shape(a, names, literals, leaves) for a in t.args)
-        if args == t.args:
-            return top
-        t = App(t.symbol, args)
-    else:
-        leaf = t.name in names if isinstance(t, Var) else literals and (
-            is_int_literal(t.symbol) or is_str_literal(t.symbol))
-        if not leaf:
-            return top
-        hole = leaves.get(t)
-        if hole is None:
-            hole = leaves[t] = Var(f"?{len(leaves)}")
-        t = hole
-    for sym in reversed(path):
-        t = App(sym, (t,))
-    return t
+    loop, and the arguments of any other symbol on an explicit stack."""
+    done: list[Term] = []  # the shapes of the subterms finished, in order
+    todo: list = [t]  # subterms to shape, and (top, path, app) frames
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:  # app's argument shapes end done
+            top, path, t = t
+            args = tuple(done[-len(t.args):])
+            del done[-len(t.args):]
+            t = App(t.symbol, args)
+        else:
+            top, path = t, []
+            while isinstance(t, App) and len(t.args) == 1:
+                path.append(t.symbol)
+                t = t.args[0]
+            if isinstance(t, App) and t.args:
+                todo += ((top, path, t), *reversed(t.args))
+                continue
+            if (t.name in names if isinstance(t, Var) else literals and (
+                    is_int_literal(t.symbol) or is_str_literal(t.symbol))):
+                t = leaves.setdefault(t, Var(f"?{len(leaves)}"))
+        for sym in reversed(path):
+            t = App(sym, (t,))
+        done.append(t)
+    return done[0]
 
 
 @dataclass(frozen=True)
@@ -477,11 +485,13 @@ def enumerate_transforms(src: InstancePresentation,
     equations, in deterministic order (generators by declaration, rows by
     table order).  Type-sorted generators must be forced by equations.
 
-    Sides.  Each side shape (`_shape`, with a hole for each generator) is
-    compiled once per call, by `SaturatedInstance.compile`, into a function
-    that reads dst's columns, and so is each side with no generator; a side
-    that is a generator alone is its binding.  Side values are memoised for
-    the call, one memo per shape, keyed by the rows of its holes.
+    Sides.  Each side's shape (`_shape`, with a hole for each generator and
+    each literal, a constant of its side) is made once per src
+    (`_prepared`), and compiled once per dst by `SaturatedInstance.compile`
+    into a function that reads dst's columns; a side that is a generator
+    alone is its binding.  Side values are memoised for the call, one memo
+    per shape and literals, keyed by the rows of the side's generators, or
+    by its literals' values if it has no generator.
 
     Plan.  The names bound at a search node depend only on its depth, so
     the search is planned once, level by level, over the set of bound
@@ -505,8 +515,8 @@ def enumerate_transforms(src: InstancePresentation,
     Indexes.  A level's candidates for its generator g are the rows that an
     inverse index (side value -> rows in table order) lists for each
     equation with one side over g alone, other than g itself, and the
-    other side bound.  There is one index per shape, so e1.last and e2.last
-    share one, and the shape's memo is its side value by row.  The index is
+    other side bound.  There is one index per memo, so e1.last and e2.last
+    share one, and the memo is its side value by row.  The index is
     exact because entity sides compare as rows and decide_values is Equal
     exactly when the two canonical values are ==.
 
@@ -516,55 +526,14 @@ def enumerate_transforms(src: InstancePresentation,
     its level, and the next candidate overwrites its level's names."""
     if src.schema.presentation != dst.schema.presentation:
         raise InstanceError("transform endpoints live on different schemas")
-    is_ent = src.schema.is_entity
     ent_gens = src.entity_generators()
     type_gen_names = [n for n, _ in src.type_generators()]
-
-    # equations by generator, each list in equation order
-    watch: dict[str, list[int]] = {n: [] for n in src.generators.names()}
-    # the sides with no generator by (term, ent), the bare sides by name
-    sides: dict = {}
-    # by (shape, ent): its values by the rows of its holes
-    shapes: dict[tuple[Term, bool], _Memo] = {}
-    # by generators: the set of their names and the getter of their rows
-    getters: dict[tuple[Var, ...], tuple] = {}
-
-    def plan(t: Term, ent: bool) -> _Side:
-        leaves: dict[Term, Var] = {}
-        key = (_shape(t, watch, False, leaves), ent)
-        if not leaves:
-            got = sides.get((t, ent))
-            if got is None:
-                got = sides[t, ent] = _Side(
-                    _NO_NAMES, dst.compile(t, (), ent), None, None)
-            return got
-        gens = tuple(leaves)
-        names_get = getters.get(gens)
-        if names_get is None:
-            names = [v.name for v in gens]
-            names_get = getters[gens] = (frozenset(names), itemgetter(*names))
-        if isinstance(t, Var):
-            # its value is its binding: a row, or a value that a compiled
-            # side gave, simplified already
-            got = sides.get(t.name)
-            if got is None:
-                got = sides[t.name] = _Side(*names_get, None, t.name)
-            return got
-        memo = shapes.get(key)
-        if memo is None:
-            holes = [h.name for h in leaves.values()]
-            memo = shapes[key] = _Memo(dst.compile(key[0], holes, ent),
-                                       holes)
-        return _Side(*names_get, memo, None)
-
-    # per equation: (lhs, rhs)
-    eq_info: list[tuple[_Side, _Side]] = []
-    for i, eq in enumerate(src.equations):
-        ent = is_ent(eq.sort)
-        lhs, rhs = plan(eq.lhs, ent), plan(eq.rhs, ent)
-        for v in lhs.names | rhs.names:
-            watch[v].append(i)
-        eq_info.append((lhs, rhs))
+    watch, eq_info, gets, specs = _prepared(src)
+    # per spec, its side values by their keys; a bare side's spec, -1, reads
+    # None
+    memos = [_Memo(dst.compile(shape, names, ent), holes, lits)
+             for shape, ent, names, holes, lits in specs]
+    memos.append(None)
 
     # --- the plan: the names bound so far, and each level's steps
     known: set = set()
@@ -579,14 +548,15 @@ def enumerate_transforms(src: InstancePresentation,
         for i in queue:
             if planned[i]:
                 continue
-            lhs, rhs = eq_info[i]
-            lhs_known, rhs_known = is_known(lhs.names), is_known(rhs.names)
+            lnames, lget, lspec, lbare, rnames, rget, rspec, rbare = eq_info[i]
+            lhs_known, rhs_known = is_known(lnames), is_known(rnames)
             if lhs_known and rhs_known:
-                step = (None, lhs.get, lhs.memo, rhs.get, rhs.memo)
-            elif lhs.bare is not None and rhs_known:
-                step = (lhs.bare, rhs.get, rhs.memo, None, None)
-            elif rhs.bare is not None and lhs_known:
-                step = (rhs.bare, lhs.get, lhs.memo, None, None)
+                step = (None, gets[lget], memos[lspec], gets[rget],
+                        memos[rspec])
+            elif lbare is not None and rhs_known:
+                step = (lbare, gets[rget], memos[rspec], None, None)
+            elif rbare is not None and lhs_known:
+                step = (rbare, gets[lget], memos[lspec], None, None)
             else:
                 continue
             planned[i] = True
@@ -602,11 +572,12 @@ def enumerate_transforms(src: InstancePresentation,
         there is no such equation."""
         out = []
         for i in watch[name]:
-            lhs, rhs = eq_info[i]
-            for side, other in ((lhs, rhs), (rhs, lhs)):
-                if side.memo is not None and len(side.names) == 1 \
-                        and name in side.names and is_known(other.names):
-                    out.append((side.memo, other.get, other.memo))
+            lnames, lget, lspec, _, rnames, rget, rspec, _ = eq_info[i]
+            for names, spec, other, get, ospec in (
+                    (lnames, lspec, rnames, rget, rspec),
+                    (rnames, rspec, lnames, lget, lspec)):
+                if spec >= 0 and names == (name,) and is_known(other):
+                    out.append((memos[spec], gets[get], memos[ospec]))
                     break
         return out or None
 
@@ -695,16 +666,65 @@ def enumerate_transforms(src: InstancePresentation,
     return results
 
 
-class _Side(NamedTuple):
-    """An equation side planned for one transform search.  Its value at
-    the bindings is get(bindings), looked up in memo if it has one."""
-    names: frozenset  # its generators
-    get: Callable  # a function of the bindings
-    memo: _Memo | None  # its shape's values, if it has generators
-    bare: str | None  # its generator, if the side is one
+def _prepared(src: InstancePresentation) -> tuple[dict, list, list, list]:
+    """What a transform search reads of src alone, made on the first search
+    from src and kept in its own __dict__ (a presentation built again
+    prepares again): the equations of each generator, in order; per
+    equation, (generators, getter, spec, bare) of its lhs, then its rhs,
+    all strings and integers, which the cyclic collector skips; the
+    getters, each giving a side's memo key from the bindings; and the
+    specs, each (shape, entity?, holes, holes of the key, (hole, value) per
+    literal of the spec).  A bare side, a generator alone, has spec -1: its
+    value is its binding, a row or a value simplified already."""
+    got = src.__dict__.get("_search")
+    if got is not None:
+        return got
+    watch: dict[str, list[int]] = {n: [] for n in src.generators.names()}
+    getters: dict[tuple, tuple] = {}  # by leaves: see _getter
+    specs: dict[tuple, int] = {}  # by shape, entity? and literals
+    get_list, spec_list, eq_info = [], [], []
+    for i, eq in enumerate(src.equations):
+        ent = src.schema.is_entity(eq.sort)
+        sides: list = []
+        for t in (eq.lhs, eq.rhs):
+            bare, leaves = type(t) is Var and t.name in watch, {}
+            shape = t if bare else _shape(t, watch, True, leaves)
+            gens = (t,) if bare else tuple(leaves)
+            if gens not in getters:
+                names, get, lits = _getter(gens)
+                getters[gens] = names, len(get_list), lits
+                get_list.append(get)
+            names, get, lits = getters[gens]
+            k = -1 if bare else specs.setdefault((shape, ent, lits), len(specs))
+            if k == len(spec_list):
+                holes = [h.name for h in leaves.values()]
+                spec_list.append((shape, ent, holes, tuple(
+                    h for h, v in zip(holes, lits) if v is None), tuple(
+                    (h, v) for h, v in zip(holes, lits) if v is not None)))
+            sides += names, get, k, t.name if bare else None
+        for v in {*sides[0], *sides[4]}:
+            watch[v].append(i)
+        eq_info.append(tuple(sides))
+    got = src.__dict__["_search"] = watch, eq_info, get_list, spec_list
+    return got
 
 
-_NO_NAMES: frozenset = frozenset()
+def _getter(leaves: tuple) -> tuple:
+    """What a side reads at its leaves: the names of its generators, the
+    function of the bindings that gives its memo's key, and per hole the
+    value of a literal that is a constant of its spec, else None.  The key
+    is the rows of its generators, or for a side with none, the values of
+    its literals, so that the ground sides of one shape share a memo."""
+    names = tuple([v.name for v in leaves if type(v) is Var])
+    # a literal's value reads no type algebra
+    vals = [None if type(v) is Var else symbol_operation(v.symbol)(None)
+            for v in leaves]
+    if names:
+        return names, itemgetter(*names), tuple(vals)
+    return (names, _constant(vals[0] if len(vals) == 1 else tuple(vals)),
+            (None,) * len(vals))
+
+
 _DONE = object()  # the end of a level's candidates
 
 
@@ -735,18 +755,20 @@ def _narrowed(probes: list, bound: dict, rows: list[Term]) -> list[Term]:
 
 
 class _Memo(dict):
-    """The values of a side shape by the rows of its holes, a row for one
-    hole, else a tuple in the order of holes.  Each is computed on its
-    first lookup by fn, a function of a dict that binds the holes; index
-    is the inverse, once built."""
-    __slots__ = ("fn", "holes", "index")
+    """The values of a side shape with literals lits, by what its holes
+    hold, one for one hole, else a tuple in the order of holes.  Each is
+    computed on its first lookup by fn, a function of a dict that binds the
+    holes and lits; index is the inverse, once built."""
+    __slots__ = ("fn", "holes", "lits", "index")
 
-    def __init__(self, fn, holes: list[str]):
-        self.fn, self.holes, self.index = fn, holes, None
+    def __init__(self, fn, holes: tuple[str, ...], lits: tuple):
+        self.fn, self.holes, self.lits, self.index = fn, holes, lits, None
 
     def __missing__(self, rows):
         holes = self.holes
         env = {holes[0]: rows} if len(holes) == 1 else dict(zip(holes, rows))
+        if self.lits:
+            env.update(self.lits)
         v = self[rows] = self.fn(env)
         return v
 

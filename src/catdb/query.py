@@ -84,6 +84,12 @@ class Query:
         return BimodulePresentation(R, self.schema, gen_edges, (),
                                     tuple(eqs))
 
+    @cached_property
+    def _frozen(self) -> InstancePresentation:
+        # see frozen_instance
+        return InstancePresentation(self.schema, self.for_ctx,
+                                    tuple(self.where_eqs))
+
 
 @dataclass(frozen=True)
 class QueryResult:
@@ -95,7 +101,8 @@ class QueryResult:
 
 
 def frozen_instance(Q: Query) -> InstancePresentation:
-    return InstancePresentation(Q.schema, Q.for_ctx, tuple(Q.where_eqs))
+    """Q's FOR context and WHERE equations as an instance, one per Q."""
+    return Q._frozen
 
 
 def check_domain_independence(Q: Query) -> list[str]:

@@ -52,6 +52,14 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
     row_of = {t: rows_by_assignment(per[t]["rows"], per[t]["alphas"])
               for t in tgt.entities}
 
+    # the attributes of I's schema that F sends to a target attribute
+    # alone, by that attribute: F3 sends both a and b to n
+    preimages: dict = {}
+    for a in F.source.attributes:
+        img = F.on_attr(a)
+        if isinstance(img, App) and img.args == (Var("x"),):
+            preimages.setdefault(img.symbol, []).append(a)
+
     def resolve_atom_fn(t, alpha):
         names = per[t]["names"]
         assign = alpha.row_assignment()
@@ -59,10 +67,13 @@ def pi(F: SchemaMapping, I: SaturatedInstance,
         defined_as = per[t]["defined_as"]
 
         def direct(atom: Term) -> CanonicalValue | None:
+            # a target attribute at a row, read through the first attribute
+            # of I's schema that F sends to it at one of the row's entities
             if isinstance(atom, App) and atom.args:
-                att, r2 = atom.symbol, atom.args[0]
-                if att in I.attr_cols and (att.dom[0], r2) in names:
-                    return I.attr_cols[att][assign[names[att.dom[0], r2]]]
+                for a in preimages.get(atom.symbol, ()):
+                    key = a.dom[0], atom.args[0]
+                    if key in names:
+                        return I.attr_cols[a][assign[names[key]]]
             return None
 
         def fn(atom: Term, _seen=None) -> CanonicalValue:

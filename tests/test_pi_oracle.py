@@ -7,10 +7,13 @@ import random
 import pytest
 
 from catdb.dsl import parse_workspace
-from catdb.instance import saturate, tables
+from catdb.instance import (
+    InconsistentInstance, instances_isomorphic, saturate, tables,
+)
 from catdb.migration import collage_of_bimodule, delta, gamma, pi
 from catdb.query import query_to_bimodule
 from tests import pi_oracle
+from tests.conftest import load_fixture
 from tests.genfixtures import bench_company, random_instance
 
 NULLS = dict(null_share=0.25, salaries=(300, 600))
@@ -74,3 +77,21 @@ def test_null_bearing_companies(seed, n_emp):
     got = same_pi(ws.mappings["G"], W)
     assert got[0] == "ok" and got[1]["entities"]["QR"]["rows"]
     assert same_gamma(ws.queries["Q"], W)[0] == "ok"
+
+
+def test_a_mapping_that_renames_and_merges_attributes():
+    # F3 sends A and B to E, and their attributes a and b to n: the oracle
+    # reads a cell x.n of y(E) through a at an A row or b at a B row
+    merge = load_fixture("merge.cdb")
+    F3 = merge.mappings["F3"]
+    rng = random.Random(29)
+    Xs = [saturate(merge.instances["I3"])]
+    while len(Xs) < 21:
+        try:
+            Xs.append(saturate(random_instance(rng, F3.source)))
+        except InconsistentInstance:  # two names forced onto one row
+            continue
+    for X in Xs:
+        got = pi(F3, X)
+        assert instances_isomorphic(got, pi_oracle.pi(F3, X))
+    assert pi(F3, Xs[0]).rows(F3.target.entities[0])

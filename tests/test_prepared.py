@@ -1,12 +1,15 @@
-"""What a query, a bimodule and a mapping prepare once and keep.
+"""What a query, a bimodule, a mapping and a presentation prepare once and
+keep.
 
-A query keeps its result schema and bimodule, an uber-query its checked
-blocks, a bimodule its collage per budget, and a mapping the
-representable side of its pushforward per entities and budget.  None of
-that reads the instance, so a kept object must give, on every instance,
-the bytes a freshly parsed one gives; it must fail under a small budget
-as a fresh one does; it must keep no instance alive; and a second parse
-of the same text must prepare again.
+A query keeps its result schema, bimodule and frozen instance, an
+uber-query its checked blocks, a bimodule its collage per budget, a
+mapping the representable side of its pushforward per entities and
+budget, and a presentation the side shapes a transform search from it
+reads.  None of that reads the instance, so a kept object must give, on
+every instance, the bytes a freshly parsed one gives; it must fail under
+a small budget as a fresh one does; it must keep no instance alive; and a
+second parse of the same text must prepare again.  A saturated instance
+keeps the functions it compiles, which read no source.
 """
 
 import gc
@@ -19,14 +22,19 @@ import catdb.migration as migration
 import catdb.query as query
 from catdb.dsl import parse_workspace
 from catdb.instance import (
-    InstancePresentation, render_tables, saturate, tables_json,
+    InstancePresentation, SaturatedInstance, enumerate_transforms,
+    render_tables, saturate, tables_json,
 )
 from catdb.kernel import Context
-from catdb.migration import gamma, pi
-from catdb.query import crosscheck_migration, eval_uber_query, query_to_bimodule
-from catdb.rewrite import Budget
-from tests.conftest import load_fixture
+from catdb.migration import collage_of_bimodule, gamma, pi
+from catdb.query import (
+    crosscheck_migration, eval_uber_query, frozen_instance, query_to_bimodule,
+)
+from catdb.rewrite import DEFAULT_BUDGET, Budget
+from tests.conftest import FIXTURES, load_fixture
 from tests.genfixtures import bench_company
+from tests.test_transforms import PLAN_CASES, outcome as outcome_of
+from tests.transform_oracle import enumerate_transforms as oracle
 
 NULLS = dict(null_share=0.25, salaries=(300, 600))
 # Q, SJ, N, G and H over S, as in the bench's query workload
@@ -158,3 +166,109 @@ def test_a_second_parse_prepares_again(monkeypatch):
         per_parse.append(counts)
     # one chase per representable y(t) of G's target, on each parse only
     assert per_parse == [[len(G.target.entities), 0]] * 2
+
+
+# --- transform searches ----------------------------------------------------
+
+
+def sources(ws) -> list[InstancePresentation]:
+    """Sources from ws: I, Q's frozen instance, and the canonical
+    presentation of y(*) pulled back to S, as gamma along Q's bimodule
+    prepares it once."""
+    M = query_to_bimodule(ws.queries["Q"])[1]
+    col = collage_of_bimodule(M)
+    gamma(M, instances()[0])
+    (_, cp), = migration._memo(col.incl_dst)[
+        M.src.entities, DEFAULT_BUDGET][0].values()
+    return [ws.instances["I"], frozen_instance(ws.queries["Q"]), cp]
+
+
+def found(src, dst):
+    return [(t.rows, t.vals) for t in enumerate_transforms(src, dst)]
+
+
+def test_a_kept_source_finds_what_a_fresh_one_does():
+    kept = sources(parse())
+    assert frozen_instance(parse().queries["Q"]) is not kept[1]
+    targets = instances()
+    for _ in range(2):  # prepared on the first search, then reused
+        for dst in targets:
+            for src, fresh in zip(kept, sources(parse())):
+                got = found(src, dst)
+                assert got == found(fresh, dst)
+                assert got == [(t.rows, t.vals) for t in oracle(src, dst)]
+    assert any(found(kept[0], dst) for dst in targets)
+    assert found(kept[2], targets[0])
+
+
+def test_one_source_gives_each_target_its_own_transforms():
+    # SJ's equi-join finds 7 pairs in J, 6 in Jbar and 35 in a W
+    src = frozen_instance(parse().queries["SJ"])
+    J, Jbar, W = instances()
+    want = {id(dst): found(InstancePresentation(
+        src.schema, src.generators, src.equations), dst)
+        for dst in (J, Jbar, W)}
+    assert [len(v) for v in want.values()] == [7, 6, 35]
+    for dst in (J, Jbar, W, J, Jbar):
+        assert found(src, dst) == want[id(dst)]
+
+
+def test_a_kept_source_keeps_no_target():
+    src = parse().instances["I"]
+    J = instances()[0]
+    ref = weakref.ref(J)
+    assert found(src, J)
+    del J
+    gc.collect()
+    assert ref() is None and "_search" in src.__dict__
+
+
+def test_a_source_built_again_prepares_again(monkeypatch):
+    shapes = counting(monkeypatch, instance, "_shape")
+    J = instances()[0]
+    per_parse = []
+    for _ in range(2):
+        ws = parse()
+        Q = ws.queries["Q"]
+        shapes.clear()  # the parse's own checks saturate
+        counts = []
+        for _ in range(2):
+            found(ws.instances["I"], J)
+            found(frozen_instance(Q), J)
+            counts.append(len(shapes))
+            shapes.clear()
+        per_parse.append(counts)
+    I, Q = ws.instances["I"], ws.queries["Q"]
+    n = 2 * len(I.equations) + 2 * len(Q.where_eqs)
+    assert per_parse == [[n, 0]] * 2
+    assert frozen_instance(Q) is frozen_instance(Q)
+
+
+def test_a_target_compiles_each_shape_once(monkeypatch):
+    built = counting(monkeypatch, SaturatedInstance, "_compile")
+    src = parse().instances["W"]
+    for dst in (instances()[0], saturate(src)):
+        built.clear()
+        want = found(src, dst)
+        assert built  # its shapes, once
+        for _ in range(2):
+            built.clear()
+            assert found(src, dst) == want
+            assert built == []
+
+
+def test_the_oracle_corpus_with_kept_sources():
+    # tests/test_transforms.py's sources: the paper's instances, its plan
+    # cases, Q's frozen instance and N's blocks, each searched twice into
+    # J and Jbar
+    text = (FIXTURES / "paper.cdb").read_text(encoding="utf-8")
+    ws = parse_workspace(text + PLAN_CASES, "paper+plan cases")
+    N = ws.uberqueries["N"]
+    srcs = list(ws.instances.values()) + [frozen_instance(ws.queries["Q"])]
+    srcs += [pres for _, pres in N._checked_blocks.values()]
+    targets = [saturate(ws.instances[n]) for n in ("J", "Jbar")]
+    for _ in range(2):
+        for src in srcs:
+            for dst in targets:
+                assert outcome_of(enumerate_transforms, src, dst) \
+                    == outcome_of(oracle, src, dst)

@@ -1,7 +1,8 @@
 """Transform and isomorphism searches on company workspaces: the order of
 the transforms against the nested-loop oracle where the search branches
 out of declaration order, no recursion on the number of generators or
-rows, and a search plan made in time linear in the generators."""
+rows or on the depth of a side, and a search plan made in time linear in
+the generators."""
 
 import gc
 import random
@@ -13,14 +14,15 @@ import pytest
 
 from catdb.dsl import parse_workspace
 from catdb.instance import (
-    InstancePresentation, canonical_presentation, enumerate_transforms,
-    representable_instance, saturate,
+    InstancePresentation, _shape, canonical_presentation,
+    enumerate_transforms, representable_instance, saturate,
 )
-from catdb.kernel import Var
+from catdb.kernel import App, Var
 from catdb.migration import collage_of_bimodule, delta
 from catdb.query import (
     crosscheck_migration, eval_query, frozen_instance, query_to_bimodule,
 )
+from catdb.typeside import PLUS, int_term
 from tests.conftest import FIXTURES
 from tests.genfixtures import company_instance
 from tests.transform_oracle import enumerate_transforms as oracle
@@ -145,3 +147,38 @@ class TestNoRecursion:
         report, secs = lowered(lambda: crosscheck_migration(Q, W))
         assert report == "ok"
         assert secs < 2
+
+
+# --- side shapes on deep terms ------------------------------------------
+
+
+def spine(t, k):
+    """The subterms down argument k of a chain of `+`, then its end."""
+    out = []
+    while isinstance(t, App) and t.symbol == PLUS:
+        out.append(t)
+        t = t.args[k]
+    return out, t
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+def test_shape_of_a_3000_term_sum(left):
+    # x + 0 + 1 + 2 + 0 + ..., nested to the left, or ... + 1 + 0 + x to
+    # the right: the shape has the chain's form, with x and each literal a
+    # hole in order of first occurrence from the left
+    chain = Var("x")
+    for k in range(3000):
+        lit = int_term(k % 3)
+        chain = App(PLUS, (chain, lit) if left else (lit, chain))
+    for literals in (True, False):
+        leaves = {}
+        shape, _ = lowered(lambda: _shape(chain, {"x"}, literals, leaves))
+        nodes, end = spine(shape, 0 if left else 1)
+        assert len(nodes) == 3000
+        holes = {int_term(k): Var(f"?{k + 1 if left else 2 - k}")
+                 for k in range(3)} if literals else {}
+        x = Var("?3" if literals and not left else "?0")
+        assert leaves == {Var("x"): x, **holes} and end == x
+        for k, node in enumerate(reversed(nodes)):  # inner to outer
+            lit = node.args[1 if left else 0]
+            assert lit == holes.get(int_term(k % 3), int_term(k % 3))

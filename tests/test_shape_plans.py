@@ -6,7 +6,8 @@ A value's weight is kept on it and reads its `repr`, which must be the
 text the value's frozen dataclass wrote (`tests/typeside_oracle.py`'s
 `dataclass_text`); the weight must order values as that oracle's does.
 `saturate` and the transform search compile each side shape once; the
-counts of `SaturatedInstance.compile` calls are pinned on one workspace.
+counts of the functions `SaturatedInstance.compile` builds are pinned on
+one workspace.
 A crosscheck builds its result schema once.
 """
 
@@ -227,14 +228,16 @@ def test_simplified_values_are_fixed_points(hyps, probes):
 
 
 def _counting_compile(monkeypatch):
+    """The terms SaturatedInstance.compile builds a function for; a term it
+    has built before for the same names is not built again."""
     calls = []
-    real = SaturatedInstance.compile
+    real = SaturatedInstance._compile
 
     def counting(self, t, *args, **kwargs):
         calls.append(t)
         return real(self, t, *args, **kwargs)
 
-    monkeypatch.setattr(SaturatedInstance, "compile", counting)
+    monkeypatch.setattr(SaturatedInstance, "_compile", counting)
     return calls
 
 
@@ -250,11 +253,16 @@ def test_sides_compile_once_per_shape(monkeypatch):
     assert len(calls) == 6
     calls.clear()
     got = enumerate_transforms(W, si)
-    # 6 shapes over one generator (?0.sal, ?0.mgr, ...) and 46 ground
-    # sides; a side that is one generator alone takes its binding
-    holes = [t for t in calls if "?" in repr(t)]
-    assert len(holes) == 6 and len(calls) == 52
+    # 6 shapes over one generator (?0.sal, ?0.mgr, ...) and ?0, a literal
+    # alone; a side that is one generator alone takes its binding
+    assert sorted(map(repr, calls)) == [
+        "?0", "?0.last", "?0.mgr", "?0.name", "?0.sal", "?0.sec", "?0.wrk"]
     assert [t.render() for t in got] == [t.render() for t in want]
+    # the same source into the same target compiles nothing again
+    calls.clear()
+    assert [t.render() for t in enumerate_transforms(W, si)] == [
+        t.render() for t in want]
+    assert calls == []
 
 
 def test_crosscheck_builds_the_result_schema_once(monkeypatch, capsys):

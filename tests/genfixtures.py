@@ -220,6 +220,106 @@ instance OverlapRev on P {
 """
 
 
+def solved_equations_workspace() -> str:
+    """Schemas P and S and instances whose type equations set a cell to a
+    literal or a null: the same literal twice (Twice), two literals
+    (Literals, inconsistent), a literal on the left (Left), a cell reached
+    through an edge (Edge) and its clash (EdgeClash), two nulls
+    (TwoNulls), a null set to a literal beside a cell set to that null
+    (NullLiteral), a negative literal (Negative), a Bool cell set to a
+    null and to true (BoolCell), a cell set both ways round with a
+    residual equation over it (Residual), and S-instances whose literal
+    salaries keep (Paid) or break (Underpaid, inconsistent) the
+    observable equation (e.sal <= e.mgr.sal) = true, and one whose boss
+    earns a null (NullBoss)."""
+    return """\
+schema P {
+  entities E;
+  edges nx : E -> E;
+  attributes v : E -> Int, u : E -> Int, s : E -> Str, b : E -> Bool;
+  path_eqs forall x:E . x.nx.nx = x.nx;
+}
+
+schema S {
+  entities Emp;
+  edges mgr : Emp -> Emp;
+  attributes sal : Emp -> Int;
+  path_eqs forall e:Emp . e.mgr.mgr = e.mgr;
+  obs_eqs forall e:Emp . (e.sal <= e.mgr.sal) = true;
+}
+
+instance Twice on P {
+  generators e : E;
+  equations e.v = 5, e.v = 5, e.s = "ab", "ab" = e.s;
+}
+
+instance Literals on P {
+  generators e : E;
+  equations e.v = 5, e.v = 6;
+}
+
+instance Left on P {
+  generators e : E;
+  equations 7 = e.u;
+}
+
+instance Edge on P {
+  generators e f : E;
+  equations e.nx = f, e.nx.v = 5, f.v = 5;
+}
+
+instance EdgeClash on P {
+  generators e f : E;
+  equations e.nx = f, e.nx.v = 5, f.v = 6;
+}
+
+instance TwoNulls on P {
+  generators e : E;
+  generators n m : Int;
+  equations e.v = n, e.v = m;
+}
+
+instance NullLiteral on P {
+  generators e : E;
+  generators n : Int;
+  equations e.v = n, n = 4, e.nx.u = n;
+}
+
+instance Negative on P {
+  generators e f : E;
+  equations e.nx = f, f.u = -3;
+}
+
+instance BoolCell on P {
+  generators e : E;
+  generators p : Bool;
+  equations e.b = p, e.b = true;
+}
+
+instance Residual on P {
+  generators e : E;
+  generators n : Int;
+  equations e.u + n = e.v, 3 = e.v, e.v = 3, (n <= e.u) = true;
+}
+
+instance Paid on S {
+  generators a b : Emp;
+  equations a.mgr = b, b.mgr = b, a.sal = 500, b.sal = 700;
+}
+
+instance Underpaid on S {
+  generators a b : Emp;
+  equations a.mgr = b, b.mgr = b, a.sal = 700, b.sal = 500;
+}
+
+instance NullBoss on S {
+  generators a b : Emp;
+  generators n : Int;
+  equations a.mgr = b, b.mgr = b, a.sal = 500, b.sal = n;
+}
+"""
+
+
 def infinite_side_workspace() -> str:
     """Schema P, whose entity B has an infinite representable (edge nxt
     is free), instance K on it, and query Q, which reads only A: Q's

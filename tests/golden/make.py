@@ -7,10 +7,10 @@ CORPUS lists each command as an argv whose file argument is a key:
 of the staff on a labelled null salary and salaries drawn from {300,
 600}.  The keys of EXTRA name small workspaces written with the
 companies: copies of paper.cdb with other line ends or a trailing
-comment, the type-equations workspace of tests/genfixtures.py, and the
-error cases (an instance with a free loop, A1; a cycle through a rule's
-left side, P; a 5000-edge path; a non-letter string literal; a file
-that is not UTF-8).
+comment, the type-equations and solved-equations workspaces of
+tests/genfixtures.py, and the error cases (an instance with a free loop,
+A1; a cycle through a rule's left side, P; a 5000-edge path; a
+non-letter string literal; a file that is not UTF-8).
 expected.txt keeps, per command, its exit code and its stdout and stderr:
 as text for the fixtures, as a SHA-256 and a length for the generated
 workspaces.  A command's file path is written as its key in both.
@@ -34,7 +34,9 @@ from pathlib import Path
 
 from catdb.cli import run_cli
 from tests.conftest import FIXTURES
-from tests.genfixtures import bench_company, type_equations_workspace
+from tests.genfixtures import (
+    bench_company, solved_equations_workspace, type_equations_workspace,
+)
 
 EXPECTED = Path(__file__).resolve().parent / "expected.txt"
 NULLS = dict(null_share=0.25, salaries=(300, 600))
@@ -42,11 +44,13 @@ COMPANIES = {f"company-{n}": n for n in (3, 12, 48, 96)}
 COMPANIES.update({f"company-{n}-nulls": n for n in (12, 96)})
 PAPER = (FIXTURES / "paper.cdb").read_text(encoding="utf-8")
 TYPE_EQS = type_equations_workspace()
+SOLVED_EQS = solved_equations_workspace()
 EXTRA: dict[str, bytes] = {k: v.encode() for k, v in {
     "paper-crlf": PAPER.replace("\n", "\r\n"),
     "paper-cr": PAPER.replace("\n", "\r"),
     "paper-comment": PAPER + "// a last line with no newline",
     "type-eqs": TYPE_EQS,
+    "solved-eqs": SOLVED_EQS,
     "a1": "schema A1 { entities A; edges loop : A -> A; }\n"
           "instance K on A1 { generators a : A; }\n",
     "p": "schema P {\n  entities E0;\n"
@@ -121,6 +125,8 @@ def _corpus() -> list[list[str]]:
                                       "paper-comment")]
     out += [["saturate", "type-eqs", "--instance", i]
             for i in re.findall(r"^instance (\S+)", TYPE_EQS, re.M)]
+    out += [["saturate", "solved-eqs", "--instance", i]
+            for i in re.findall(r"^instance (\S+)", SOLVED_EQS, re.M)]
     out += [["saturate", "a1", "--instance", "K", "--budget", b]
             for b in ("300", "400")]
     out += [["saturate", "p", "--instance", "K"],

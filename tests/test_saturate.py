@@ -17,7 +17,7 @@ from tests import saturate_oracle as oracle
 from tests.conftest import FIXTURES
 from tests.genfixtures import (
     bench_company, company_instance, random_instance,
-    type_equations_workspace, typeside_instance,
+    solved_equations_workspace, type_equations_workspace, typeside_instance,
 )
 
 SCHEMAS = ("S", "T", "L", "R", "RS")
@@ -59,6 +59,18 @@ def test_type_equation_instances():
         for ip in ws.instances.values():
             saturated += isinstance(assert_same(ip), str)
     assert saturated == 8
+
+
+def test_solved_equation_instances():
+    # a cell set to a literal or a null, once, twice, through an edge and
+    # under an observable equation; Literals, EdgeClash and Underpaid are
+    # inconsistent
+    ws = parse_workspace(solved_equations_workspace(), "<solved>")
+    got = {name: isinstance(assert_same(ip), str)
+           for name, ip in ws.instances.items()}
+    assert sorted(n for n, ok in got.items() if not ok) == [
+        "EdgeClash", "Literals", "Underpaid"]
+    assert len(got) == 13
 
 
 def test_company_with_nulls():

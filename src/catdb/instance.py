@@ -5,10 +5,11 @@ collage signature (entity-sorted generators are rows-to-be, type-sorted
 generators are labelled nulls) together with equations.  Saturation
 materializes the entity side: rows are congruence classes of entity
 terms, closed under edge application; attribute cells are canonical type
-values over the instance's type algebra.  Its hypotheses are pairs of
-values: the two sides of each type-sorted instance equation, and of each
-observable equation at each row, read with every attribute cell as an
-opaque atom by sides compiled once (`typeside.type_plan`).
+values over the instance's type algebra.  A type-sorted instance equation
+that sets a cell to a literal or a null writes the cell; the other pairs
+of values are the algebra's hypotheses: the two sides of each other such
+equation, and of each observable equation at each row, read with every
+other cell as an opaque atom by sides compiled once (`typeside.type_plan`).
 """
 
 from __future__ import annotations
@@ -247,12 +248,15 @@ def chase(ip: InstancePresentation, budget: Budget = DEFAULT_BUDGET
 def saturate(ip: InstancePresentation,
              budget: Budget = DEFAULT_BUDGET) -> SaturatedInstance:
     """The tables of ip: the chase finds the rows and edge columns, then the
-    type algebra settles the attribute cells.  Its hypotheses are pairs of
-    values, read off an instance whose every attribute cell is its own
-    opaque atom: each side of each type-sorted equation of ip, compiled
-    once per shape (`_shape`, with its generators, nulls and literals as
-    holes), and each side of each observable equation, compiled once over
-    its variable and applied at every row of its entity."""
+    type algebra settles the attribute cells.  A type-sorted equation of ip
+    that sets an attribute of a ground path to a literal or a null writes
+    that value into the cell first; a second one on a written cell is the
+    pair (old, new).  The algebra's other hypotheses are pairs of values,
+    read with every other cell as its own opaque atom: each side of each
+    other type-sorted equation, compiled once per shape (`_shape`, with its
+    generators, nulls and literals as holes), and each side of each
+    observable equation, compiled once over its variable and applied at
+    every row of its entity."""
     sch = ip.schema
     nulls = Context(tuple(ip.type_generators()))
     gen_names = set(ip.generators.names())
@@ -262,32 +266,53 @@ def saturate(ip: InstancePresentation,
         f: {r: cl.representative(app(f, r)) for r in row_list[f.dom[0]]}
         for f in sch.edges}
     gen_env = {n: cl.representative(Var(n)) for n, _ in ip.entity_generators()}
-    cells = SaturatedInstance(
-        sch, row_list, edge_cols,
-        {a: {r: opaque_atom(app(a, r), a.cod) for r in row_list[a.dom[0]]}
-         for a in sch.attributes},
-        TypeAlgebra(nulls), gen_env)
+    cells = SaturatedInstance(sch, row_list, edge_cols,
+                              {a: {} for a in sch.attributes},
+                              TypeAlgebra(nulls), gen_env)
 
     # a generator's row, a null's atom, and a literal's value once it occurs
     leaf_values: dict[Term, object] = {Var(n): r for n, r in gen_env.items()}
     leaf_values.update((Var(n), opaque_atom(Var(n), s))
                        for n, s in nulls.bindings)
 
+    def leaf_value(leaf: Term):
+        if leaf not in leaf_values:
+            leaf_values[leaf] = symbol_operation(leaf.symbol)(cells.typealg)
+        return leaf_values[leaf]
+
     def value(t: Term):
         leaves: dict[Term, Var] = {}
         fn = cells.compile(_shape(t, gen_names, True, leaves),
                            [h.name for h in leaves.values()])
-        env = {}
-        for leaf, hole in leaves.items():
-            v = leaf_values.get(leaf)
-            if v is None:
-                v = leaf_values[leaf] = symbol_operation(leaf.symbol)(
-                    cells.typealg)
-            env[hole.name] = v
-        return fn(env)
+        return fn({h.name: leaf_value(leaf) for leaf, h in leaves.items()})
 
-    hypotheses = [(value(eq.lhs), value(eq.rhs))
-                  for eq in ip.equations if not sch.is_entity(eq.sort)]
+    def solved(cell: Term, leaf: Term) -> bool:
+        return isinstance(cell, App) and cell.symbol in cells.attr_cols and (
+            leaf in leaf_values if isinstance(leaf, Var)
+            else is_int_literal(leaf.symbol) or is_str_literal(leaf.symbol))
+
+    # solve: write each cell that an equation sets to a literal or a null
+    pending: list = []  # a pair of values, or an equation to evaluate
+    for eq in (eq for eq in ip.equations if not sch.is_entity(eq.sort)):
+        cell, leaf = eq.lhs, eq.rhs
+        if solved(leaf, cell):
+            cell, leaf = leaf, cell
+        elif not solved(cell, leaf):
+            pending.append(eq)
+            continue
+        col = cells.attr_cols[cell.symbol]
+        row = cells._path(cell.args[0], ())[2]
+        if row in col:
+            pending.append((col[row], leaf_value(leaf)))
+        else:
+            col[row] = leaf_value(leaf)
+    for a in sch.attributes:  # an unwritten cell is its own opaque atom
+        col = cells.attr_cols[a]
+        cells.attr_cols[a] = {r: col[r] if r in col else opaque_atom(
+            app(a, r), a.cod) for r in row_list[a.dom[0]]}
+    # then evaluate the rest over the written cells, in equation order
+    hypotheses = [p if isinstance(p, tuple) else (value(p.lhs), value(p.rhs))
+                  for p in pending]
     for eq in sch.obs_eqs:
         zname, zsort = eq.context.bindings[0]
         lhs, rhs = (cells.compile(t, (zname,)) for t in (eq.lhs, eq.rhs))

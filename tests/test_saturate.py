@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catdb.dsl import parse_workspace
 from catdb.instance import (
@@ -33,13 +34,17 @@ def outcome(sat, ip):
 
 def assert_same(ip):
     """The tables as JSON, or the error both saturations raised.  When both
-    saturate, their type algebras also have the same hypotheses, in the
-    same order."""
+    saturate, their type algebras also decide alike: the same residual
+    constraints and entries, and the same substitution of every atom that
+    saturation's algebra substitutes (a cell it wrote is no atom there)."""
     got, want = outcome(saturate, ip), outcome(oracle.saturate, ip)
     if isinstance(got, tuple) or isinstance(want, tuple):
         assert got == want
         return got
-    assert list(got.typealg.hypotheses) == list(want.typealg.hypotheses)
+    alg, oracle_alg = got.typealg, want.typealg
+    assert alg.residual_constraints() == oracle_alg.residual_constraints()
+    assert alg._residual == oracle_alg._residual
+    assert {a: oracle_alg._subst.get(a) for a in alg._subst} == alg._subst
     out = tables_json(got)
     assert out == tables_json(want)
     return out
@@ -179,3 +184,35 @@ def test_equation_order_does_not_change_the_tables(ws):
             rng.shuffle(eqs)
             assert tables_json(saturate(replace(ip, equations=tuple(eqs)))) \
                 == want
+
+
+# Equations over P (of solved_equations_workspace) with rows e, f, e.nx and
+# f.nx, nulls n, m : Int, p : Bool and w : Str, by kind; small literals
+# make clashes likely.
+CELLS = ("e.v", "e.u", "f.v", "f.u", "e.nx.v", "f.nx.u")
+LITERALS = ("0", "1", "2", "-1")
+EQUATIONS = {
+    "cell = literal": [f"{c} = {x}" for c in CELLS for x in LITERALS],
+    "literal = cell": [f"{x} = {c}" for c in CELLS for x in LITERALS],
+    "cell = null": [f"{c} = {n}" for c in CELLS for n in ("n", "m")],
+    "null = literal": [f"{n} = {x}" for n in ("n", "m") for x in LITERALS],
+    "residual": [f"{c} + n = {d}" for c in CELLS[:2] for d in CELLS[2:4]]
+    + [f"(n <= {c}) = true" for c in CELLS[:3]] + ["n * m = e.v", "n + m = 1"],
+    "other sorts": ['e.s = "ab"', '"ab" = f.s', 'e.s = "ba"', "e.s = w",
+                    "e.b = p", "e.b = true", "e.b = (n <= 1)", "p = false"],
+    "edge": ["e.nx = f"],
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.lists(st.sampled_from(sorted(EQUATIONS)).flatmap(
+    lambda kind: st.sampled_from(EQUATIONS[kind])), min_size=1, max_size=8))
+def test_random_solved_equations(equations):
+    # cells set to literals and nulls, nulls set to literals, residual
+    # equations and clashes, in any order: saturation writes the solved
+    # cells first, the oracle hands every equation to the type algebra
+    text = (solved_equations_workspace()
+            + "instance R on P {\n  generators e f : E;\n"
+            "  generators n m : Int, p : Bool, w : Str;\n"
+            f"  equations {', '.join(equations)};\n}}\n")
+    assert_same(parse_workspace(text, "<random>").instances["R"])

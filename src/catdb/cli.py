@@ -8,6 +8,7 @@ checks, undecidable/infinite cases, inconsistency), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -238,6 +239,19 @@ COMMANDS = {
 
 
 def run_cli(argv: list[str] | None = None) -> int:
+    """One command, run with the cyclic collector off: the engine makes no
+    reference cycles, so reference counting frees what it drops.  The
+    collector's state is restored on the way out."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from operator import itemgetter
 from typing import Callable
 
@@ -995,30 +995,29 @@ def observable_decide(schema: Schema, context: Context, lhs: Term,
 # --- rendering ----------------------------------------------------------
 
 
-def _cell_str(si: SaturatedInstance, sym: FunctionSymbol, row: Term) -> str:
-    if sym in si.edge_cols:
-        return render_term(si.edge_cols[sym][row])
-    return render_value(si.attr_cols[sym][row])
-
-
 def tables(si: SaturatedInstance) -> dict:
     out: dict = {"entities": {}, "typealg": typealg_summary(si.typealg)}
+    row, value = cache(render_term), cache(render_value)  # once per call
     for e in si.schema.entities:
-        cols = si.schema.edges_from(e) + si.schema.attrs_from(e)
+        edges, attrs = si.schema.edges_from(e), si.schema.attrs_from(e)
+        cols = [(si.edge_cols[f], row) for f in edges] + [
+            (si.attr_cols[a], value) for a in attrs]
         out["entities"][e.name] = {
-            "columns": ["id"] + [c.name for c in cols],
-            "rows": [
-                [render_term(r)] + [_cell_str(si, c, r) for c in cols]
-                for r in si.rows(e)
-            ],
+            "columns": ["id"] + [c.name for c in edges + attrs],
+            "rows": [[row(r)] + [text(c[r]) for c, text in cols]
+                     for r in si.rows(e)],
         }
     return out
 
 
 def typealg_summary(alg: TypeAlgebra) -> dict:
+    """The nulls, then the constraints on them, sorted: each null the
+    algebra sets to a value, as `null = value`, and each residual one."""
+    solved = [f"{at.name} = {v.render()}" for at, v in alg._subst.items()
+              if isinstance(at, Var) and at.name in alg.nulls]
     return {
         "nulls": [f"{n} : {s.name}" for n, s in alg.nulls.bindings],
-        "constraints": alg.residual_constraints(),
+        "constraints": sorted(alg.residual_constraints() + solved),
     }
 
 

@@ -219,7 +219,6 @@ class CollageSchema:
     schema: Schema
     incl_src: SchemaMapping
     incl_dst: SchemaMapping
-    bimodule: BimodulePresentation
 
 
 def collage_of_bimodule(M: BimodulePresentation,
@@ -253,7 +252,7 @@ def collage_of_bimodule(M: BimodulePresentation,
             {f: app(f, Var("x")) for f in side.edges},
             {a: app(a, Var("x")) for a in side.attributes})
 
-    memo[budget] = CollageSchema(col, inclusion(M.src), inclusion(M.dst), M)
+    memo[budget] = CollageSchema(col, inclusion(M.src), inclusion(M.dst))
     return memo[budget]
 
 

@@ -241,8 +241,6 @@ class StrWord(CanonicalValue):
         )
 
     def render(self) -> str:
-        if self.is_literal():
-            return '"' + self.literal_value() + '"'
         parts, buf = [], ""
         for k, v in self.items:
             if k == "lit":
@@ -252,9 +250,9 @@ class StrWord(CanonicalValue):
                     parts.append(f'"{buf}"')
                     buf = ""
                 parts.append(render_term(v))  # type: ignore[arg-type]
-        if buf:
+        if buf or not parts:
             parts.append(f'"{buf}"')
-        return " . ".join(parts) if parts else '""'
+        return " . ".join(parts)
 
 
 class BoolForm(CanonicalValue):

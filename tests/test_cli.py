@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output, and determinism."""
 
+import gc
 import json
 import os
 import random
@@ -9,10 +10,13 @@ import sys
 
 import pytest
 
+import catdb.cli as cli
 import catdb.query as query
 from catdb.cli import run_cli
+from catdb.dsl import parse_workspace
 from catdb.instance import saturate
 from tests.conftest import FIXTURES, load_fixture
+from tests.golden import make
 from tests.genfixtures import (
     BIMODULE_WORKSPACE, CHECK_FAILURES_WORKSPACE, company_instance,
     infinite_side_workspace, type_equations_workspace, typeside_instance,
@@ -521,6 +525,69 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+class TestCollector:
+    """run_cli runs each command with the cyclic collector off and puts it
+    back as it found it, however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def state(self, request):
+        enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("argv, code", [
+        (("saturate", WORKSPACE, "--instance", "J"), 0),
+        (("migrate", WORKSPACE, "--mapping", "F", "--instance", "J",
+          "--mode", "pi"), 1),
+        (("saturate", WORKSPACE, "--instance", "ZZ"), 2),
+        (("bogus", WORKSPACE), 2),
+        (("--help",), 0),
+    ], ids=["ok", "domain-error", "unknown-instance", "unknown-command",
+            "help"])
+    def test_state_is_restored(self, capsys, state, argv, code):
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is state
+
+    def test_state_is_restored_when_an_error_escapes(self, state,
+                                                     monkeypatch):
+        def fail(*args):
+            raise ValueError("not the digit limit")
+        monkeypatch.setattr(cli, "saturate", fail)
+        with pytest.raises(ValueError, match="not the digit limit"):
+            run_cli(["saturate", WORKSPACE, "--instance", "J"])
+        assert gc.isenabled() is state
+
+    def test_no_collection_inside_a_command(self, tmp_path):
+        """A gc.callbacks probe over the corpus commands on paper.cdb and
+        on the 96-employee company with nulls, then over a library call
+        on the same company, which keeps the collector on."""
+        paths = make.workspaces(tmp_path)
+        inside, outside = [], []
+
+        def probe(phase, info):
+            if phase != "start":
+                return
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not \
+                    run_cli.__code__:
+                frame = frame.f_back
+            (outside if frame is None else inside).append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(probe)
+        try:
+            for argv in make.CORPUS:
+                if argv[1] in ("paper", "company-96-nulls"):
+                    make.run(argv, paths)
+            with open(paths["company-96-nulls"], encoding="utf-8") as fh:
+                ws = parse_workspace(fh.read(), "company.cdb")
+            saturate(ws.instances["W"])
+        finally:
+            gc.callbacks.remove(probe)
+        assert inside == [] and outside
 
 
 class TestDeterminism:

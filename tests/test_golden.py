@@ -3,10 +3,12 @@ tests/golden/expected.txt records for it, replayed in process, and three
 of them in fresh interpreters under PYTHONHASHSEED 0 and 1."""
 
 import difflib
+import gc
 import shlex
 
 import pytest
 
+from catdb.cli import build_parser
 from tests.golden import make
 from tests.test_cli import run_module
 
@@ -36,6 +38,43 @@ def test_replay_in_process(paths, expected):
     diffs = [diff(argv, make.record(argv, *make.run(argv, paths)), expected)
              for argv in make.CORPUS]
     assert not any(diffs), "".join(diffs)
+
+
+def test_no_command_leaves_engine_garbage(paths):
+    """With the collector off, as run_cli runs them, the commands free
+    what they made by reference counting alone: one collection after each
+    finds no object of a catdb type, and no more objects than parsing the
+    command line alone leaves (argparse's parser holds cycles)."""
+    def collect() -> tuple[int, list]:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            n = gc.collect()
+        finally:
+            gc.set_debug(0)
+        engine = sorted({type(o).__qualname__ for o in gc.garbage
+                         if type(o).__module__.startswith("catdb.")})
+        gc.garbage.clear()
+        gc.collect()  # what DEBUG_SAVEALL kept
+        return n, engine
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.freeze()  # so each collection walks only what came after
+    try:
+        build_parser().parse_args(["check", "x.cdb"])
+        parser_only, _ = collect()
+        left = {}
+        for argv in make.CORPUS:
+            make.run(argv, paths)
+            n, engine = collect()
+            if n > parser_only or engine:
+                left[shlex.join(argv)] = n, engine
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+    assert parser_only > 0 and not left, left
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
